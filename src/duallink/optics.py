@@ -163,14 +163,25 @@ def _centered_fft2(grid: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid)))
 
 
+def _power_sum(grid: np.ndarray) -> float:
+    """Sum of |E|^2 without an |E|^2 array (einsum loops, not a BLAS dot)."""
+    return float(
+        np.einsum("ij,ij->", grid.real, grid.real) + np.einsum("ij,ij->", grid.imag, grid.imag)
+    )
+
+
 def _edge_power_fraction(grid: np.ndarray) -> float:
-    p = np.abs(grid) ** 2
-    total = float(p.sum())
+    total = _power_sum(grid)
     if total <= 0.0:
         return 0.0
     c = _EDGE_GUARD_CELLS
-    interior = float(p[c:-c, c:-c].sum())
-    return (total - interior) / total
+    frame = (
+        _power_sum(grid[:c])
+        + _power_sum(grid[-c:])
+        + _power_sum(grid[c:-c, :c])
+        + _power_sum(grid[c:-c, -c:])
+    )
+    return frame / total
 
 
 def propagate_vacuum(
@@ -197,7 +208,10 @@ def propagate_vacuum(
     n = field.size
     if not resize and field.spacing * field.window >= field.wavelength * distance:
         kernel = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
-        out_grid = np.fft.ifft2(np.fft.fft2(field.grid) * kernel)
+        out_grid = np.fft.fft2(field.grid)
+        out_grid *= kernel
+        # ifftn rather than ifft2: numpy's ifft2 ignores out=
+        np.fft.ifftn(out_grid, out=out_grid)
         out = ComplexField(out_grid, field.spacing, field.wavelength, field.z + distance)
     else:
         d2 = target_spacing if resize else field.spacing
@@ -226,9 +240,11 @@ def apply_screen(field: ComplexField, screen: PhaseScreen) -> ComplexField:
         raise UsageError(
             f"screen spacing {screen.spacing!r} does not match field {field.spacing!r}"
         )
-    return ComplexField(
-        field.grid * np.exp(1j * screen.grid), field.spacing, field.wavelength, field.z
-    )
+    phasor = np.empty(field.grid.shape, dtype=complex)
+    np.cos(screen.grid, out=phasor.real)
+    np.sin(screen.grid, out=phasor.imag)
+    phasor *= field.grid
+    return ComplexField(phasor, field.spacing, field.wavelength, field.z)
 
 
 @lru_cache(maxsize=8)
@@ -280,15 +296,7 @@ def split_step(
         half = 0.5 * slab.path_length
         field = hop(field, pending + half, first)
         first = False
-        screen = generate_screen(
-            slab,
-            n,
-            field.spacing,
-            streams.generator(idx),
-            profile,
-            stream_id=streams.stream_id(idx),
-            slab_index=idx,
-        )
+        screen = generate_screen(slab, n, field.spacing, streams.generator(idx), profile)
         field = apply_screen(field, screen)
         pending = half
     return hop(field, pending, first)

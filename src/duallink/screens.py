@@ -96,13 +96,11 @@ class PhaseScreen:
 
     grid: np.ndarray
     spacing: float
-    slab_index: int
-    rng_stream_id: str
 
 
 @dataclass(frozen=True)
 class ScreenStreams:
-    """Named, counter-based random substreams, one per (realization, slab).
+    """Counter-based random substreams, one per (realization, slab).
 
     Every stream is derived from (master seed, realization, slab index)
     alone, so any subset of realizations can be regenerated bit-identically
@@ -117,9 +115,6 @@ class ScreenStreams:
             entropy=self.master_seed, spawn_key=(self.realization, slab_index)
         )
         return np.random.Generator(np.random.Philox(seq))
-
-    def stream_id(self, slab_index: int) -> str:
-        return f"{self.master_seed}/{self.realization}/{slab_index}"
 
 
 def plan_slabs(
@@ -236,12 +231,26 @@ def _fft_amplitude_factor(n: int, spacing: float, l_out: float, l_in: float) -> 
     return out
 
 
+# A level's axis phasors exp(i k theta x), k = -1, 0, 1, are this fixed map
+# of the real rows (1, cos theta x, sin theta x).  With P = T B and B real,
+# Re(P^T A P) = B^T Re(T^T A T) B, so every level folds into one real
+# coefficient matrix over a shared basis: the constant row, then a cos and
+# a sin row per level.
+_PHASOR_FROM_REAL = np.array([[0.0, 1.0, -1j], [1.0, 0.0, 0.0], [0.0, 1.0, 1j]])
+_LEVEL_ROWS = tuple(
+    np.ix_(rows, rows)
+    for rows in ((0, 2 * level - 1, 2 * level) for level in range(1, _SUBHARMONIC_LEVELS + 1))
+)
+
+
 @lru_cache(maxsize=8)
 def _subharmonic_factors(n: int, spacing: float, l_out: float, l_in: float):
-    """Per level: sqrt cell weights (3x3, r0 factored out) and axis phasors (3xN)."""
+    """Per-level sqrt cell weights (3x3, r0 factored out), the real axis
+    basis ((2L+1) x N) and its row means."""
     df = 1.0 / (n * spacing)
     coords = (np.arange(n) - n // 2) * spacing
-    levels = []
+    weights = []
+    rows = [np.ones(n)]
     for level in range(1, _SUBHARMONIC_LEVELS + 1):
         dfb = df / 3.0**level
         w = np.empty((3, 3))
@@ -249,12 +258,14 @@ def _subharmonic_factors(n: int, spacing: float, l_out: float, l_in: float):
             for b, j in enumerate((-1, 0, 1)):
                 w[a, b] = _cell_integrated_psd(i * dfb, j * dfb, dfb, 1.0, l_out, l_in)
         w[1, 1] = 0.0  # center cell: owned by the next level, or DC at the last
-        phasor = np.exp(2j * np.pi * dfb * np.outer([-1.0, 0.0, 1.0], coords))
-        sw = np.sqrt(w)
-        sw.setflags(write=False)
-        phasor.setflags(write=False)
-        levels.append((sw, phasor))
-    return tuple(levels)
+        weights.append(np.sqrt(w))
+        theta = 2.0 * np.pi * dfb * coords
+        rows += [np.cos(theta), np.sin(theta)]
+    basis = np.array(rows)
+    means = basis.mean(axis=1)
+    for array in (*weights, basis, means):
+        array.setflags(write=False)
+    return tuple(weights), basis, means
 
 
 def generate_screen(
@@ -263,8 +274,6 @@ def generate_screen(
     spacing: float,
     rng: np.random.Generator,
     profile: AtmosphereProfile,
-    stream_id: str = "",
-    slab_index: int = 0,
 ) -> PhaseScreen:
     """Draw one phase screen for a slab on an N x N grid.
 
@@ -280,7 +289,7 @@ def generate_screen(
     if spacing <= 0.0:
         raise UsageError("grid spacing must be positive")
     if not slab.has_screen:
-        return PhaseScreen(np.zeros((n, n)), spacing, slab_index, stream_id)
+        return PhaseScreen(np.zeros((n, n)), spacing)
     r0 = slab.fried
     l_out, l_in = profile.outer_scale, profile.inner_scale
     if n * spacing < l_out / 2.0:
@@ -292,21 +301,31 @@ def generate_screen(
         )
 
     # DC cell is zeroed in the cached factor; the subharmonic levels own
-    # everything below one window cycle.
-    scale = r0 ** (-5.0 / 6.0)
+    # everything below one window cycle.  The r0 scale is applied once, to
+    # the finished screen, whose buffer first holds the normal draws.
     factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
-    amplitude = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    screen = np.fft.ifft2(amplitude * (scale * factor)).real * (n * n)
+    spectrum = np.empty((n, n), dtype=complex)
+    screen = rng.standard_normal((n, n))
+    np.multiply(screen, factor, out=spectrum.real)
+    rng.standard_normal(out=screen)
+    np.multiply(screen, factor, out=spectrum.imag)
+    # ifftn rather than ifft2: numpy's ifft2 ignores out=
+    np.fft.ifftn(spectrum, norm="forward", out=spectrum)
 
-    sub = np.zeros((n, n), dtype=complex)
-    for sqrt_w, phasor in _subharmonic_factors(n, spacing, l_out, l_in):
+    weights, basis, means = _subharmonic_factors(n, spacing, l_out, l_in)
+    coeff = np.zeros((len(basis), len(basis)))
+    for sqrt_w, rows in zip(weights, _LEVEL_ROWS):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a *= scale * sqrt_w
-        # sum over the 3x3 patch grid as two small matmuls
-        sub += phasor.T @ (a @ phasor)
-    sub_real = sub.real
-    screen += sub_real - sub_real.mean()
-    return PhaseScreen(screen, spacing, slab_index, stream_id)
+        a *= sqrt_w
+        coeff[rows] += (_PHASOR_FROM_REAL.T @ a @ _PHASOR_FROM_REAL).real
+    # zero-mean subharmonic part: the grid mean of B^T C B is m^T C m
+    coeff[0, 0] -= means @ coeff @ means
+    # B^T (C B) as an einsum, which runs in numpy's own loops; a BLAS
+    # product here would wake its thread pool once per screen.
+    np.einsum("ki,kj->ij", basis, np.einsum("kl,lj->kj", coeff, basis), out=screen)
+    screen += spectrum.real
+    screen *= r0 ** (-5.0 / 6.0)
+    return PhaseScreen(screen, spacing)
 
 
 def screen_structure_function(screens: list[PhaseScreen], separations) -> list[float]:

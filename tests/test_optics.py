@@ -8,7 +8,9 @@ import pytest
 from duallink.atmosphere import AtmosphereProfile, greenwood_and_coherence
 from duallink.errors import NumericalError, UsageError
 from duallink.optics import (
+    _EDGE_GUARD_CELLS,
     ComplexField,
+    _edge_power_fraction,
     aperture_transmissivity,
     apply_screen,
     choose_receiver_window,
@@ -134,12 +136,36 @@ def test_aliasing_guard_trips_when_window_overflows():
         propagate_vacuum(field, 500e3)
 
 
+def full_grid_edge_fraction(grid: np.ndarray) -> float:
+    p = np.abs(grid) ** 2
+    total = float(p.sum())
+    if total <= 0.0:
+        return 0.0
+    c = _EDGE_GUARD_CELLS
+    return (total - float(p[c:-c, c:-c].sum())) / total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_edge_fraction_frame_sum_matches_full_grid(seed):
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    assert _edge_power_fraction(grid) == pytest.approx(full_grid_edge_fraction(grid), rel=1e-12)
+
+
+def test_edge_fraction_of_empty_and_frame_only_fields():
+    assert _edge_power_fraction(np.zeros((32, 32), dtype=complex)) == 0.0
+    c = _EDGE_GUARD_CELLS
+    frame = np.full((32, 32), 1.0 - 2.0j)
+    frame[c:-c, c:-c] = 0.0
+    assert _edge_power_fraction(frame) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # screen application
 
 
 def screen_like(field: ComplexField, phase: np.ndarray) -> PhaseScreen:
-    return PhaseScreen(phase, field.spacing, 0, "test")
+    return PhaseScreen(phase, field.spacing)
 
 
 def test_zero_screen_is_identity():
@@ -165,12 +191,21 @@ def test_screen_phases_add():
     assert relative_field_error(twice, once) < 1e-12
 
 
+def test_screen_imprint_matches_complex_exponential():
+    field = gaussian_source(make_geometry(), 128)
+    phase = 30.0 * np.random.default_rng(5).normal(size=(128, 128))
+    expected = field.grid * np.exp(1j * phase)
+    out = apply_screen(field, screen_like(field, phase))
+    # cos/sin and the complex exponential may round differently by an ulp
+    assert np.max(np.abs(out.grid - expected)) <= 1e-15 * np.max(np.abs(field.grid))
+
+
 def test_screen_geometry_must_match():
     field = gaussian_source(make_geometry(), 128)
     with pytest.raises(UsageError):
-        apply_screen(field, PhaseScreen(np.zeros((64, 64)), field.spacing, 0, "test"))
+        apply_screen(field, PhaseScreen(np.zeros((64, 64)), field.spacing))
     with pytest.raises(UsageError):
-        apply_screen(field, PhaseScreen(np.zeros((128, 128)), 2.0 * field.spacing, 0, "test"))
+        apply_screen(field, PhaseScreen(np.zeros((128, 128)), 2.0 * field.spacing))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ from duallink.atmosphere import (
 )
 from duallink.errors import UsageError
 from duallink.screens import (
+    _SUBHARMONIC_LEVELS,
     PhaseScreen,
     ScreenStreams,
     Slab,
     SlabPlan,
+    _cell_integrated_psd,
+    _fft_amplitude_factor,
     generate_screen,
     mvk_psd,
     plan_slabs,
@@ -201,6 +204,53 @@ def test_screen_variance_scales_with_integrated_turbulence():
     assert v2 / v1 == pytest.approx(2.0, rel=0.05)
 
 
+def reference_generate_screen(slab, n, spacing, rng, profile):
+    """Complex-phasor synthesis: one ifft2 plus, per subharmonic level,
+    Re(P^T A P) with P the 3 x N axis phasors exp(i k theta x), k = -1, 0, 1."""
+    scale = slab.fried ** (-5.0 / 6.0)
+    l_out, l_in = profile.outer_scale, profile.inner_scale
+    factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
+    amplitude = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    screen = np.fft.ifft2(amplitude * (scale * factor)).real * (n * n)
+
+    df = 1.0 / (n * spacing)
+    coords = (np.arange(n) - n // 2) * spacing
+    sub = np.zeros((n, n), dtype=complex)
+    for level in range(1, _SUBHARMONIC_LEVELS + 1):
+        dfb = df / 3.0**level
+        w = np.empty((3, 3))
+        for a, i in enumerate((-1, 0, 1)):
+            for b, j in enumerate((-1, 0, 1)):
+                w[a, b] = _cell_integrated_psd(i * dfb, j * dfb, dfb, 1.0, l_out, l_in)
+        w[1, 1] = 0.0
+        phasor = np.exp(2j * np.pi * dfb * np.outer([-1.0, 0.0, 1.0], coords))
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a *= scale * np.sqrt(w)
+        sub += phasor.T @ (a @ phasor)
+    sub_real = sub.real
+    return screen + (sub_real - sub_real.mean())
+
+
+# Fixed before the real-form rewrite: reordering float64 sums may move each
+# pixel by a few ulps of the screen's scale, far below 1e-12 of its rms.
+SCREEN_MATCH_TOLERANCE = 1e-12
+
+
+@pytest.mark.parametrize("n, spacing", [(64, 0.05), (256, 0.02)])
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+def test_screen_matches_complex_phasor_reference(baseline_profile, n, spacing, seed):
+    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    streams = ScreenStreams(seed, 3)
+    ref_rng = streams.generator(5)
+    rng = streams.generator(5)
+    expected = reference_generate_screen(slab, n, spacing, ref_rng, baseline_profile)
+    got = generate_screen(slab, n, spacing, rng, baseline_profile).grid
+    rms = float(np.sqrt(np.mean(expected**2)))
+    assert np.max(np.abs(got - expected)) <= SCREEN_MATCH_TOLERANCE * rms
+    # same draws, consumed in the same order
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
 # ---------------------------------------------------------------------------
 # structure function
 
@@ -218,19 +268,19 @@ def exact_mvk_structure_function(r, fried, outer_scale, inner_scale):
 
 
 def test_structure_function_zero_for_zero_screens(baseline_profile):
-    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1, 0, "") for _ in range(50)]
+    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1) for _ in range(50)]
     values = screen_structure_function(zeros, [0.1, 0.5, 1.0])
     assert values == [0.0, 0.0, 0.0]
 
 
 def test_structure_function_requires_enough_screens(baseline_profile):
-    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1, 0, "") for _ in range(10)]
+    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1) for _ in range(10)]
     with pytest.raises(UsageError):
         screen_structure_function(zeros, [0.1])
 
 
 def test_structure_function_rejects_off_grid_separation():
-    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1, 0, "") for _ in range(50)]
+    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1) for _ in range(50)]
     with pytest.raises(UsageError):
         screen_structure_function(zeros, [0.15])
     with pytest.raises(UsageError):
