@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError, UsageError
 
@@ -108,8 +107,17 @@ def rms_wind(Vg: float) -> float:
     """Root-mean-square wind over the 5-20 km band that drives high-altitude Cn2."""
     if Vg < 0.0:
         raise UsageError("ground wind speed must be nonnegative")
+    # Closed form of the integral of (Vg + 30 exp(-u^2))^2 over the band,
+    # u = (h - 9400) / 4800: a constant, an erf and an erf at sqrt(2) u.
     lo, hi = _WIND_BAND
-    total, _ = quad(lambda h: bufton_wind(h, Vg) ** 2, lo, hi, limit=200)
+    u_lo, u_hi = (lo - 9400.0) / 4800.0, (hi - 9400.0) / 4800.0
+    root2 = math.sqrt(2.0)
+    gust = 0.5 * math.sqrt(math.pi) * 4800.0 * (math.erf(u_hi) - math.erf(u_lo))
+    gust_sq = (
+        0.5 * math.sqrt(0.5 * math.pi) * 4800.0
+        * (math.erf(root2 * u_hi) - math.erf(root2 * u_lo))
+    )
+    total = Vg * Vg * (hi - lo) + 60.0 * Vg * gust + 900.0 * gust_sq
     return math.sqrt(total / (hi - lo))
 
 
@@ -202,6 +210,8 @@ def _chunked_integral(f, a: float, b: float, chunks: int = 60) -> float:
     sliver [a, 1 m] is prepended when a < 1 m since log spacing needs a
     positive start.
     """
+    from scipy.integrate import quad  # deferred: scipy costs most of import time
+
     if b <= a:
         return 0.0
     lo = max(a, 1.0)

@@ -32,7 +32,8 @@ from .optics import (
 from .screens import ScreenStreams, plan_slabs
 
 _FORMAT_NAME = "duallink-ensemble"
-_FORMAT_VERSION = 1
+# 2: each spectral draw serves a pair of screens (real and imaginary halves)
+_FORMAT_VERSION = 2
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (

@@ -13,6 +13,7 @@ with one long hop to machine precision even over hundreds of kilometres.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,6 +118,11 @@ def second_moment_radius(field: ComplexField) -> float:
     return math.sqrt(2.0 * float((intensity * r2).sum()) / total)
 
 
+# Held around every kernel lookup, so workers that miss together build
+# each kernel once.
+_KERNEL_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=16)
 def _angular_spectrum_kernel(
     n: int, spacing: float, wavelength: float, distance: float
@@ -207,7 +213,8 @@ def propagate_vacuum(
         return field
     n = field.size
     if not resize and field.spacing * field.window >= field.wavelength * distance:
-        kernel = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
+        with _KERNEL_LOCK:
+            kernel = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
         out_grid = np.fft.fft2(field.grid)
         out_grid *= kernel
         # ifftn rather than ifft2: numpy's ifft2 ignores out=
@@ -270,25 +277,34 @@ def split_step(
     side of each screen) coalesce into single hops, and the first hop
     also rescales the grid to the receiver window.  The soft edge
     absorber runs before every hop; whatever it removes stays removed
-    and is charged to the measured transmissivity.
+    and is charged to the measured transmissivity.  Turbulent slabs are
+    paired in walk order: one spectral draw from the stream of the pair's
+    first slab serves both, and the second screen is held until its slab.
     """
     if receiver_window <= 0.0:
         raise UsageError("receiver window must be positive")
     n = source.size
     target = receiver_window / n
+    walk = range(len(plan.slabs) - 1, -1, -1)
+    turbulent = [idx for idx in walk if plan.slabs[idx].has_screen]
+    partner = dict(zip(turbulent[0::2], turbulent[1::2]))
 
     def hop(field: ComplexField, dist: float, first: bool) -> ComplexField:
         if dist == 0.0 and not first:
             return field
-        absorbed = ComplexField(
-            field.grid * _apodization_mask(n), field.spacing, field.wavelength, field.z
-        )
-        return propagate_vacuum(absorbed, dist, target if first else None)
+        mask = _apodization_mask(n)
+        if first:
+            # the source grid is shared by every realization and worker
+            field = ComplexField(field.grid * mask, field.spacing, field.wavelength, field.z)
+        else:
+            np.multiply(field.grid, mask, out=field.grid)
+        return propagate_vacuum(field, dist, target if first else None)
 
     field = source
     pending = 0.0
     first = True
-    for idx in range(len(plan.slabs) - 1, -1, -1):
+    held: list[PhaseScreen] = []
+    for idx in walk:
         slab = plan.slabs[idx]
         if not slab.has_screen:
             pending += slab.path_length
@@ -296,7 +312,13 @@ def split_step(
         half = 0.5 * slab.path_length
         field = hop(field, pending + half, first)
         first = False
-        screen = generate_screen(slab, n, field.spacing, streams.generator(idx), profile)
+        if held:
+            screen = held.pop()
+        else:
+            pair = (slab, plan.slabs[partner[idx]]) if idx in partner else (slab,)
+            screen, *held = generate_screen(
+                pair, n, field.spacing, streams.generator(idx), profile
+            )
         field = apply_screen(field, screen)
         pending = half
     return hop(field, pending, first)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .atmosphere import (
     NO_TURBULENCE,
@@ -100,11 +99,14 @@ class PhaseScreen:
 
 @dataclass(frozen=True)
 class ScreenStreams:
-    """Counter-based random substreams, one per (realization, slab).
+    """Counter-based random substreams, one per (realization, screen pair).
 
-    Every stream is derived from (master seed, realization, slab index)
-    alone, so any subset of realizations can be regenerated bit-identically
-    in any execution order and on any worker count.
+    A realization's screens are drawn in pairs of consecutive turbulent
+    slabs, and each pair's stream is keyed by the slab index of the pair's
+    first slab (an odd last screen is a pair of one).  Every stream is
+    derived from (master seed, realization, slab index) alone, so any
+    subset of realizations can be regenerated bit-identically in any
+    execution order and on any worker count.
     """
 
     master_seed: int
@@ -127,6 +129,8 @@ def plan_slabs(
     value); everything above the altitude holding 99.9% of the integrated
     Cn2 becomes a single vacuum slab with no screen.
     """
+    from scipy.optimize import brentq  # deferred: scipy costs most of import time
+
     h0 = geom.ground_altitude
     top = geom.satellite_altitude
     sec = geom.sec_zenith
@@ -269,28 +273,32 @@ def _subharmonic_factors(n: int, spacing: float, l_out: float, l_in: float):
 
 
 def generate_screen(
-    slab: Slab,
+    slabs: tuple[Slab, ...],
     grid_size: int,
     spacing: float,
     rng: np.random.Generator,
     profile: AtmosphereProfile,
-) -> PhaseScreen:
-    """Draw one phase screen for a slab on an N x N grid.
+) -> tuple[PhaseScreen, ...]:
+    """Draw the phase screens of one or two slabs on an N x N grid.
 
     Spectral synthesis: circular-Gaussian amplitudes weighted by
-    sqrt(PSD) * df on the FFT lattice (the real part of the inverse
-    transform is the screen; the imaginary part would be a second
-    independent screen and is discarded), plus three levels of 3x3
+    sqrt(PSD) * df on the FFT lattice, plus three levels of 3x3
     subharmonic patches whose amplitudes carry the cell-integrated PSD.
+    The real and imaginary parts of the inverse transform are two
+    independent screens: the real part goes to the first slab and the
+    imaginary part to the second, each with its own subharmonic draws
+    taken in slab order after the spectral draw.  A one-slab call makes
+    only the first slab's draws.  Vacuum slabs get zero screens.
     """
     n = grid_size
     if n <= 0 or n & (n - 1):
         raise UsageError(f"grid size must be a power of two, got {n}")
     if spacing <= 0.0:
         raise UsageError("grid spacing must be positive")
-    if not slab.has_screen:
-        return PhaseScreen(np.zeros((n, n)), spacing)
-    r0 = slab.fried
+    if not 1 <= len(slabs) <= 2:
+        raise UsageError(f"one or two slabs per spectral draw, got {len(slabs)}")
+    if not any(slab.has_screen for slab in slabs):
+        return tuple(PhaseScreen(np.zeros((n, n)), spacing) for _ in slabs)
     l_out, l_in = profile.outer_scale, profile.inner_scale
     if n * spacing < l_out / 2.0:
         warnings.warn(
@@ -301,31 +309,36 @@ def generate_screen(
         )
 
     # DC cell is zeroed in the cached factor; the subharmonic levels own
-    # everything below one window cycle.  The r0 scale is applied once, to
-    # the finished screen, whose buffer first holds the normal draws.
+    # everything below one window cycle.  Each slab's r0 scale is applied
+    # once, to its finished screen; the first screen's buffer first holds
+    # the normal draws.
     factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
     spectrum = np.empty((n, n), dtype=complex)
-    screen = rng.standard_normal((n, n))
-    np.multiply(screen, factor, out=spectrum.real)
-    rng.standard_normal(out=screen)
-    np.multiply(screen, factor, out=spectrum.imag)
+    draws = rng.standard_normal((n, n))
+    np.multiply(draws, factor, out=spectrum.real)
+    rng.standard_normal(out=draws)
+    np.multiply(draws, factor, out=spectrum.imag)
     # ifftn rather than ifft2: numpy's ifft2 ignores out=
     np.fft.ifftn(spectrum, norm="forward", out=spectrum)
 
     weights, basis, means = _subharmonic_factors(n, spacing, l_out, l_in)
-    coeff = np.zeros((len(basis), len(basis)))
-    for sqrt_w, rows in zip(weights, _LEVEL_ROWS):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a *= sqrt_w
-        coeff[rows] += (_PHASOR_FROM_REAL.T @ a @ _PHASOR_FROM_REAL).real
-    # zero-mean subharmonic part: the grid mean of B^T C B is m^T C m
-    coeff[0, 0] -= means @ coeff @ means
-    # B^T (C B) as an einsum, which runs in numpy's own loops; a BLAS
-    # product here would wake its thread pool once per screen.
-    np.einsum("ki,kj->ij", basis, np.einsum("kl,lj->kj", coeff, basis), out=screen)
-    screen += spectrum.real
-    screen *= r0 ** (-5.0 / 6.0)
-    return PhaseScreen(screen, spacing)
+    screens = []
+    buffers = (draws, *(np.empty((n, n)) for _ in slabs[1:]))
+    for slab, half, screen in zip(slabs, (spectrum.real, spectrum.imag), buffers):
+        coeff = np.zeros((len(basis), len(basis)))
+        for sqrt_w, rows in zip(weights, _LEVEL_ROWS):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            a *= sqrt_w
+            coeff[rows] += (_PHASOR_FROM_REAL.T @ a @ _PHASOR_FROM_REAL).real
+        # zero-mean subharmonic part: the grid mean of B^T C B is m^T C m
+        coeff[0, 0] -= means @ coeff @ means
+        # B^T (C B) as an einsum, which runs in numpy's own loops; a BLAS
+        # product here would wake its thread pool once per screen.
+        np.einsum("ki,kj->ij", basis, np.einsum("kl,lj->kj", coeff, basis), out=screen)
+        screen += half
+        screen *= slab.fried ** (-5.0 / 6.0) if slab.has_screen else 0.0
+        screens.append(PhaseScreen(screen, spacing))
+    return tuple(screens)
 
 
 def screen_structure_function(screens: list[PhaseScreen], separations) -> list[float]:

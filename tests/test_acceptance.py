@@ -180,7 +180,7 @@ def test_criterion_04_phase_screen_structure_function():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScreenResolutionWarning)
         screens = [
-            generate_screen(slab, 256, 0.02, ScreenStreams(404, i).generator(0), profile)
+            generate_screen((slab,), 256, 0.02, ScreenStreams(404, i).generator(0), profile)[0]
             for i in range(256)
         ]
     separations = [0.10, 0.16, 0.32, 0.64, 1.28]
@@ -196,6 +196,34 @@ def test_criterion_04_phase_screen_structure_function():
         "structure function vs 6.88 (r/r0)^(5/3)",
         ok,
         f"{len(screens)} screens, worst rel err {worst:.4f} (<=10%), {elapsed:.1f} s",
+    )
+
+
+def test_imaginary_half_screens_pass_structure_function_oracle():
+    # Criterion 04's oracle on the screens that ride on the imaginary half
+    # of each spectral draw: the same profile, slab, seed and tolerance.
+    profile = AtmosphereProfile(
+        ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=1e6, inner_scale=0.04
+    )
+    r0 = 0.1
+    slab = Slab(0.0, 100.0, 100.0, r0, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScreenResolutionWarning)
+        screens = [
+            generate_screen((slab, slab), 256, 0.02, ScreenStreams(404, i).generator(0), profile)[1]
+            for i in range(256)
+        ]
+    separations = [0.10, 0.16, 0.32, 0.64, 1.28]
+    measured = screen_structure_function(screens, separations)
+    worst = max(
+        abs(d / (6.88 * (r / r0) ** (5.0 / 3.0)) - 1.0)
+        for r, d in zip(separations, measured)
+    )
+    verdict(
+        4,
+        "imaginary-half structure function vs 6.88 (r/r0)^(5/3)",
+        worst <= 0.10,
+        f"{len(screens)} screens, worst rel err {worst:.4f} (<=10%)",
     )
 
 

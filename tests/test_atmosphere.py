@@ -101,6 +101,14 @@ def test_rms_wind_vg_zero_against_brute_force():
     assert rms_wind(0.0) == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("vg", [0.0, 3.0, 10.0, 25.0])
+def test_rms_wind_closed_form_matches_quadrature(vg):
+    from scipy.integrate import quad
+
+    total, _ = quad(lambda h: bufton_wind(h, vg) ** 2, 5e3, 20e3, limit=200)
+    assert rms_wind(vg) == pytest.approx(math.sqrt(total / 15e3), rel=1e-12)
+
+
 def test_profile_consistency_enforced():
     with pytest.raises(UsageError):
         AtmosphereProfile(

@@ -1,6 +1,9 @@
 """Config schema, canonical rendering, and the command-line workflow."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +71,25 @@ def write_config(tmp_path, **edits) -> str:
 
 
 # ------------------------------------------------------------------ config
+
+
+def test_cli_import_and_config_load_leave_scipy_unloaded(tmp_path):
+    # scipy dominates start-up time; only the commands that integrate load it
+    path = write_config(tmp_path)
+    probe = (
+        "import sys, duallink.cli\n"
+        "from duallink.config import load_config\n"
+        f"load_config({path!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_parse_applies_defaults(tmp_path):

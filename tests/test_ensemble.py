@@ -1,6 +1,7 @@
 """Ensemble orchestration, fading moments, persistence, and step series."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from duallink.atmosphere import AtmosphereProfile
 from duallink.ensemble import (
+    _FORMAT_VERSION,
     ChannelEnsemble,
     FadingStats,
     coherence_step_series,
@@ -23,6 +25,7 @@ from duallink.ensemble import (
 )
 from duallink.errors import DataIntegrityError, UsageError
 from duallink.optics import (
+    _angular_spectrum_kernel,
     aperture_transmissivity,
     choose_receiver_window,
     gaussian_source,
@@ -91,6 +94,26 @@ def test_multi_radius_run_shares_fields(baseline_profile):
     assert all(a < b for a, b in zip(small.etas, large.etas))
     single = run_ensemble(geom, baseline_profile, 3, master_seed=2, grid_size=128)
     assert single.etas == large.etas
+
+
+def test_concurrent_workers_build_each_kernel_once(baseline_profile):
+    # more workers than cores, and frequent thread switches, to make
+    # simultaneous misses likely
+    geom = make_geometry(30.0)
+    misses = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 4):
+            _angular_spectrum_kernel.cache_clear()
+            run_ensembles(
+                geom, baseline_profile, 4, 9, (0.5,), grid_size=128, threads=threads
+            )
+            misses[threads] = _angular_spectrum_kernel.cache_info().misses
+    finally:
+        sys.setswitchinterval(interval)
+    assert misses[2] == misses[1]
+    assert misses[4] == misses[1]
 
 
 def test_ensemble_size_must_be_positive(baseline_profile):
@@ -237,8 +260,22 @@ def test_version_mismatch_refused(tmp_path):
     ens = synthetic_ensemble([0.5])
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)
-    path.write_text(path.read_text().replace("duallink-ensemble 1", "duallink-ensemble 9"))
+    header = f"duallink-ensemble {_FORMAT_VERSION}\n"
+    text = path.read_text()
+    assert text.startswith(header)
+    path.write_text(text.replace(header, "duallink-ensemble 9\n", 1))
     with pytest.raises(DataIntegrityError):
+        load_ensemble(path)
+
+
+def test_format_one_file_refused(tmp_path):
+    # format 1 drew one spectral FFT per screen; its etas come from other streams
+    ens = synthetic_ensemble([0.5])
+    path = tmp_path / "channel.ens"
+    save_ensemble(ens, path)
+    text = path.read_text()
+    path.write_text("duallink-ensemble 1\n" + text.partition("\n")[2])
+    with pytest.raises(DataIntegrityError, match="format version 1"):
         load_ensemble(path)
 
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from duallink.atmosphere import AtmosphereProfile, greenwood_and_coherence
+from duallink.atmosphere import AtmosphereProfile, fried_parameter, greenwood_and_coherence
 from duallink.errors import NumericalError, UsageError
 from duallink.optics import (
     _EDGE_GUARD_CELLS,
     ComplexField,
+    _apodization_mask,
     _edge_power_fraction,
     aperture_transmissivity,
     apply_screen,
@@ -22,7 +23,14 @@ from duallink.optics import (
     vacuum_beam_radius,
 )
 from duallink.atmosphere import NO_TURBULENCE
-from duallink.screens import PhaseScreen, ScreenStreams, Slab, SlabPlan, plan_slabs
+from duallink.screens import (
+    PhaseScreen,
+    ScreenStreams,
+    Slab,
+    SlabPlan,
+    generate_screen,
+    plan_slabs,
+)
 
 from conftest import make_geometry
 
@@ -294,6 +302,69 @@ def test_split_step_realization(baseline_profile):
     assert 0.0 <= eta <= 1.0
     # same streams, same realization, bit for bit
     assert np.array_equal(out.grid, again.grid)
+
+
+def test_split_step_leaves_source_untouched(baseline_profile):
+    geom = make_geometry()
+    plan = plan_slabs(geom, baseline_profile, greenwood_and_coherence(geom, baseline_profile))
+    source = gaussian_source(geom, 128)
+    before = source.grid.copy()
+    window = choose_receiver_window(geom, 0.5)
+    split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
+    assert np.array_equal(source.grid, before)
+
+
+def three_screen_plan(geom, profile) -> SlabPlan:
+    edges = (0.0, 500.0, 3e3, 15e3)
+    slabs = [
+        Slab(lo, hi, hi - lo, fried_parameter(geom, profile, lo, hi), 0.01)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    slabs.append(Slab(15e3, geom.satellite_altitude, 485e3, NO_TURBULENCE, 0.0))
+    return SlabPlan(tuple(slabs))
+
+
+def test_odd_screen_count_runs_and_reruns_identically(baseline_profile):
+    # three screens: the top two share a spectral draw, the lowest is drawn alone
+    geom = make_geometry()
+    plan = three_screen_plan(geom, baseline_profile)
+    assert plan.screen_count == 3
+    window = choose_receiver_window(geom, 0.5)
+    source = gaussian_source(geom, 128)
+    out = split_step(source, plan, baseline_profile, ScreenStreams(31, 4), window)
+    again = split_step(source, plan, baseline_profile, ScreenStreams(31, 4), window)
+    assert np.array_equal(out.grid, again.grid)
+    assert out.z == pytest.approx(geom.path_length)
+    assert 0.0 < aperture_transmissivity(out, 0.5) <= 1.0
+
+
+def test_split_step_pairs_screens_on_the_upper_slab_stream(baseline_profile):
+    # Slabs 2 and 1 share the draw of stream 2 (slab 2 takes the real half);
+    # slab 0 is drawn alone from stream 0.  Apodize, hop, imprint by hand.
+    geom = make_geometry()
+    plan = three_screen_plan(geom, baseline_profile)
+    s0, s1, s2, gap = plan.slabs
+    window = choose_receiver_window(geom, 0.5)
+    n = 128
+    source = gaussian_source(geom, n)
+    streams = ScreenStreams(31, 4)
+    mask = _apodization_mask(n)
+
+    def hop(field, dist, target=None):
+        absorbed = ComplexField(field.grid * mask, field.spacing, field.wavelength, field.z)
+        return propagate_vacuum(absorbed, dist, target)
+
+    field = hop(source, gap.path_length + 0.5 * s2.path_length, window / n)
+    top, middle = generate_screen(
+        (s2, s1), n, field.spacing, streams.generator(2), baseline_profile
+    )
+    (bottom,) = generate_screen((s0,), n, field.spacing, streams.generator(0), baseline_profile)
+    field = apply_screen(field, top)
+    field = apply_screen(hop(field, 0.5 * (s2.path_length + s1.path_length)), middle)
+    field = apply_screen(hop(field, 0.5 * (s1.path_length + s0.path_length)), bottom)
+    expected = hop(field, 0.5 * s0.path_length)
+    out = split_step(source, plan, baseline_profile, streams, window)
+    assert np.array_equal(out.grid, expected.grid)
 
 
 def test_single_screen_scattering_broadens_beam():

@@ -46,7 +46,7 @@ def make_screens(slab, n, spacing, profile, count, seed=11):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", duallink.screens.ScreenResolutionWarning)
         return [
-            generate_screen(slab, n, spacing, ScreenStreams(seed, i).generator(0), profile)
+            generate_screen((slab,), n, spacing, ScreenStreams(seed, i).generator(0), profile)[0]
             for i in range(count)
         ]
 
@@ -150,35 +150,37 @@ def test_mvk_psd_rejects_negative_frequency():
 
 def test_vacuum_slab_yields_zero_screen(baseline_profile):
     vac = Slab(16e3, 500e3, 484e3, NO_TURBULENCE, 0.0)
-    screen = generate_screen(vac, 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
+    (screen,) = generate_screen(
+        (vac,), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
+    )
     assert np.all(screen.grid == 0.0)
 
 
 def test_screens_are_deterministic(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
-    a = generate_screen(slab, 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)
-    b = generate_screen(slab, 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)
+    a = generate_screen((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
+    b = generate_screen((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
     assert np.array_equal(a.grid, b.grid)
 
 
 def test_distinct_streams_give_distinct_screens(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
-    a = generate_screen(slab, 64, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)
-    b = generate_screen(slab, 64, 0.05, ScreenStreams(42, 8).generator(3), baseline_profile)
+    a = generate_screen((slab,), 64, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
+    b = generate_screen((slab,), 64, 0.05, ScreenStreams(42, 8).generator(3), baseline_profile)[0]
     assert not np.array_equal(a.grid, b.grid)
 
 
 def test_grid_size_must_be_power_of_two(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
     with pytest.raises(UsageError):
-        generate_screen(slab, 100, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
+        generate_screen((slab,), 100, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
 
 
 def test_under_resolved_outer_scale_warns():
     profile = kolmogorov_like_profile()
     slab = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
     with pytest.warns(duallink.screens.ScreenResolutionWarning):
-        generate_screen(slab, 64, 0.01, ScreenStreams(1, 0).generator(0), profile)
+        generate_screen((slab,), 64, 0.01, ScreenStreams(1, 0).generator(0), profile)
 
 
 def test_ensemble_pixel_means_near_zero():
@@ -204,31 +206,35 @@ def test_screen_variance_scales_with_integrated_turbulence():
     assert v2 / v1 == pytest.approx(2.0, rel=0.05)
 
 
-def reference_generate_screen(slab, n, spacing, rng, profile):
-    """Complex-phasor synthesis: one ifft2 plus, per subharmonic level,
+def reference_generate_screen(slabs, n, spacing, rng, profile):
+    """Complex-phasor synthesis: one ifft2 whose real and imaginary parts
+    serve the first and second slab, plus, per slab and subharmonic level,
     Re(P^T A P) with P the 3 x N axis phasors exp(i k theta x), k = -1, 0, 1."""
-    scale = slab.fried ** (-5.0 / 6.0)
     l_out, l_in = profile.outer_scale, profile.inner_scale
     factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
     amplitude = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    screen = np.fft.ifft2(amplitude * (scale * factor)).real * (n * n)
+    transform = np.fft.ifft2(amplitude * factor) * (n * n)
 
     df = 1.0 / (n * spacing)
     coords = (np.arange(n) - n // 2) * spacing
-    sub = np.zeros((n, n), dtype=complex)
-    for level in range(1, _SUBHARMONIC_LEVELS + 1):
-        dfb = df / 3.0**level
-        w = np.empty((3, 3))
-        for a, i in enumerate((-1, 0, 1)):
-            for b, j in enumerate((-1, 0, 1)):
-                w[a, b] = _cell_integrated_psd(i * dfb, j * dfb, dfb, 1.0, l_out, l_in)
-        w[1, 1] = 0.0
-        phasor = np.exp(2j * np.pi * dfb * np.outer([-1.0, 0.0, 1.0], coords))
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a *= scale * np.sqrt(w)
-        sub += phasor.T @ (a @ phasor)
-    sub_real = sub.real
-    return screen + (sub_real - sub_real.mean())
+    screens = []
+    for slab, half in zip(slabs, (transform.real, transform.imag)):
+        scale = slab.fried ** (-5.0 / 6.0)
+        sub = np.zeros((n, n), dtype=complex)
+        for level in range(1, _SUBHARMONIC_LEVELS + 1):
+            dfb = df / 3.0**level
+            w = np.empty((3, 3))
+            for a, i in enumerate((-1, 0, 1)):
+                for b, j in enumerate((-1, 0, 1)):
+                    w[a, b] = _cell_integrated_psd(i * dfb, j * dfb, dfb, 1.0, l_out, l_in)
+            w[1, 1] = 0.0
+            phasor = np.exp(2j * np.pi * dfb * np.outer([-1.0, 0.0, 1.0], coords))
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            a *= scale * np.sqrt(w)
+            sub += phasor.T @ (a @ phasor)
+        sub_real = sub.real
+        screens.append(scale * half + (sub_real - sub_real.mean()))
+    return screens
 
 
 # Fixed before the real-form rewrite: reordering float64 sums may move each
@@ -243,12 +249,81 @@ def test_screen_matches_complex_phasor_reference(baseline_profile, n, spacing, s
     streams = ScreenStreams(seed, 3)
     ref_rng = streams.generator(5)
     rng = streams.generator(5)
-    expected = reference_generate_screen(slab, n, spacing, ref_rng, baseline_profile)
-    got = generate_screen(slab, n, spacing, rng, baseline_profile).grid
+    (expected,) = reference_generate_screen((slab,), n, spacing, ref_rng, baseline_profile)
+    got = generate_screen((slab,), n, spacing, rng, baseline_profile)[0].grid
     rms = float(np.sqrt(np.mean(expected**2)))
     assert np.max(np.abs(got - expected)) <= SCREEN_MATCH_TOLERANCE * rms
     # same draws, consumed in the same order
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("n, spacing", [(64, 0.05), (256, 0.02)])
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+def test_screen_pair_matches_complex_phasor_reference(baseline_profile, n, spacing, seed):
+    # two slabs of different strength: each half carries its own r0
+    slabs = (Slab(0.0, 100.0, 100.0, 0.08, 0.01), Slab(100.0, 400.0, 300.0, 0.2, 0.01))
+    streams = ScreenStreams(seed, 3)
+    ref_rng = streams.generator(5)
+    rng = streams.generator(5)
+    expected = reference_generate_screen(slabs, n, spacing, ref_rng, baseline_profile)
+    got = generate_screen(slabs, n, spacing, rng, baseline_profile)
+    assert len(got) == 2
+    for screen, reference in zip(got, expected):
+        rms = float(np.sqrt(np.mean(reference**2)))
+        assert np.max(np.abs(screen.grid - reference)) <= SCREEN_MATCH_TOLERANCE * rms
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+def test_pair_first_screen_is_the_one_slab_screen(baseline_profile):
+    slabs = (Slab(0.0, 100.0, 100.0, 0.08, 0.01), Slab(100.0, 400.0, 300.0, 0.2, 0.01))
+    streams = ScreenStreams(8, 2)
+    (alone,) = generate_screen(slabs[:1], 128, 0.05, streams.generator(4), baseline_profile)
+    first, _ = generate_screen(slabs, 128, 0.05, streams.generator(4), baseline_profile)
+    assert np.array_equal(alone.grid, first.grid)
+
+
+def test_pair_with_vacuum_slab_gives_zero_screen(baseline_profile):
+    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    vac = Slab(16e3, 500e3, 484e3, NO_TURBULENCE, 0.0)
+    turbulent, flat = generate_screen(
+        (slab, vac), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
+    )
+    assert np.all(flat.grid == 0.0)
+    assert np.std(turbulent.grid) > 0.0
+
+
+def test_screen_call_takes_one_or_two_slabs(baseline_profile):
+    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    for slabs in ((), (slab,) * 3):
+        with pytest.raises(UsageError):
+            generate_screen(slabs, 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
+
+
+def test_screen_halves_are_uncorrelated(baseline_profile):
+    # Over many pairs, the mean pixel correlation of the two halves, and of
+    # their 0.32 m increments along both axes, sits within 4 standard errors
+    # of zero.  Per-pair correlations scatter widely because each screen is
+    # dominated by a few large-scale modes, hence the ensemble average.
+    slab = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
+    shift = 16  # 0.32 m at 0.02 m spacing
+    values, increments = [], []
+    for i in range(128):
+        a, b = generate_screen(
+            (slab, slab), 256, 0.02, ScreenStreams(77, i).generator(0), baseline_profile
+        )
+        values.append(np.corrcoef(a.grid.ravel(), b.grid.ravel())[0, 1])
+        da = np.concatenate(
+            [(a.grid[:, shift:] - a.grid[:, :-shift]).ravel(),
+             (a.grid[shift:] - a.grid[:-shift]).ravel()]
+        )
+        db = np.concatenate(
+            [(b.grid[:, shift:] - b.grid[:, :-shift]).ravel(),
+             (b.grid[shift:] - b.grid[:-shift]).ravel()]
+        )
+        increments.append(np.corrcoef(da, db)[0, 1])
+    for corr in (np.array(values), np.array(increments)):
+        stderr = corr.std(ddof=1) / math.sqrt(corr.size)
+        assert abs(corr.mean()) <= 4.0 * stderr
 
 
 # ---------------------------------------------------------------------------
