@@ -110,6 +110,67 @@ def test_parse_render_round_trip(tmp_path):
     assert render_config(parse_config(rendered)) == rendered
 
 
+PINNED_RENDERING = """\
+[scenario]
+name = smoke
+
+[geometry]
+wavelength = 1.064e-06
+beam_waist = 0.15
+zenith_angle = 0.0
+satellite_altitude = 500000.0
+ground_altitude = 0.0
+aperture_radius = 0.5
+
+[atmosphere]
+ground_cn2 = 9.6e-14
+ground_wind = 3.0
+outer_scale = 5.0
+inner_scale = 0.01
+cn2_scale = 1.0
+
+[grid]
+size = 64
+
+[ensemble]
+realizations = 6
+master_seed = 7
+
+[squeezing]
+squeezing_db = 10.0
+
+[classical]
+displacement = 10.0
+carrier_amplitude = 100.0
+
+[detector]
+efficiency = 0.61
+electronic_noise = 0.12
+
+[finite_size]
+block_size = 10000000000.0
+kept_fraction = 0.5
+recon_efficiency = 0.98
+discretisation = 5
+total_epsilon = 1e-09
+aep_interior_eps = composed
+
+[output]
+directory = results/pinned
+histogram_bin_db = 0.5
+
+"""
+
+
+def test_render_and_hash_are_pinned():
+    # the hash stamps every product, so the canonical text may not drift
+    config = parse_config(BASE_CONFIG.format(out="results/pinned"))
+    assert render_config(config) == PINNED_RENDERING
+    assert config_hash(config) == (
+        "a67eaeeb121df857e80be9c264c43df267b4d68b8f68d73bdb50d920f9df2c17"
+    )
+
+
 def test_config_hash_tracks_content(tmp_path):
     config = parse_config(BASE_CONFIG.format(out=tmp_path))
     same = parse_config(render_config(config))
