@@ -65,89 +65,11 @@ from .protocol import (
     CovarianceMatrix,
     EmpiricalMoments,
     SqueezingParams,
-    alice_bob_correlation,
     classical_ber,
     classical_snr,
     covariance_matrix,
-    estimate_eta_from_carrier,
     eve_bob_correlation,
-    linearized_direct_detection,
     mc_quadrature_sim,
     zero_leakage_epsilon,
 )
 from .screens import PhaseScreen, ScreenStreams, Slab, SlabPlan, generate_screen, plan_slabs
-
-__all__ = [
-    "__version__",
-    "NO_TURBULENCE",
-    "AtmosphereProfile",
-    "LinkGeometry",
-    "TurbulenceDiagnostics",
-    "bufton_wind",
-    "cn2",
-    "fried_parameter",
-    "greenwood_and_coherence",
-    "rms_wind",
-    "rytov_variance",
-    "scintillation_index",
-    "RunConfig",
-    "config_hash",
-    "load_config",
-    "parse_config",
-    "render_config",
-    "ChannelEnsemble",
-    "FadingStats",
-    "coherence_step_series",
-    "fading_stats",
-    "load_ensemble",
-    "loss_histogram",
-    "run_ensemble",
-    "run_ensembles",
-    "save_ensemble",
-    "DataIntegrityError",
-    "DuallinkError",
-    "NumericalError",
-    "PhysicalityError",
-    "UsageError",
-    "VerificationError",
-    "IDEAL_DETECTOR",
-    "DetectorModel",
-    "FiniteSizeParams",
-    "aep_delta",
-    "asymptotic_rate",
-    "finite_size_rate",
-    "ideal_rate",
-    "key_rate_summary",
-    "max_tolerable_loss",
-    "mutual_information",
-    "plob_bound",
-    "render_key_rate_report",
-    "ComplexField",
-    "aperture_transmissivity",
-    "apply_screen",
-    "choose_receiver_window",
-    "gaussian_source",
-    "propagate_vacuum",
-    "second_moment_radius",
-    "split_step",
-    "vacuum_beam_radius",
-    "ClassicalLayer",
-    "CovarianceMatrix",
-    "EmpiricalMoments",
-    "SqueezingParams",
-    "alice_bob_correlation",
-    "classical_ber",
-    "classical_snr",
-    "covariance_matrix",
-    "estimate_eta_from_carrier",
-    "eve_bob_correlation",
-    "linearized_direct_detection",
-    "mc_quadrature_sim",
-    "zero_leakage_epsilon",
-    "PhaseScreen",
-    "ScreenStreams",
-    "Slab",
-    "SlabPlan",
-    "generate_screen",
-    "plan_slabs",
-]

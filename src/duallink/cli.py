@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_hash, load_config
+from .config import RunConfig, _render_value, config_hash, load_config
 from .ensemble import (
     ChannelEnsemble,
+    FadingStats,
     coherence_step_series,
     fading_stats,
     load_ensemble,
@@ -38,6 +39,7 @@ from .protocol import (
     SqueezingParams,
     classical_ber,
     classical_snr,
+    covariance_matrix,
     mc_quadrature_sim,
 )
 
@@ -128,16 +130,12 @@ def _out_dir(config: RunConfig) -> Path:
     return path
 
 
-def _format(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def _write_csv(path: Path, stamp: str, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(stamp)
         handle.write(header + "\n")
         for row in rows:
-            handle.write(",".join(_format(cell) for cell in row) + "\n")
+            handle.write(",".join(_render_value(cell) for cell in row) + "\n")
 
 
 def _check_ensemble_matches_config(ens: ChannelEnsemble, config: RunConfig) -> None:
@@ -182,14 +180,14 @@ def cmd_simulate_channel(config: RunConfig, args: argparse.Namespace) -> int:
         f"realizations {len(ens)}",
         f"master_seed {ens.master_seed}",
         f"grid_size {ens.grid_size}",
-        f"zenith_angle_deg {_format(config.geometry.zenith_angle)}",
-        f"aperture_radius_m {_format(config.geometry.aperture_radius)}",
-        f"coherence_time_s {_format(ens.coherence_time)}",
-        f"mean_eta {_format(stats.mean_eta)}",
-        f"eta_f {_format(stats.eta_f)}",
-        f"var_sqrt {_format(stats.var_sqrt)}",
-        f"mean_loss_db {_format(stats.mean_loss_db)}",
-        f"std_loss_db {_format(stats.std_loss_db)}",
+        f"zenith_angle_deg {_render_value(config.geometry.zenith_angle)}",
+        f"aperture_radius_m {_render_value(config.geometry.aperture_radius)}",
+        f"coherence_time_s {_render_value(ens.coherence_time)}",
+        f"mean_eta {_render_value(stats.mean_eta)}",
+        f"eta_f {_render_value(stats.eta_f)}",
+        f"var_sqrt {_render_value(stats.var_sqrt)}",
+        f"mean_loss_db {_render_value(stats.mean_loss_db)}",
+        f"std_loss_db {_render_value(stats.std_loss_db)}",
     ]
     stats_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -272,41 +270,38 @@ def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _verify_predictions(params: SqueezingParams, etas, displacement: float):
-    """Pooled closed-form moments and their per-shot sampling variances."""
-    eps = params.tap_transmissivity
-    va = params.modulation_variance
-    vs = params.squeezed_variance
-    cross = math.sqrt(eps * (1.0 - eps))
-    v_q = params.transmitted_q_variance
-    v_p = params.transmitted_p_variance
-    a_q = (1.0 - eps) * va + eps * vs
-    a_p = (1.0 - eps) / va + eps / vs
+    """Pooled closed-form moments and their per-shot sampling variances.
 
+    Alice's and Bob's moments at each eta are the library's covariance
+    matrix of a channel frozen at that eta; Eve holds the lost light, so
+    her variances are Bob's at 1 - eta.
+    """
+    excess_q = params.transmitted_q_variance - 1.0
+    excess_p = params.transmitted_p_variance - 1.0
     per_eta = {name: [] for name in (
         "xa_xa", "xb_xb", "xe_xe", "xa_xb", "xe_xb",
         "pa_pa", "pb_pb", "pe_pe", "pa_pb", "pe_pb",
     )}
     ber = []
     for eta in etas:
-        b_q = 1.0 + eta * (v_q - 1.0)
-        b_p = 1.0 + eta * (v_p - 1.0)
-        e_q = 1.0 + (1.0 - eta) * (v_q - 1.0)
-        e_p = 1.0 + (1.0 - eta) * (v_p - 1.0)
-        c_q = math.sqrt(eta) * cross * (va - vs)
-        c_p = math.sqrt(eta) * cross * (1.0 / va - 1.0 / vs)
-        eb_q = math.sqrt(eta * (1.0 - eta)) * (v_q - 1.0)
-        eb_p = math.sqrt(eta * (1.0 - eta)) * (v_p - 1.0)
-        per_eta["xa_xa"].append((a_q, 2.0 * a_q**2))
-        per_eta["xb_xb"].append((b_q, 2.0 * b_q**2))
-        per_eta["xe_xe"].append((e_q, 2.0 * e_q**2))
-        per_eta["xa_xb"].append((c_q, a_q * b_q + c_q**2))
-        per_eta["xe_xb"].append((eb_q, e_q * b_q + eb_q**2))
-        per_eta["pa_pa"].append((a_p, 2.0 * a_p**2))
-        per_eta["pb_pb"].append((b_p, 2.0 * b_p**2))
-        per_eta["pe_pe"].append((e_p, 2.0 * e_p**2))
-        per_eta["pa_pb"].append((c_p, a_p * b_p + c_p**2))
-        per_eta["pe_pb"].append((eb_p, e_p * b_p + eb_p**2))
-        ber.append(classical_ber(4.0 * eta * displacement**2 / b_q))
+        cm = covariance_matrix(params, FadingStats(eta, eta, 0.0, 0.0, 0.0))
+        eve = covariance_matrix(params, FadingStats(1.0 - eta, 1.0 - eta, 0.0, 0.0, 0.0))
+        # Written out rather than eve_bob_correlation, which returns an
+        # exact 0.0 under zero leakage: the report prints the rounding
+        # residue of the excess variance (e.g. -0.000000 at 7.5 dB).
+        eb_q = math.sqrt(eta * (1.0 - eta)) * excess_q
+        eb_p = math.sqrt(eta * (1.0 - eta)) * excess_p
+        per_eta["xa_xa"].append((cm.a_q, 2.0 * cm.a_q**2))
+        per_eta["xb_xb"].append((cm.b_q, 2.0 * cm.b_q**2))
+        per_eta["xe_xe"].append((eve.b_q, 2.0 * eve.b_q**2))
+        per_eta["xa_xb"].append((cm.c_q, cm.a_q * cm.b_q + cm.c_q**2))
+        per_eta["xe_xb"].append((eb_q, eve.b_q * cm.b_q + eb_q**2))
+        per_eta["pa_pa"].append((cm.a_p, 2.0 * cm.a_p**2))
+        per_eta["pb_pb"].append((cm.b_p, 2.0 * cm.b_p**2))
+        per_eta["pe_pe"].append((eve.b_p, 2.0 * eve.b_p**2))
+        per_eta["pa_pb"].append((cm.c_p, cm.a_p * cm.b_p + cm.c_p**2))
+        per_eta["pe_pb"].append((eb_p, eve.b_p * cm.b_p + eb_p**2))
+        ber.append(classical_ber(4.0 * eta * displacement**2 / cm.b_q))
 
     predictions = {
         name: (
@@ -348,7 +343,7 @@ def cmd_protocol_verify(config: RunConfig, args: argparse.Namespace) -> int:
         stamp.rstrip("\n"),
         "protocol verification report",
         f"scenario {config.scenario}",
-        f"tap_transmissivity {_format(params.tap_transmissivity)}",
+        f"tap_transmissivity {_render_value(params.tap_transmissivity)}",
         f"zero_leakage {'yes' if params.is_zero_leakage else 'no'}",
         f"realizations {_VERIFY_REALIZATIONS}",
         f"shots_per_realization {_VERIFY_SHOTS_PER_ETA}",
@@ -410,12 +405,9 @@ def cmd_link_budget(config: RunConfig, args: argparse.Namespace) -> int:
     mean_ber = sum(bers) / len(bers)
 
     csv_path = out / f"{config.scenario}_linkbudget.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(stamp)
-        handle.write("realization,eta,snr,ber\n")
-        for row in rows:
-            handle.write(",".join(_format(cell) for cell in row) + "\n")
-        handle.write(f"# ensemble_mean_ber = {_format(mean_ber)}\n")
+    _write_csv(csv_path, stamp, "realization,eta,snr,ber", rows)
+    with open(csv_path, "a", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"# ensemble_mean_ber = {_render_value(mean_ber)}\n")
 
     print(f"ensemble mean BER {mean_ber:.6g} over {len(rows)} realizations")
     print(f"wrote {csv_path}")

@@ -14,6 +14,7 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .atmosphere import AtmosphereProfile, LinkGeometry
 from .errors import UsageError
@@ -24,51 +25,60 @@ __all__ = ["RunConfig", "parse_config", "load_config", "render_config", "config_
 
 _REQUIRED = object()
 
-# section -> key -> (converter, default); _REQUIRED means the key must
-# be present.  Order here is the canonical rendering order.
+# section -> key -> (converter, default, RunConfig attribute path);
+# _REQUIRED means the key must be present.  Order here is the canonical
+# rendering order.
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    "scenario": {"name": (str, _REQUIRED)},
+    "scenario": {"name": (str, _REQUIRED, "scenario")},
     "geometry": {
-        "wavelength": (float, _REQUIRED),
-        "beam_waist": (float, _REQUIRED),
-        "zenith_angle": (float, _REQUIRED),
-        "satellite_altitude": (float, _REQUIRED),
-        "ground_altitude": (float, 0.0),
-        "aperture_radius": (float, _REQUIRED),
+        "wavelength": (float, _REQUIRED, "geometry.wavelength"),
+        "beam_waist": (float, _REQUIRED, "geometry.beam_waist"),
+        "zenith_angle": (float, _REQUIRED, "geometry.zenith_angle"),
+        "satellite_altitude": (float, _REQUIRED, "geometry.satellite_altitude"),
+        "ground_altitude": (float, 0.0, "geometry.ground_altitude"),
+        "aperture_radius": (float, _REQUIRED, "geometry.aperture_radius"),
     },
     "atmosphere": {
-        "ground_cn2": (float, _REQUIRED),
-        "ground_wind": (float, _REQUIRED),
-        "outer_scale": (float, _REQUIRED),
-        "inner_scale": (float, _REQUIRED),
-        "cn2_scale": (float, 1.0),
+        "ground_cn2": (float, _REQUIRED, "profile.ground_cn2"),
+        "ground_wind": (float, _REQUIRED, "profile.ground_wind"),
+        "outer_scale": (float, _REQUIRED, "profile.outer_scale"),
+        "inner_scale": (float, _REQUIRED, "profile.inner_scale"),
+        "cn2_scale": (float, 1.0, "profile.cn2_scale"),
     },
-    "grid": {"size": (int, 1024)},
+    "grid": {"size": (int, 1024, "grid_size")},
     "ensemble": {
-        "realizations": (int, 10000),
-        "master_seed": (int, 1),
+        "realizations": (int, 10000, "realizations"),
+        "master_seed": (int, 1, "master_seed"),
     },
-    "squeezing": {"squeezing_db": (float, _REQUIRED)},
+    "squeezing": {"squeezing_db": (float, _REQUIRED, "squeezing_db")},
     "classical": {
-        "displacement": (float, _REQUIRED),
-        "carrier_amplitude": (float, _REQUIRED),
+        "displacement": (float, _REQUIRED, "classical.displacement"),
+        "carrier_amplitude": (float, _REQUIRED, "classical.carrier_amplitude"),
     },
     "detector": {
-        "efficiency": (float, _REQUIRED),
-        "electronic_noise": (float, _REQUIRED),
+        "efficiency": (float, _REQUIRED, "detector.efficiency"),
+        "electronic_noise": (float, _REQUIRED, "detector.electronic_noise"),
     },
     "finite_size": {
-        "block_size": (float, _REQUIRED),
-        "kept_fraction": (float, _REQUIRED),
-        "recon_efficiency": (float, _REQUIRED),
-        "discretisation": (int, _REQUIRED),
-        "total_epsilon": (float, _REQUIRED),
-        "aep_interior_eps": (str, "composed"),
+        "block_size": (float, _REQUIRED, "block_size"),
+        "kept_fraction": (float, _REQUIRED, "kept_fraction"),
+        "recon_efficiency": (float, _REQUIRED, "recon_efficiency"),
+        "discretisation": (int, _REQUIRED, "discretisation"),
+        "total_epsilon": (float, _REQUIRED, "total_epsilon"),
+        "aep_interior_eps": (str, "composed", "aep_interior_eps"),
     },
     "output": {
-        "directory": (str, _REQUIRED),
-        "histogram_bin_db": (float, 0.5),
+        "directory": (str, _REQUIRED, "output_dir"),
+        "histogram_bin_db": (float, 0.5, "histogram_bin_db"),
     },
+}
+
+# RunConfig attributes that hold a parameter object, built in this order.
+_PARTS = {
+    "geometry": LinkGeometry,
+    "profile": AtmosphereProfile,
+    "classical": ClassicalLayer,
+    "detector": DetectorModel,
 }
 
 
@@ -144,20 +154,20 @@ def parse_config(text: str) -> RunConfig:
     if unknown_sections:
         raise UsageError(f"unknown config sections: {sorted(unknown_sections)}")
 
-    values: dict[str, dict[str, object]] = {}
-    for section, fields in _SCHEMA.items():
+    fields: dict[str, object] = {}
+    parts: dict[str, dict[str, object]] = {name: {} for name in _PARTS}
+    for section, keys in _SCHEMA.items():
         present = sections.get(section, {})
-        unknown_keys = set(present) - set(fields)
+        unknown_keys = set(present) - set(keys)
         if unknown_keys:
             raise UsageError(
                 f"unknown keys in [{section}]: {sorted(unknown_keys)}"
             )
-        parsed: dict[str, object] = {}
-        for key, (convert, default) in fields.items():
+        for key, (convert, default, path) in keys.items():
             if key in present:
                 raw = present[key]
                 try:
-                    parsed[key] = convert(raw)
+                    value = convert(raw)
                 except ValueError as exc:
                     raise UsageError(
                         f"[{section}] {key}: cannot parse {raw!r} as {convert.__name__}"
@@ -165,51 +175,13 @@ def parse_config(text: str) -> RunConfig:
             elif default is _REQUIRED:
                 raise UsageError(f"missing required key [{section}] {key}")
             else:
-                parsed[key] = default
-        values[section] = parsed
+                value = default
+            part, _, attr = path.rpartition(".")
+            (parts[part] if part else fields)[attr] = value
 
-    geometry = LinkGeometry(
-        ground_altitude=values["geometry"]["ground_altitude"],
-        satellite_altitude=values["geometry"]["satellite_altitude"],
-        zenith_angle=values["geometry"]["zenith_angle"],
-        wavelength=values["geometry"]["wavelength"],
-        beam_waist=values["geometry"]["beam_waist"],
-        aperture_radius=values["geometry"]["aperture_radius"],
-    )
-    profile = AtmosphereProfile(
-        ground_cn2=values["atmosphere"]["ground_cn2"],
-        ground_wind=values["atmosphere"]["ground_wind"],
-        outer_scale=values["atmosphere"]["outer_scale"],
-        inner_scale=values["atmosphere"]["inner_scale"],
-        cn2_scale=values["atmosphere"]["cn2_scale"],
-    )
-    classical = ClassicalLayer(
-        displacement=values["classical"]["displacement"],
-        carrier_amplitude=values["classical"]["carrier_amplitude"],
-    )
-    detector = DetectorModel(
-        efficiency=values["detector"]["efficiency"],
-        electronic_noise=values["detector"]["electronic_noise"],
-    )
-    return RunConfig(
-        scenario=values["scenario"]["name"],
-        geometry=geometry,
-        profile=profile,
-        grid_size=values["grid"]["size"],
-        realizations=values["ensemble"]["realizations"],
-        master_seed=values["ensemble"]["master_seed"],
-        squeezing_db=values["squeezing"]["squeezing_db"],
-        classical=classical,
-        detector=detector,
-        block_size=values["finite_size"]["block_size"],
-        kept_fraction=values["finite_size"]["kept_fraction"],
-        recon_efficiency=values["finite_size"]["recon_efficiency"],
-        discretisation=values["finite_size"]["discretisation"],
-        total_epsilon=values["finite_size"]["total_epsilon"],
-        aep_interior_eps=values["finite_size"]["aep_interior_eps"],
-        output_dir=values["output"]["directory"],
-        histogram_bin_db=values["output"]["histogram_bin_db"],
-    )
+    for name, cls in _PARTS.items():
+        fields[name] = cls(**parts[name])
+    return RunConfig(**fields)
 
 
 def load_config(path) -> RunConfig:
@@ -229,55 +201,11 @@ def _render_value(value) -> str:
 
 def render_config(config: RunConfig) -> str:
     """Canonical text form; parse_config inverts it exactly."""
-    flat = {
-        "scenario": {"name": config.scenario},
-        "geometry": {
-            "wavelength": config.geometry.wavelength,
-            "beam_waist": config.geometry.beam_waist,
-            "zenith_angle": config.geometry.zenith_angle,
-            "satellite_altitude": config.geometry.satellite_altitude,
-            "ground_altitude": config.geometry.ground_altitude,
-            "aperture_radius": config.geometry.aperture_radius,
-        },
-        "atmosphere": {
-            "ground_cn2": config.profile.ground_cn2,
-            "ground_wind": config.profile.ground_wind,
-            "outer_scale": config.profile.outer_scale,
-            "inner_scale": config.profile.inner_scale,
-            "cn2_scale": config.profile.cn2_scale,
-        },
-        "grid": {"size": config.grid_size},
-        "ensemble": {
-            "realizations": config.realizations,
-            "master_seed": config.master_seed,
-        },
-        "squeezing": {"squeezing_db": config.squeezing_db},
-        "classical": {
-            "displacement": config.classical.displacement,
-            "carrier_amplitude": config.classical.carrier_amplitude,
-        },
-        "detector": {
-            "efficiency": config.detector.efficiency,
-            "electronic_noise": config.detector.electronic_noise,
-        },
-        "finite_size": {
-            "block_size": config.block_size,
-            "kept_fraction": config.kept_fraction,
-            "recon_efficiency": config.recon_efficiency,
-            "discretisation": config.discretisation,
-            "total_epsilon": config.total_epsilon,
-            "aep_interior_eps": config.aep_interior_eps,
-        },
-        "output": {
-            "directory": config.output_dir,
-            "histogram_bin_db": config.histogram_bin_db,
-        },
-    }
     out = io.StringIO()
-    for section, fields in _SCHEMA.items():
+    for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key in fields:
-            out.write(f"{key} = {_render_value(flat[section][key])}\n")
+        for key, (_, _, path) in keys.items():
+            out.write(f"{key} = {_render_value(attrgetter(path)(config))}\n")
         out.write("\n")
     return out.getvalue()
 

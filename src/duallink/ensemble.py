@@ -322,23 +322,3 @@ def load_ensemble(path) -> ChannelEnsemble:
     except ValueError as exc:
         raise DataIntegrityError(f"{path}: unparsable transmissivity ({exc})") from exc
     return ChannelEnsemble(etas, geometry, profile, grid_size, master_seed, coherence_time)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def histogram_to_csv(rows, path) -> None:
-    """Columns: bin_center_db, density (1/dB)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("bin_center_db,density\n")
-        for center, density in rows:
-            fh.write(f"{_format_float(center)},{_format_float(density)}\n")
-
-
-def step_series_to_csv(rows, path) -> None:
-    """Columns: t_start_s, eta."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t_start_s,eta\n")
-        for t_start, eta in rows:
-            fh.write(f"{_format_float(t_start)},{_format_float(eta)}\n")

@@ -13,15 +13,13 @@ with one long hop to machine precision even over hundreds of kilometres.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .atmosphere import AtmosphereProfile, LinkGeometry
 from .errors import NumericalError, UsageError
-from .screens import PhaseScreen, ScreenStreams, SlabPlan, generate_screen
+from .screens import PhaseScreen, ScreenStreams, SlabPlan, generate_screen, locked_cache
 
 # Outermost frame, in cells, that the aliasing guard inspects after a hop,
 # and the power fraction there beyond which the window is declared too small.
@@ -118,12 +116,7 @@ def second_moment_radius(field: ComplexField) -> float:
     return math.sqrt(2.0 * float((intensity * r2).sum()) / total)
 
 
-# Held around every kernel lookup, so workers that miss together build
-# each kernel once.
-_KERNEL_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=16)
+@locked_cache(maxsize=16)
 def _angular_spectrum_kernel(
     n: int, spacing: float, wavelength: float, distance: float
 ) -> np.ndarray:
@@ -140,7 +133,7 @@ def _angular_spectrum_kernel(
     return kernel
 
 
-@lru_cache(maxsize=4)
+@locked_cache(maxsize=4)
 def _fresnel_factors(n: int, d1: float, wavelength: float, distance: float, d2: float):
     """Chirp grids and scale for the two-step transform d1 -> d2 over distance."""
     m = d2 / d1
@@ -213,8 +206,7 @@ def propagate_vacuum(
         return field
     n = field.size
     if not resize and field.spacing * field.window >= field.wavelength * distance:
-        with _KERNEL_LOCK:
-            kernel = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
+        kernel = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
         out_grid = np.fft.fft2(field.grid)
         out_grid *= kernel
         # ifftn rather than ifft2: numpy's ifft2 ignores out=
@@ -254,7 +246,7 @@ def apply_screen(field: ComplexField, screen: PhaseScreen) -> ComplexField:
     return ComplexField(phasor, field.spacing, field.wavelength, field.z)
 
 
-@lru_cache(maxsize=8)
+@locked_cache(maxsize=8)
 def _apodization_mask(n: int) -> np.ndarray:
     v = (np.arange(n) - n // 2) / (n / 2.0)
     r = np.sqrt(v[:, None] ** 2 + v[None, :] ** 2)
@@ -344,7 +336,7 @@ def _signed_corner_area(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarr
     return np.sign(x) * np.sign(y) * _quadrant_area(np.abs(x), np.abs(y), radius)
 
 
-@lru_cache(maxsize=32)
+@locked_cache(maxsize=32)
 def _aperture_weights(n: int, spacing: float, radius: float) -> np.ndarray:
     """Per-cell fraction of area inside the circular aperture, exact at the rim."""
     centers = _centered_coords(n, spacing)
@@ -371,15 +363,3 @@ def aperture_transmissivity(field: ComplexField, radius: float) -> float:
     weights = _aperture_weights(field.size, field.spacing, radius)
     eta = float(np.sum(weights * np.abs(field.grid) ** 2)) * field.spacing**2
     return min(eta, 1.0)
-
-
-def dump_intensity(field: ComplexField, path) -> None:
-    """Write |psi|^2 as flat float64 with a text sidecar describing the grid."""
-    intensity = np.abs(field.grid) ** 2
-    intensity.astype(np.float64).tofile(path)
-    with open(f"{path}.txt", "w", encoding="ascii") as sidecar:
-        sidecar.write(f"grid_size = {field.size}\n")
-        sidecar.write(f"spacing_m = {field.spacing!r}\n")
-        sidecar.write(f"wavelength_m = {field.wavelength!r}\n")
-        sidecar.write(f"z_m = {field.z!r}\n")
-        sidecar.write("dtype = float64 row-major\n")

@@ -13,9 +13,7 @@ units where vacuum has variance 1.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,17 +27,12 @@ __all__ = [
     "CovarianceMatrix",
     "ClassicalLayer",
     "EmpiricalMoments",
-    "LinearizationWarning",
     "zero_leakage_epsilon",
     "covariance_matrix",
-    "alice_bob_correlation",
     "eve_bob_correlation",
     "mc_quadrature_sim",
-    "estimate_eta_from_carrier",
-    "linearized_direct_detection",
     "classical_snr",
     "classical_ber",
-    "moments_to_csv",
 ]
 
 # |eps*Va + (1-eps)*Vs - 1| below this counts as zero-leakage.
@@ -47,10 +40,6 @@ _LEAKAGE_TOLERANCE = 1e-12
 
 # Symplectic eigenvalues may dip this far below 1 from rounding.
 _SYMPLECTIC_SLACK = 1e-9
-
-
-class LinearizationWarning(UserWarning):
-    """Carrier amplitude too small for the linearized detection model."""
 
 
 def zero_leakage_epsilon(squeezed_variance: float, modulation_variance: float) -> float:
@@ -234,21 +223,6 @@ def covariance_matrix(params: SqueezingParams, stats: FadingStats) -> Covariance
     return CovarianceMatrix(a_q, a_p, b_q, b_p, c_q, c_p)
 
 
-def alice_bob_correlation(params: SqueezingParams, eta: float) -> float:
-    """<X_A X_B> through a fixed-transmissivity channel.
-
-    For a zero-leakage tap this equals
-    sqrt(eta) * sqrt(Va - 1) * sqrt(1 - Vs).
-    """
-    _require_transmissivity(eta)
-    eps = params.tap_transmissivity
-    return (
-        math.sqrt(eta)
-        * math.sqrt(eps * (1.0 - eps))
-        * (params.modulation_variance - params.squeezed_variance)
-    )
-
-
 def eve_bob_correlation(params: SqueezingParams, eta: float) -> float:
     """<X_E X_B> for a passive eavesdropper holding the lost light.
 
@@ -275,7 +249,9 @@ class ClassicalLayer:
     (displacement in amplitude units, so the mean separation between
     the two symbols at the receiver is 4*displacement*sqrt(eta)).  The
     bright carrier of amplitude ``carrier_amplitude`` provides the
-    phase reference and the per-shot transmissivity estimate.
+    phase reference and the per-shot transmissivity estimate.  The model
+    takes that estimate as exact, so ``carrier_amplitude`` is validated
+    and hashed with the config but enters no computed number.
     """
 
     displacement: float
@@ -333,7 +309,8 @@ def mc_quadrature_sim(
     shots: Gaussian modes through the tap, the channel beamsplitter
     against vacuum, the classical displacement, Bob's threshold bit
     decision at zero, and subtraction of the decided classical signal
-    scaled by the carrier-derived transmissivity estimate.  Eve's
+    scaled by the carrier-derived transmissivity estimate, which the
+    model takes as exact (sqrt(eta) itself).  Eve's
     moments subtract the true symbol, crediting her with perfect
     knowledge of the classical stream.  Bob's post-subtraction moments
     therefore carry his decision errors while Eve's do not.
@@ -350,7 +327,6 @@ def mc_quadrature_sim(
     va = params.modulation_variance
     vs = params.squeezed_variance
     alpha = classical.displacement
-    beta_c = classical.carrier_amplitude
 
     keep_a = math.sqrt(1.0 - eps)
     keep_s = math.sqrt(eps)
@@ -359,9 +335,7 @@ def mc_quadrature_sim(
     for eta in etas:
         t = math.sqrt(eta)
         r = math.sqrt(1.0 - eta)
-        # Carrier power measurement feeds the subtraction step.
-        eta_hat = estimate_eta_from_carrier(eta * beta_c**2, beta_c)
-        signal = 2.0 * alpha * math.sqrt(eta_hat)
+        signal = 2.0 * alpha * t
 
         bits = np.where(rng.integers(0, 2, shots_per_eta) == 1, 1.0, -1.0)
         x_a = rng.standard_normal(shots_per_eta) * math.sqrt(va)
@@ -404,46 +378,6 @@ def mc_quadrature_sim(
     return EmpiricalMoments(n, bit_errors, *moments)
 
 
-def estimate_eta_from_carrier(received_carrier_power: float, carrier_amplitude: float) -> float:
-    """Transmissivity estimate from the measured carrier power.
-
-    The carrier is launched with amplitude beta_c, so the received
-    power beta_c^2 * eta inverts directly.
-    """
-    if carrier_amplitude <= 0.0 or not math.isfinite(carrier_amplitude):
-        raise UsageError(f"carrier amplitude must be positive, got {carrier_amplitude}")
-    if received_carrier_power < 0.0 or not math.isfinite(received_carrier_power):
-        raise UsageError(
-            f"received carrier power must be nonnegative, got {received_carrier_power}"
-        )
-    eta_hat = received_carrier_power / carrier_amplitude**2
-    if eta_hat > 1.0 + 1e-6:
-        raise PhysicalityError(
-            f"carrier power implies transmissivity {eta_hat} > 1; "
-            "received power exceeds the launched carrier power"
-        )
-    return min(eta_hat, 1.0)
-
-
-def linearized_direct_detection(carrier_amplitude: float, quadrature_noise: float) -> float:
-    """Photocurrent of a bright carrier plus small quadrature noise.
-
-    Detecting |beta_c + dX/2|^2 and dropping the quadratic noise term
-    gives beta_c^2 + beta_c * dX.  The approximation needs the carrier
-    to dominate the fluctuations; a warning flags marginal carriers.
-    """
-    if carrier_amplitude <= 0.0 or not math.isfinite(carrier_amplitude):
-        raise UsageError(f"carrier amplitude must be positive, got {carrier_amplitude}")
-    if carrier_amplitude < 10.0:
-        warnings.warn(
-            f"carrier amplitude {carrier_amplitude} < 10 shot-noise units; "
-            "the dropped quadratic term is not negligible",
-            LinearizationWarning,
-            stacklevel=2,
-        )
-    return carrier_amplitude**2 + carrier_amplitude * quadrature_noise
-
-
 def classical_snr(displacement: float, eta: float) -> float:
     """Signal-to-noise ratio of the binary classical stream at Bob.
 
@@ -465,26 +399,3 @@ def classical_ber(snr: float) -> float:
     if snr < 0.0 or not math.isfinite(snr):
         raise UsageError(f"SNR must be nonnegative and finite, got {snr}")
     return 0.5 * math.erfc(math.sqrt(snr) / math.sqrt(2.0))
-
-
-def moments_to_csv(moments: EmpiricalMoments, path) -> None:
-    """Write labeled second moments and bit-error counts as CSV."""
-    rows = [
-        ("n_shots", moments.n_shots),
-        ("bit_errors", moments.bit_errors),
-        ("bit_error_rate", moments.bit_error_rate),
-        ("xa_xa", moments.xa_xa),
-        ("xb_xb", moments.xb_xb),
-        ("xe_xe", moments.xe_xe),
-        ("xa_xb", moments.xa_xb),
-        ("xe_xb", moments.xe_xb),
-        ("pa_pa", moments.pa_pa),
-        ("pb_pb", moments.pb_pb),
-        ("pe_pe", moments.pe_pe),
-        ("pa_pb", moments.pa_pb),
-        ("pe_pb", moments.pe_pb),
-    ]
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("quantity", "value"))
-        writer.writerows(rows)

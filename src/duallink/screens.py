@@ -16,10 +16,11 @@ that midpoint weighting underfills the cells by tens of percent.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,30 @@ _SLAB_SHARE_CAP = 0.1
 _MAX_SLABS = 64
 # Fraction of the integrated Cn2 kept below the modeled turbulence top.
 _EFFECTIVE_ATMOSPHERE_FRACTION = 0.999
+
+
+def locked_cache(maxsize: int):
+    """``lru_cache`` for per-geometry arrays shared by concurrent workers.
+
+    Every lookup holds one lock per decorated function, so workers that
+    miss together build each entry once instead of once per worker.  The
+    decorated name keeps ``cache_info()`` and ``cache_clear()``.
+    """
+
+    def decorate(func):
+        cached = functools.lru_cache(maxsize=maxsize)(func)
+        lock = threading.Lock()
+
+        @functools.wraps(func)
+        def lookup(*args):
+            with lock:
+                return cached(*args)
+
+        lookup.cache_info = cached.cache_info
+        lookup.cache_clear = cached.cache_clear
+        return lookup
+
+    return decorate
 
 
 class ScreenResolutionWarning(UserWarning):
@@ -221,7 +246,7 @@ _SUBHARMONIC_LEVELS = 3
 
 # The r0-independent spectral factors repeat across every screen of a run,
 # so they are cached per grid geometry (r0 enters as a scalar power).
-@lru_cache(maxsize=8)
+@locked_cache(maxsize=8)
 def _fft_amplitude_factor(n: int, spacing: float, l_out: float, l_in: float) -> np.ndarray:
     """sqrt(PSD / r0^(-5/3)) * df on the FFT lattice, DC zeroed."""
     fx = np.fft.fftfreq(n, spacing)
@@ -247,7 +272,7 @@ _LEVEL_ROWS = tuple(
 )
 
 
-@lru_cache(maxsize=8)
+@locked_cache(maxsize=8)
 def _subharmonic_factors(n: int, spacing: float, l_out: float, l_in: float):
     """Per-level sqrt cell weights (3x3, r0 factored out), the real axis
     basis ((2L+1) x N) and its row means."""

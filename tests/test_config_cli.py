@@ -1,17 +1,24 @@
-"""Config schema, canonical rendering, and the command-line workflow."""
+"""Config schema, canonical rendering, the command-line workflow, and the
+package surface the README documents."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from duallink.cli import main
+import duallink
+from duallink.cli import _verify_predictions, main
 from duallink.config import config_hash, parse_config, render_config
 from duallink.ensemble import fading_stats, load_ensemble
 from duallink.errors import UsageError
 from duallink.optics import vacuum_beam_radius
+from duallink.protocol import SqueezingParams, classical_ber
 
 BASE_CONFIG = """\
 [scenario]
@@ -405,3 +412,85 @@ def test_bad_config_exits_one(tmp_path, capsys):
     path.write_text(BASE_CONFIG.format(out=tmp_path).replace("size = 64", "size = 63"))
     assert run_cli("simulate-channel", "--config", str(path)) == 1
     assert "power of two" in capsys.readouterr().err
+
+
+def reference_verify_predictions(params: SqueezingParams, etas, displacement: float):
+    """The verify gate's closed forms written out by hand, as the reference
+    for the predictions the CLI builds from ``covariance_matrix``."""
+    eps = params.tap_transmissivity
+    va = params.modulation_variance
+    vs = params.squeezed_variance
+    cross = math.sqrt(eps * (1.0 - eps))
+    v_q = params.transmitted_q_variance
+    v_p = params.transmitted_p_variance
+    a_q = (1.0 - eps) * va + eps * vs
+    a_p = (1.0 - eps) / va + eps / vs
+
+    per_eta = {name: [] for name in (
+        "xa_xa", "xb_xb", "xe_xe", "xa_xb", "xe_xb",
+        "pa_pa", "pb_pb", "pe_pe", "pa_pb", "pe_pb",
+    )}
+    ber = []
+    for eta in etas:
+        b_q = 1.0 + eta * (v_q - 1.0)
+        b_p = 1.0 + eta * (v_p - 1.0)
+        e_q = 1.0 + (1.0 - eta) * (v_q - 1.0)
+        e_p = 1.0 + (1.0 - eta) * (v_p - 1.0)
+        c_q = math.sqrt(eta) * cross * (va - vs)
+        c_p = math.sqrt(eta) * cross * (1.0 / va - 1.0 / vs)
+        eb_q = math.sqrt(eta * (1.0 - eta)) * (v_q - 1.0)
+        eb_p = math.sqrt(eta * (1.0 - eta)) * (v_p - 1.0)
+        per_eta["xa_xa"].append((a_q, 2.0 * a_q**2))
+        per_eta["xb_xb"].append((b_q, 2.0 * b_q**2))
+        per_eta["xe_xe"].append((e_q, 2.0 * e_q**2))
+        per_eta["xa_xb"].append((c_q, a_q * b_q + c_q**2))
+        per_eta["xe_xb"].append((eb_q, e_q * b_q + eb_q**2))
+        per_eta["pa_pa"].append((a_p, 2.0 * a_p**2))
+        per_eta["pb_pb"].append((b_p, 2.0 * b_p**2))
+        per_eta["pe_pe"].append((e_p, 2.0 * e_p**2))
+        per_eta["pa_pb"].append((c_p, a_p * b_p + c_p**2))
+        per_eta["pe_pb"].append((eb_p, e_p * b_p + eb_p**2))
+        ber.append(classical_ber(4.0 * eta * displacement**2 / b_q))
+
+    predictions = {
+        name: (
+            sum(v for v, _ in rows) / len(rows),
+            sum(var for _, var in rows) / len(rows),
+        )
+        for name, rows in per_eta.items()
+    }
+    return predictions, sum(ber) / len(ber), ber
+
+
+@pytest.mark.parametrize("squeezing_db", [3.0, 7.5, 10.0, 15.0])
+def test_verify_predictions_equal_hand_written_reference(squeezing_db):
+    # exact equality: the report prints these numbers, so the library
+    # path must reproduce the hand-written arithmetic bit for bit
+    params = SqueezingParams.from_squeezing_db(squeezing_db)
+    for seed in range(1, 11):
+        etas = np.sort(np.random.default_rng(seed).uniform(0.15, 0.85, 25))
+        predictions, ber_mean, ber_rows = _verify_predictions(params, etas, 10.0)
+        expected, expected_mean, expected_rows = reference_verify_predictions(
+            params, etas, 10.0
+        )
+        assert predictions == expected
+        assert ber_mean == expected_mean
+        assert ber_rows == expected_rows
+
+
+# ------------------------------------------------------------------ package
+
+
+def test_readme_library_imports_resolve():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n+```python\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(block.group(1)))
+        if isinstance(node, ast.ImportFrom) and node.module == "duallink"
+        for alias in node.names
+    ]
+    assert names
+    missing = [name for name in names if not hasattr(duallink, name)]
+    assert missing == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duallink import optics, screens
 from duallink.atmosphere import AtmosphereProfile
 from duallink.ensemble import (
     _FORMAT_VERSION,
@@ -15,17 +16,14 @@ from duallink.ensemble import (
     FadingStats,
     coherence_step_series,
     fading_stats,
-    histogram_to_csv,
     load_ensemble,
     loss_histogram,
     run_ensemble,
     run_ensembles,
     save_ensemble,
-    step_series_to_csv,
 )
 from duallink.errors import DataIntegrityError, UsageError
 from duallink.optics import (
-    _angular_spectrum_kernel,
     aperture_transmissivity,
     choose_receiver_window,
     gaussian_source,
@@ -96,20 +94,35 @@ def test_multi_radius_run_shares_fields(baseline_profile):
     assert single.etas == large.etas
 
 
-def test_concurrent_workers_build_each_kernel_once(baseline_profile):
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        pytest.param(module, name, id=name)
+        for module, name in (
+            (optics, "_angular_spectrum_kernel"),
+            (optics, "_fresnel_factors"),
+            (optics, "_apodization_mask"),
+            (optics, "_aperture_weights"),
+            (screens, "_fft_amplitude_factor"),
+            (screens, "_subharmonic_factors"),
+        )
+    ],
+)
+def test_concurrent_workers_build_each_kernel_once(baseline_profile, module, name):
     # more workers than cores, and frequent thread switches, to make
     # simultaneous misses likely
+    cache = getattr(module, name)
     geom = make_geometry(30.0)
     misses = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for threads in (1, 2, 4):
-            _angular_spectrum_kernel.cache_clear()
+            cache.cache_clear()
             run_ensembles(
-                geom, baseline_profile, 4, 9, (0.5,), grid_size=128, threads=threads
+                geom, baseline_profile, 4, 9, (0.5,), grid_size=256, threads=threads
             )
-            misses[threads] = _angular_spectrum_kernel.cache_info().misses
+            misses[threads] = cache.cache_info().misses
     finally:
         sys.setswitchinterval(interval)
     assert misses[2] == misses[1]
@@ -311,21 +324,3 @@ def test_step_series_bounds():
     frozen = synthetic_ensemble([0.4], coherence_time=math.inf)
     with pytest.raises(UsageError):
         coherence_step_series(frozen, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def test_csv_exports(tmp_path):
-    ens = synthetic_ensemble([0.2, 0.25, 0.3, 0.35], coherence_time=1.0e-3)
-    hist_path = tmp_path / "hist.csv"
-    histogram_to_csv(loss_histogram(ens, 0.5), hist_path)
-    lines = hist_path.read_text().splitlines()
-    assert lines[0] == "bin_center_db,density"
-    assert len(lines) > 1
-    steps_path = tmp_path / "steps.csv"
-    step_series_to_csv(coherence_step_series(ens, 3.0e-3), steps_path)
-    lines = steps_path.read_text().splitlines()
-    assert lines[0] == "t_start_s,eta"
-    assert len(lines) == 4

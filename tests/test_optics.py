@@ -15,7 +15,6 @@ from duallink.optics import (
     aperture_transmissivity,
     apply_screen,
     choose_receiver_window,
-    dump_intensity,
     gaussian_source,
     propagate_vacuum,
     second_moment_radius,
@@ -413,18 +412,3 @@ def test_turbulence_broadens_beam_and_drops_coupling(baseline_profile):
     assert np.mean(radii) > w_vac
     assert np.mean(etas) == pytest.approx(eta_vac, rel=0.05)
     assert np.std(etas) > 0.005 * np.mean(etas)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics dump
-
-
-def test_intensity_dump_round_trip(tmp_path):
-    field = gaussian_source(make_geometry(), 64)
-    path = tmp_path / "footprint.f64"
-    dump_intensity(field, path)
-    data = np.fromfile(path, dtype=np.float64).reshape(64, 64)
-    assert np.allclose(data, np.abs(field.grid) ** 2)
-    sidecar = (tmp_path / "footprint.f64.txt").read_text()
-    assert "grid_size = 64" in sidecar
-    assert "spacing_m" in sidecar

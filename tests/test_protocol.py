@@ -7,23 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duallink.ensemble import ChannelEnsemble, fading_stats
+from duallink.ensemble import ChannelEnsemble, FadingStats, fading_stats
 from duallink.errors import PhysicalityError, UsageError
 from duallink.protocol import (
     ClassicalLayer,
     CovarianceMatrix,
-    EmpiricalMoments,
-    LinearizationWarning,
     SqueezingParams,
-    alice_bob_correlation,
     classical_ber,
     classical_snr,
     covariance_matrix,
-    estimate_eta_from_carrier,
     eve_bob_correlation,
-    linearized_direct_detection,
     mc_quadrature_sim,
-    moments_to_csv,
     zero_leakage_epsilon,
 )
 
@@ -192,6 +186,11 @@ def test_unphysical_matrix_rejected():
 
 
 # ------------------------------------------------------------- correlations
+
+
+def alice_bob_correlation(params: SqueezingParams, eta: float) -> float:
+    """<X_A X_B> through a channel frozen at transmissivity eta."""
+    return covariance_matrix(params, FadingStats(eta, eta, 0.0, 0.0, 0.0)).c_q
 
 
 def test_alice_bob_correlation_hand_case():
@@ -368,35 +367,6 @@ def test_mc_rejects_bad_arguments():
         mc_quadrature_sim(params, classical, [0.5], 0, rng)
 
 
-# --------------------------------------------------- carrier and detection
-
-
-def test_estimate_eta_round_trip():
-    assert estimate_eta_from_carrier(0.0, 100.0) == 0.0
-    assert estimate_eta_from_carrier(3600.0, 100.0) == pytest.approx(0.36, rel=1e-15)
-    assert estimate_eta_from_carrier(10000.0, 100.0) == 1.0
-
-
-def test_estimate_eta_rejects_unphysical_power():
-    with pytest.raises(PhysicalityError):
-        estimate_eta_from_carrier(10001.0, 100.0)
-    with pytest.raises(UsageError):
-        estimate_eta_from_carrier(-1.0, 100.0)
-    with pytest.raises(UsageError):
-        estimate_eta_from_carrier(1.0, 0.0)
-
-
-def test_linearized_direct_detection_values():
-    assert linearized_direct_detection(100.0, 0.0) == pytest.approx(10000.0)
-    assert linearized_direct_detection(100.0, 0.5) == pytest.approx(10050.0)
-    assert linearized_direct_detection(50.0, -2.0) == pytest.approx(2400.0)
-
-
-def test_linearized_direct_detection_warns_for_weak_carrier():
-    with pytest.warns(LinearizationWarning):
-        linearized_direct_detection(5.0, 0.1)
-
-
 def test_classical_snr_and_ber():
     assert classical_snr(1.0, 1.0) == pytest.approx(4.0, rel=1e-15)
     assert classical_snr(2.0, 0.25) == pytest.approx(4.0, rel=1e-15)
@@ -408,29 +378,3 @@ def test_classical_snr_and_ber():
         classical_snr(-1.0, 0.5)
     with pytest.raises(UsageError):
         classical_ber(-0.1)
-
-
-def test_moments_csv_round_trip(tmp_path):
-    moments = EmpiricalMoments(
-        n_shots=100,
-        bit_errors=3,
-        xa_xa=1.1,
-        xb_xb=1.0,
-        xe_xe=1.0,
-        xa_xb=0.5,
-        xe_xb=0.0,
-        pa_pa=1.2,
-        pb_pb=1.3,
-        pe_pe=1.0,
-        pa_pb=-0.4,
-        pe_pb=0.0,
-    )
-    path = tmp_path / "moments.csv"
-    moments_to_csv(moments, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "quantity,value"
-    assert len(lines) == 14
-    table = dict(line.split(",") for line in lines[1:])
-    assert float(table["xa_xb"]) == 0.5
-    assert int(table["bit_errors"]) == 3
-    assert float(table["bit_error_rate"]) == pytest.approx(0.03)
