@@ -289,8 +289,9 @@ def _verify_predictions(params: SqueezingParams, etas, displacement: float):
         # Written out rather than eve_bob_correlation, which returns an
         # exact 0.0 under zero leakage: the report prints the rounding
         # residue of the excess variance (e.g. -0.000000 at 7.5 dB).
-        eb_q = math.sqrt(eta * (1.0 - eta)) * excess_q
-        eb_p = math.sqrt(eta * (1.0 - eta)) * excess_p
+        mix = math.sqrt(eta * (1.0 - eta))
+        eb_q = mix * excess_q
+        eb_p = mix * excess_p
         per_eta["xa_xa"].append((cm.a_q, 2.0 * cm.a_q**2))
         per_eta["xb_xb"].append((cm.b_q, 2.0 * cm.b_q**2))
         per_eta["xe_xe"].append((eve.b_q, 2.0 * eve.b_q**2))
