@@ -2,12 +2,15 @@
 
 The refractive-index structure "constant" Cn2 varies by roughly fourteen
 orders of magnitude between the ground layer and the upper atmosphere, so
-every path integral here is evaluated as adaptive quadrature over
-log-spaced altitude chunks rather than a single adaptive call: a lone
-adaptive pass over [0, 500 km] routinely steps straight over the 100 m
-thick ground layer and silently loses a percent-level fraction of the
-integral. The chunked scheme is cross-checked in the test suite against
-an independently coded fixed-step trapezoid rule.
+every path integral here is a fixed Gauss-Legendre rule on log-spaced
+altitude cells rather than one rule over the whole path: a single pass
+over [0, 500 km] steps straight over the 100 m thick ground layer and
+silently loses a percent-level fraction of the integral, while log cells
+make the lowest ones a few meters wide. A thin linear cell covers the
+first meter, since log spacing needs a positive start. The same routine
+returns the running integral at every cell edge, which is what slab
+planning inverts. It is cross-checked in the test suite against an
+independently coded fixed-step trapezoid rule.
 
 Altitudes are measured vertically in meters; zenith angles enter only
 through secant factors on the path integrals. Angles cross the API
@@ -27,6 +30,10 @@ from .errors import NumericalError, UsageError
 _WIND_BAND = (5.0e3, 20.0e3)
 # Integrated-Cn2 floor below which a segment counts as turbulence free.
 _TURBULENCE_FLOOR = 1e-30
+# Log-spaced altitude cell edges per path integral, and Gauss-Legendre
+# nodes per cell.
+_CELL_EDGES = 60
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 class NoTurbulence:
@@ -96,11 +103,12 @@ class LinkGeometry:
         return math.pi * self.beam_waist**2 / self.wavelength
 
 
-def bufton_wind(h: float, Vg: float) -> float:
-    """Wind speed (m/s) at altitude h: ground value plus a tropopause gust bump."""
-    if h < 0.0:
-        raise UsageError(f"altitude must be nonnegative, got {h}")
-    return Vg + 30.0 * math.exp(-(((h - 9400.0) / 4800.0) ** 2))
+def bufton_wind(h, Vg: float):
+    """Wind speed (m/s) at altitude h (scalar or array): ground value plus a
+    tropopause gust bump."""
+    if np.any(h < 0.0):
+        raise UsageError(f"altitude must be nonnegative, got {np.min(h)}")
+    return Vg + 30.0 * np.exp(-(((h - 9400.0) / 4800.0) ** 2))
 
 
 def rms_wind(Vg: float) -> float:
@@ -177,56 +185,59 @@ class TurbulenceDiagnostics:
                 raise UsageError(f"{name} must be positive")
 
 
-def cn2(h: float, profile: AtmosphereProfile) -> float:
-    """Refractive-index structure parameter Cn2(h) in m^(-2/3).
+def cn2(h, profile: AtmosphereProfile):
+    """Refractive-index structure parameter Cn2(h) in m^(-2/3), h scalar or array.
 
     Three additive layers: a high-altitude term driven by the rms wind, a
     mid-altitude exponential, and the ground layer with strength A.
     """
-    if h < 0.0:
-        raise UsageError(f"altitude must be nonnegative, got {h}")
+    if np.any(h < 0.0):
+        raise UsageError(f"altitude must be nonnegative, got {np.min(h)}")
     v = profile.rms_wind_speed
-    high = 0.00594 * (v / 27.0) ** 2 * (h * 1e-5) ** 10 * math.exp(-h / 1000.0)
-    mid = 2.7e-16 * math.exp(-h / 1500.0)
-    ground = profile.ground_cn2 * math.exp(-h / 100.0)
+    high = 0.00594 * (v / 27.0) ** 2 * (h * 1e-5) ** 10 * np.exp(-h / 1000.0)
+    mid = 2.7e-16 * np.exp(-h / 1500.0)
+    ground = profile.ground_cn2 * np.exp(-h / 100.0)
     return profile.cn2_scale * (high + mid + ground)
 
 
-def _cn2_array(h: np.ndarray, profile: AtmosphereProfile) -> np.ndarray:
-    """Vectorized twin of cn2 for dense altitude grids (no validation)."""
-    v = profile.rms_wind_speed
-    return profile.cn2_scale * (
-        0.00594 * (v / 27.0) ** 2 * (h * 1e-5) ** 10 * np.exp(-h / 1000.0)
-        + 2.7e-16 * np.exp(-h / 1500.0)
-        + profile.ground_cn2 * np.exp(-h / 100.0)
-    )
+def _cumulative_integral(f, a: float, b: float, edges: int = _CELL_EDGES):
+    """Running integral of the vectorized integrand f from a to each cell edge.
 
-
-def _chunked_integral(f, a: float, b: float, chunks: int = 60) -> float:
-    """Adaptive quadrature over log-spaced altitude chunks of [a, b].
-
-    Each chunk gets its own adaptive pass, so narrow low-altitude structure
-    cannot be skipped no matter how wide the full interval is. A thin linear
-    sliver [a, 1 m] is prepended when a < 1 m since log spacing needs a
-    positive start.
+    The cells are a linear sliver [a, 1 m] when a < 1 m, then ``edges - 1``
+    log-spaced cells up to b; each takes a fixed Gauss-Legendre rule, so
+    narrow low-altitude structure is resolved however wide [a, b] is.
+    Returns the cell edges and the integral at each of them (0 at a).
     """
-    from scipy.integrate import quad  # deferred: scipy costs most of import time
-
-    if b <= a:
-        return 0.0
-    lo = max(a, 1.0)
-    edges = np.geomspace(lo, b, chunks) if b > lo else np.array([lo, b])
+    lo = min(max(a, 1.0), b)
+    h = np.geomspace(lo, b, edges)
     if a < lo:
-        edges = np.concatenate(([a], edges))
-    total = 0.0
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        if x1 <= x0:
-            continue
-        value, err = quad(f, x0, x1, limit=200)
-        if not math.isfinite(value):
-            raise NumericalError(f"quadrature diverged on altitude chunk [{x0}, {x1}]")
-        total += value
-    return total
+        h = np.concatenate(([a], h))
+    half = 0.5 * np.diff(h)
+    nodes = (h[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    cells = (f(nodes) * _GL_WEIGHTS).sum(axis=1) * half
+    if not np.all(np.isfinite(cells)):
+        raise NumericalError(f"altitude integral over [{a}, {b}] is not finite")
+    return h, np.concatenate(([0.0], np.cumsum(cells)))
+
+
+def _band(geom: LinkGeometry, h_lo: float | None, h_hi: float | None) -> tuple[float, float]:
+    a = geom.ground_altitude if h_lo is None else h_lo
+    b = geom.satellite_altitude if h_hi is None else h_hi
+    if not geom.ground_altitude <= a < b <= geom.satellite_altitude:
+        raise UsageError(f"integration band [{a}, {b}] outside the path")
+    return a, b
+
+
+def _rytov_density(geom: LinkGeometry, profile: AtmosphereProfile):
+    """Integrand of the downlink Rytov variance per meter of altitude.
+
+    The altitude kernel (h - h0)^(5/6) is always anchored at the whole
+    channel's ground altitude, so restricted bands add up to the full-path
+    value and a slab partition conserves total scintillation.
+    """
+    scale = 2.25 * geom.wavenumber ** (7.0 / 6.0) * geom.sec_zenith ** (11.0 / 6.0)
+    h0 = geom.ground_altitude
+    return lambda h: scale * cn2(h, profile) * (h - h0) ** (5.0 / 6.0)
 
 
 def integrated_cn2(
@@ -236,11 +247,8 @@ def integrated_cn2(
     h_hi: float | None = None,
 ) -> float:
     """Vertical integral of Cn2 over [h_lo, h_hi] (defaults: full path)."""
-    a = geom.ground_altitude if h_lo is None else h_lo
-    b = geom.satellite_altitude if h_hi is None else h_hi
-    if not geom.ground_altitude <= a < b <= geom.satellite_altitude:
-        raise UsageError(f"integration band [{a}, {b}] outside the path")
-    return _chunked_integral(lambda h: cn2(h, profile), a, b)
+    a, b = _band(geom, h_lo, h_hi)
+    return float(_cumulative_integral(lambda h: cn2(h, profile), a, b)[1][-1])
 
 
 def rytov_variance(
@@ -249,20 +257,10 @@ def rytov_variance(
     h_lo: float | None = None,
     h_hi: float | None = None,
 ) -> float:
-    """Weak-fluctuation log-amplitude variance for a downlink slant path.
-
-    The altitude kernel (h - h0)^(5/6) is always anchored at the whole
-    channel's ground altitude, so restricted bands add up to the full-path
-    value and a slab partition conserves total scintillation.
-    """
-    a = geom.ground_altitude if h_lo is None else h_lo
-    b = geom.satellite_altitude if h_hi is None else h_hi
-    if not geom.ground_altitude <= a < b <= geom.satellite_altitude:
-        raise UsageError(f"integration band [{a}, {b}] outside the path")
-    h0 = geom.ground_altitude
-    integral = _chunked_integral(lambda h: cn2(h, profile) * (h - h0) ** (5.0 / 6.0), a, b)
-    k = geom.wavenumber
-    return 2.25 * k ** (7.0 / 6.0) * geom.sec_zenith ** (11.0 / 6.0) * integral
+    """Weak-fluctuation log-amplitude variance for a downlink slant path,
+    the integral of ``_rytov_density`` over [h_lo, h_hi] (defaults: full path)."""
+    a, b = _band(geom, h_lo, h_hi)
+    return float(_cumulative_integral(_rytov_density(geom, profile), a, b)[1][-1])
 
 
 def scintillation_index(rytov_var: float) -> float:
@@ -304,11 +302,11 @@ def greenwood_and_coherence(
     the coherence time is 0.134 / f_G, the interval over which the channel
     transmissivity is treated as frozen.
     """
-    weighted = _chunked_integral(
+    weighted = float(_cumulative_integral(
         lambda h: cn2(h, profile) * bufton_wind(h, profile.ground_wind) ** (5.0 / 3.0),
         geom.ground_altitude,
         geom.satellite_altitude,
-    )
+    )[1][-1])
     if weighted < _TURBULENCE_FLOOR:
         return NO_TURBULENCE
     f_g = 2.31 * geom.wavelength ** (-6.0 / 5.0) * (geom.sec_zenith * weighted) ** (3.0 / 5.0)

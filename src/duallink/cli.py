@@ -274,7 +274,11 @@ def _verify_predictions(params: SqueezingParams, etas, displacement: float):
 
     Alice's and Bob's moments at each eta are the library's covariance
     matrix of a channel frozen at that eta; Eve holds the lost light, so
-    her variances are Bob's at 1 - eta.
+    her variances are Bob's at 1 - eta.  Bob subtracts his decided
+    symbol, so at separation s = 2 alpha sqrt(eta / b_q) a wrong
+    decision leaves twice the signal in his q: his variance becomes
+    b_q (1 - 4 s phi(s) + 4 s^2 Q(s)), and by Stein's lemma his q
+    correlations shrink by 1 - 2 s phi(s).
     """
     excess_q = params.transmitted_q_variance - 1.0
     excess_p = params.transmitted_p_variance - 1.0
@@ -286,23 +290,30 @@ def _verify_predictions(params: SqueezingParams, etas, displacement: float):
     for eta in etas:
         cm = covariance_matrix(params, FadingStats(eta, eta, 0.0, 0.0, 0.0))
         eve = covariance_matrix(params, FadingStats(1.0 - eta, 1.0 - eta, 0.0, 0.0, 0.0))
+        snr = 4.0 * eta * displacement**2 / cm.b_q
+        s = math.sqrt(snr)
+        phi = math.exp(-s * s / 2.0) / math.sqrt(2.0 * math.pi)
+        tail = classical_ber(snr)
+        b_q = cm.b_q * (1.0 - 4.0 * s * phi + 4.0 * s * s * tail)
+        shrink = 1.0 - 2.0 * s * phi
+        c_q = shrink * cm.c_q
         # Written out rather than eve_bob_correlation, which returns an
         # exact 0.0 under zero leakage: the report prints the rounding
         # residue of the excess variance (e.g. -0.000000 at 7.5 dB).
         mix = math.sqrt(eta * (1.0 - eta))
-        eb_q = mix * excess_q
+        eb_q = shrink * mix * excess_q
         eb_p = mix * excess_p
         per_eta["xa_xa"].append((cm.a_q, 2.0 * cm.a_q**2))
-        per_eta["xb_xb"].append((cm.b_q, 2.0 * cm.b_q**2))
+        per_eta["xb_xb"].append((b_q, 2.0 * b_q**2))
         per_eta["xe_xe"].append((eve.b_q, 2.0 * eve.b_q**2))
-        per_eta["xa_xb"].append((cm.c_q, cm.a_q * cm.b_q + cm.c_q**2))
-        per_eta["xe_xb"].append((eb_q, eve.b_q * cm.b_q + eb_q**2))
+        per_eta["xa_xb"].append((c_q, cm.a_q * b_q + c_q**2))
+        per_eta["xe_xb"].append((eb_q, eve.b_q * b_q + eb_q**2))
         per_eta["pa_pa"].append((cm.a_p, 2.0 * cm.a_p**2))
         per_eta["pb_pb"].append((cm.b_p, 2.0 * cm.b_p**2))
         per_eta["pe_pe"].append((eve.b_p, 2.0 * eve.b_p**2))
         per_eta["pa_pb"].append((cm.c_p, cm.a_p * cm.b_p + cm.c_p**2))
         per_eta["pe_pb"].append((eb_p, eve.b_p * cm.b_p + eb_p**2))
-        ber.append(classical_ber(4.0 * eta * displacement**2 / cm.b_q))
+        ber.append(tail)
 
     predictions = {
         name: (

@@ -21,8 +21,6 @@ from .errors import UsageError
 from .keyrate import DetectorModel, FiniteSizeParams
 from .protocol import ClassicalLayer, SqueezingParams
 
-__all__ = ["RunConfig", "parse_config", "load_config", "render_config", "config_hash"]
-
 _REQUIRED = object()
 
 # section -> key -> (converter, default, RunConfig attribute path);

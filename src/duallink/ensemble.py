@@ -33,7 +33,8 @@ from .screens import ScreenStreams, plan_slabs
 
 _FORMAT_NAME = "duallink-ensemble"
 # 2: each spectral draw serves a pair of screens (real and imaginary halves)
-_FORMAT_VERSION = 2
+# 3: altitude integrals by a fixed Gauss-Legendre rule, which moves every r0
+_FORMAT_VERSION = 3
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (

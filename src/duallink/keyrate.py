@@ -16,21 +16,6 @@ from .ensemble import FadingStats
 from .errors import PhysicalityError, UsageError
 from .protocol import CovarianceMatrix, SqueezingParams, covariance_matrix
 
-__all__ = [
-    "DetectorModel",
-    "FiniteSizeParams",
-    "IDEAL_DETECTOR",
-    "mutual_information",
-    "asymptotic_rate",
-    "ideal_rate",
-    "plob_bound",
-    "aep_delta",
-    "finite_size_rate",
-    "max_tolerable_loss",
-    "key_rate_summary",
-    "render_key_rate_report",
-]
-
 _AEP_POLICIES = ("composed", "smoothing_bar")
 
 

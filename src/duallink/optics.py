@@ -19,7 +19,14 @@ import numpy as np
 
 from .atmosphere import AtmosphereProfile, LinkGeometry
 from .errors import NumericalError, UsageError
-from .screens import PhaseScreen, ScreenStreams, SlabPlan, generate_screen, locked_cache
+from .screens import (
+    PhaseScreen,
+    ScreenStreams,
+    SlabPlan,
+    _centered_coords,
+    generate_screen,
+    locked_cache,
+)
 
 # Outermost frame, in cells, that the aliasing guard inspects after a hop,
 # and the power fraction there beyond which the window is declared too small.
@@ -62,10 +69,6 @@ class ComplexField:
     @property
     def power(self) -> float:
         return float(np.sum(np.abs(self.grid) ** 2)) * self.spacing**2
-
-
-def _centered_coords(n: int, spacing: float) -> np.ndarray:
-    return (np.arange(n) - n // 2) * spacing
 
 
 def gaussian_source(geom: LinkGeometry, grid_size: int = 1024) -> ComplexField:

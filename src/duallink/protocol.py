@@ -22,19 +22,6 @@ import numpy as np
 from .ensemble import ChannelEnsemble, FadingStats
 from .errors import PhysicalityError, UsageError
 
-__all__ = [
-    "SqueezingParams",
-    "CovarianceMatrix",
-    "ClassicalLayer",
-    "EmpiricalMoments",
-    "zero_leakage_epsilon",
-    "covariance_matrix",
-    "eve_bob_correlation",
-    "mc_quadrature_sim",
-    "classical_snr",
-    "classical_ber",
-]
-
 # |eps*Va + (1-eps)*Vs - 1| below this counts as zero-leakage.
 _LEAKAGE_TOLERANCE = 1e-12
 

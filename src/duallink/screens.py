@@ -30,7 +30,9 @@ from .atmosphere import (
     LinkGeometry,
     NoTurbulence,
     TurbulenceDiagnostics,
-    _cn2_array,
+    _cumulative_integral,
+    _rytov_density,
+    cn2,
     fried_parameter,
     rytov_variance,
     scintillation_index,
@@ -41,6 +43,8 @@ from .errors import UsageError
 _SLAB_SIGMA_CAP = 0.1
 _SLAB_SHARE_CAP = 0.1
 _MAX_SLABS = 64
+# Cell edges of the running Cn2 and Rytov integrals that place the slab edges.
+_PLANNING_EDGES = 2000
 # Fraction of the integrated Cn2 kept below the modeled turbulence top.
 _EFFECTIVE_ATMOSPHERE_FRACTION = 0.999
 
@@ -154,8 +158,6 @@ def plan_slabs(
     value); everything above the altitude holding 99.9% of the integrated
     Cn2 becomes a single vacuum slab with no screen.
     """
-    from scipy.optimize import brentq  # deferred: scipy costs most of import time
-
     h0 = geom.ground_altitude
     top = geom.satellite_altitude
     sec = geom.sec_zenith
@@ -166,16 +168,8 @@ def plan_slabs(
     if profile.cn2_scale == 0.0:
         return SlabPlan((vacuum(h0, top),))
 
-    # Dense altitude grid: linear through the ground layer, logarithmic above.
-    lin_top = min(h0 + 2e3, top)
-    hs = np.linspace(h0, lin_top, 8001)
-    if lin_top < top:
-        hs = np.concatenate([hs[:-1], np.geomspace(lin_top, top, 30000)])
-    c = _cn2_array(hs, profile)
-    cum_cn2 = np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] + c[:-1]) * np.diff(hs))])
-    kern = c * (hs - h0) ** (5.0 / 6.0)
-    cum_ryt = np.concatenate([[0.0], np.cumsum(0.5 * (kern[1:] + kern[:-1]) * np.diff(hs))])
-    rytov_factor = 2.25 * geom.wavenumber ** (7.0 / 6.0) * sec ** (11.0 / 6.0)
+    hs, cum_cn2 = _cumulative_integral(lambda h: cn2(h, profile), h0, top, _PLANNING_EDGES)
+    _, cum_ryt = _cumulative_integral(_rytov_density(geom, profile), h0, top, _PLANNING_EDGES)
 
     h_top = float(
         np.interp(_EFFECTIVE_ATMOSPHERE_FRACTION * cum_cn2[-1], cum_cn2, hs)
@@ -189,8 +183,16 @@ def plan_slabs(
     cap = min(_SLAB_SIGMA_CAP, _SLAB_SHARE_CAP * sigma_total)
     if cap <= 0.0:
         raise UsageError("whole-channel scintillation index must be positive to plan slabs")
-    # Rytov budget per slab for a scintillation index just under the cap.
-    budget = brentq(lambda x: scintillation_index(x) - cap * (1.0 - 1e-3), 0.0, 1.0)
+    # Rytov budget per slab for a scintillation index just under the cap,
+    # by bisection: the index rises monotonically from 0 and exceeds 0.7 at 1.
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if scintillation_index(mid) < cap * (1.0 - 1e-3):
+            lo = mid
+        else:
+            hi = mid
+    budget = 0.5 * (lo + hi)
 
     edges = [h0]
     ryt_at = lambda h: float(np.interp(h, hs, cum_ryt))
@@ -200,7 +202,7 @@ def plan_slabs(
                 f"slab conditions need more than {_MAX_SLABS} slabs; "
                 "check the turbulence profile and geometry"
             )
-        target = ryt_at(edges[-1]) + budget / rytov_factor
+        target = ryt_at(edges[-1]) + budget
         if target >= ryt_at(h_top):
             edges.append(h_top)
         else:
@@ -214,6 +216,10 @@ def plan_slabs(
     if h_top < top:
         slabs.append(vacuum(h_top, top))
     return SlabPlan(tuple(slabs))
+
+
+def _centered_coords(n: int, spacing: float) -> np.ndarray:
+    return (np.arange(n) - n // 2) * spacing
 
 
 def mvk_psd(f, fried: float, outer_scale: float, inner_scale: float):
@@ -250,10 +256,7 @@ _SUBHARMONIC_LEVELS = 3
 def _fft_amplitude_factor(n: int, spacing: float, l_out: float, l_in: float) -> np.ndarray:
     """sqrt(PSD / r0^(-5/3)) * df on the FFT lattice, DC zeroed."""
     fx = np.fft.fftfreq(n, spacing)
-    f2 = fx[:, None] ** 2 + fx[None, :] ** 2
-    f0 = 1.0 / l_out
-    fm = 0.9422 / l_in
-    psd_geo = 0.023 * np.exp(-f2 / fm**2) / (f2 + f0**2) ** (11.0 / 6.0)
+    psd_geo = mvk_psd(np.hypot(fx[:, None], fx[None, :]), 1.0, l_out, l_in)
     psd_geo[0, 0] = 0.0
     out = np.sqrt(psd_geo) / (n * spacing)
     out.setflags(write=False)
@@ -277,7 +280,7 @@ def _subharmonic_factors(n: int, spacing: float, l_out: float, l_in: float):
     """Per-level sqrt cell weights (3x3, r0 factored out), the real axis
     basis ((2L+1) x N) and its row means."""
     df = 1.0 / (n * spacing)
-    coords = (np.arange(n) - n // 2) * spacing
+    coords = _centered_coords(n, spacing)
     weights = []
     rows = [np.ones(n)]
     for level in range(1, _SUBHARMONIC_LEVELS + 1):

@@ -2,6 +2,7 @@
 package surface the README documents."""
 
 import ast
+import itertools
 import math
 import os
 import re
@@ -19,6 +20,8 @@ from duallink.ensemble import fading_stats, load_ensemble
 from duallink.errors import UsageError
 from duallink.optics import vacuum_beam_radius
 from duallink.protocol import SqueezingParams, classical_ber
+
+from test_protocol import extraction_second_moment
 
 BASE_CONFIG = """\
 [scenario]
@@ -81,13 +84,21 @@ def write_config(tmp_path, **edits) -> str:
 
 
 def test_cli_import_and_config_load_leave_scipy_unloaded(tmp_path):
-    # scipy dominates start-up time; only the commands that integrate load it
+    # numpy is the only runtime dependency: importing and loading a config
+    # must not pull scipy in, and every command must run with it blocked
     path = write_config(tmp_path)
+    ensemble = str(tmp_path / "out" / "smoke.ensemble")
     probe = (
         "import sys, duallink.cli\n"
         "from duallink.config import load_config\n"
         f"load_config({path!r})\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None\n"
+        "from duallink.cli import main\n"
+        f"print(main(['simulate-channel', '--config', {path!r}]))\n"
+        f"print(main(['key-rate', '--config', {path!r}, '--ensemble', {ensemble!r}]))\n"
+        f"print(main(['link-budget', '--config', {path!r}, '--ensemble', {ensemble!r}]))\n"
+        f"print(main(['protocol-verify', '--config', {path!r}]))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(
@@ -96,7 +107,9 @@ def test_cli_import_and_config_load_leave_scipy_unloaded(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert [line for line in lines if line in ("0", "1", "2", "3")] == ["0", "0", "0", "0"]
 
 
 def test_parse_applies_defaults(tmp_path):
@@ -383,6 +396,11 @@ def test_protocol_verify_passes_and_is_deterministic(tmp_path, capsys):
     assert "-> PASS" in capsys.readouterr().out
     assert run_cli("protocol-verify", "--config", config) == 0
     assert report_path.read_bytes() == first
+    # a small displacement makes bit errors common (BER about 1%); Bob's
+    # decided-symbol subtraction must be in the predictions
+    close = write_config(tmp_path, **{"displacement = 10.0": "displacement = 2.0"})
+    assert run_cli("protocol-verify", "--config", close) == 0
+    assert b"verdict PASS" in report_path.read_bytes()
 
 
 def test_protocol_verify_sabotage_is_detected(tmp_path, capsys):
@@ -432,13 +450,19 @@ def reference_verify_predictions(params: SqueezingParams, etas, displacement: fl
     )}
     ber = []
     for eta in etas:
-        b_q = 1.0 + eta * (v_q - 1.0)
+        gauss_q = 1.0 + eta * (v_q - 1.0)
         b_p = 1.0 + eta * (v_p - 1.0)
         e_q = 1.0 + (1.0 - eta) * (v_q - 1.0)
         e_p = 1.0 + (1.0 - eta) * (v_p - 1.0)
-        c_q = math.sqrt(eta) * cross * (va - vs)
+        # Bob subtracts his decided symbol: E[(X - s sign X)^2] in units
+        # of the Gaussian variance, and Stein's lemma for the correlations
+        separation = math.sqrt(4.0 * eta * displacement**2 / gauss_q)
+        density = math.exp(-separation * separation / 2.0) / math.sqrt(2.0 * math.pi)
+        b_q = gauss_q * extraction_second_moment(separation)
+        shrink = 1.0 - 2.0 * separation * density
+        c_q = math.sqrt(eta) * cross * (va - vs) * shrink
         c_p = math.sqrt(eta) * cross * (1.0 / va - 1.0 / vs)
-        eb_q = math.sqrt(eta * (1.0 - eta)) * (v_q - 1.0)
+        eb_q = shrink * math.sqrt(eta * (1.0 - eta)) * (v_q - 1.0)
         eb_p = math.sqrt(eta * (1.0 - eta)) * (v_p - 1.0)
         per_eta["xa_xa"].append((a_q, 2.0 * a_q**2))
         per_eta["xb_xb"].append((b_q, 2.0 * b_q**2))
@@ -450,7 +474,7 @@ def reference_verify_predictions(params: SqueezingParams, etas, displacement: fl
         per_eta["pe_pe"].append((e_p, 2.0 * e_p**2))
         per_eta["pa_pb"].append((c_p, a_p * b_p + c_p**2))
         per_eta["pe_pb"].append((eb_p, e_p * b_p + eb_p**2))
-        ber.append(classical_ber(4.0 * eta * displacement**2 / b_q))
+        ber.append(classical_ber(4.0 * eta * displacement**2 / gauss_q))
 
     predictions = {
         name: (
@@ -466,12 +490,13 @@ def reference_verify_predictions(params: SqueezingParams, etas, displacement: fl
 def test_verify_predictions_equal_hand_written_reference(squeezing_db):
     # exact equality: the report prints these numbers, so the library
     # path must reproduce the hand-written arithmetic bit for bit
+    # (displacement 2 makes the bit-error terms percent-level)
     params = SqueezingParams.from_squeezing_db(squeezing_db)
-    for seed in range(1, 11):
+    for seed, displacement in itertools.product(range(1, 11), (10.0, 2.0)):
         etas = np.sort(np.random.default_rng(seed).uniform(0.15, 0.85, 25))
-        predictions, ber_mean, ber_rows = _verify_predictions(params, etas, 10.0)
+        predictions, ber_mean, ber_rows = _verify_predictions(params, etas, displacement)
         expected, expected_mean, expected_rows = reference_verify_predictions(
-            params, etas, 10.0
+            params, etas, displacement
         )
         assert predictions == expected
         assert ber_mean == expected_mean

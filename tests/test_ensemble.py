@@ -281,14 +281,16 @@ def test_version_mismatch_refused(tmp_path):
         load_ensemble(path)
 
 
-def test_format_one_file_refused(tmp_path):
-    # format 1 drew one spectral FFT per screen; its etas come from other streams
+@pytest.mark.parametrize("version", [1, 2])
+def test_format_one_file_refused(tmp_path, version):
+    # format 1 drew one spectral FFT per screen, and format 2 integrated
+    # the altitude profile by adaptive quadrature; their etas differ
     ens = synthetic_ensemble([0.5])
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)
     text = path.read_text()
-    path.write_text("duallink-ensemble 1\n" + text.partition("\n")[2])
-    with pytest.raises(DataIntegrityError, match="format version 1"):
+    path.write_text(f"duallink-ensemble {version}\n" + text.partition("\n")[2])
+    with pytest.raises(DataIntegrityError, match=f"format version {version}"):
         load_ensemble(path)
 
 
