@@ -34,7 +34,9 @@ from .screens import ScreenStreams, plan_slabs
 _FORMAT_NAME = "duallink-ensemble"
 # 2: each spectral draw serves a pair of screens (real and imaginary halves)
 # 3: altitude integrals by a fixed Gauss-Legendre rule, which moves every r0
-_FORMAT_VERSION = 3
+# 4: float32 cos and sin in the screen imprint, and the Fresnel hop's shifts
+#    folded into its chirps, which move every eta at rounding level
+_FORMAT_VERSION = 4
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (

@@ -8,6 +8,11 @@ the unit-power source, is the transmissivity of that realization.
 All propagation kernels are referenced to the on-axis plane wave (the
 carrier phase exp(ikz) is dropped), so composing many short hops agrees
 with one long hop to machine precision even over hundreds of kilometres.
+
+Fields, kernels and hops are float64 throughout.  The one exception is the
+screen imprint: its phasor is the float32 cos and sin of the phase reduced
+by whole turns in float64, restored to unit modulus by one float64 Newton
+step, so its angle is good to 3e-7 rad and its modulus to 1e-13.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .screens import (
     PhaseScreen,
     ScreenStreams,
     SlabPlan,
+    Workspace,
     _centered_coords,
     generate_screen,
     locked_cache,
@@ -38,6 +44,8 @@ _EDGE_GUARD_FRACTION = 1e-4
 # amplitude while pulling the edge down to exp(-12).
 _APODIZATION_STRENGTH = 12.0
 _APODIZATION_ORDER = 128
+
+_TURN = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +116,6 @@ def choose_receiver_window(geom: LinkGeometry, aperture_radii=()) -> float:
     return max(8.0 * vacuum_beam_radius(geom, geom.path_length), 4.0 * ra_max)
 
 
-def second_moment_radius(field: ComplexField) -> float:
-    """Beam radius from the intensity second moment (w0 recovers sqrt(2)<r^2>)."""
-    intensity = np.abs(field.grid) ** 2
-    total = float(intensity.sum())
-    if total <= 0.0:
-        raise UsageError("cannot measure the radius of an empty field")
-    x = _centered_coords(field.size, field.spacing)
-    r2 = x[:, None] ** 2 + x[None, :] ** 2
-    return math.sqrt(2.0 * float((intensity * r2).sum()) / total)
-
-
 @locked_cache(maxsize=16)
 def _angular_spectrum_kernel(
     n: int, spacing: float, wavelength: float, distance: float
@@ -138,7 +135,15 @@ def _angular_spectrum_kernel(
 
 @locked_cache(maxsize=4)
 def _fresnel_factors(n: int, d1: float, wavelength: float, distance: float, d2: float):
-    """Chirp grids and scale for the two-step transform d1 -> d2 over distance."""
+    """Chirp grids and scale for the two-step transform d1 -> d2 over distance.
+
+    Each step is a centered FFT, fftshift(fft2(ifftshift(x))).  On an even
+    grid that equals s * fft2(s * x) with the checkerboard s = (-1)^(i+j),
+    so s is folded into the input and output chirps (s * s = 1 between the
+    steps) and the hop needs no shifted copies; a sign flip is exact.
+    """
+    if n % 2:
+        raise UsageError(f"a rescaling hop needs an even grid size, got {n}")
     m = d2 / d1
     dz1 = distance / (1.0 + m)
     dz2 = distance - dz1
@@ -150,19 +155,15 @@ def _fresnel_factors(n: int, d1: float, wavelength: float, distance: float, d2: 
         r2 = x[:, None] ** 2 + x[None, :] ** 2
         return np.exp(1j * (0.5 * k * curvature) * r2)
 
-    q1 = chirp(d1, 1.0 / dz1)
+    checkerboard = 1 - 2 * (np.add.outer(np.arange(n), np.arange(n)) % 2)
+    q1 = chirp(d1, 1.0 / dz1) * checkerboard
     # outgoing chirp of the first step and incoming chirp of the second
     qi = chirp(di, 1.0 / dz1 + 1.0 / dz2)
-    q2 = chirp(d2, 1.0 / dz2)
     scale = -(d1 * d1) * (di * di) / (wavelength**2 * dz1 * dz2)
-    q2 = q2 * scale
+    q2 = chirp(d2, 1.0 / dz2) * (scale * checkerboard)
     for factor in (q1, qi, q2):
         factor.setflags(write=False)
     return q1, qi, q2
-
-
-def _centered_fft2(grid: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(grid)))
 
 
 def _power_sum(grid: np.ndarray) -> float:
@@ -187,7 +188,10 @@ def _edge_power_fraction(grid: np.ndarray) -> float:
 
 
 def propagate_vacuum(
-    field: ComplexField, distance: float, target_spacing: float | None = None
+    field: ComplexField,
+    distance: float,
+    target_spacing: float | None = None,
+    workspace: Workspace | None = None,
 ) -> ComplexField:
     """Diffract the field forward through vacuum.
 
@@ -195,6 +199,8 @@ def propagate_vacuum(
     angular-spectrum transfer function is applied on the fixed grid;
     otherwise the hop runs as two Fresnel steps whose intermediate plane
     magnifies the window from the current spacing to target_spacing.
+    The result is a new array, or a workspace's ``field``, which may be
+    the input's own grid.
     """
     if distance < 0.0:
         raise UsageError("propagation distance must be nonnegative")
@@ -208,20 +214,24 @@ def propagate_vacuum(
             raise UsageError("cannot rescale the grid over a zero-length hop")
         return field
     n = field.size
+    grid = (Workspace(n) if workspace is None else workspace).field
+    # fftn and ifftn rather than fft2 and ifft2, which ignore out=
     if not resize and field.spacing * field.window >= field.wavelength * distance:
         kernel = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
-        out_grid = np.fft.fft2(field.grid)
-        out_grid *= kernel
-        # ifftn rather than ifft2: numpy's ifft2 ignores out=
-        np.fft.ifftn(out_grid, out=out_grid)
-        out = ComplexField(out_grid, field.spacing, field.wavelength, field.z + distance)
+        np.fft.fftn(field.grid, out=grid)
+        grid *= kernel
+        np.fft.ifftn(grid, out=grid)
+        spacing = field.spacing
     else:
-        d2 = target_spacing if resize else field.spacing
-        q1, qi, q2 = _fresnel_factors(n, field.spacing, field.wavelength, distance, d2)
-        mid = _centered_fft2(field.grid * q1) * qi
-        out_grid = _centered_fft2(mid) * q2
-        out = ComplexField(out_grid, d2, field.wavelength, field.z + distance)
-    fraction = _edge_power_fraction(out.grid)
+        spacing = target_spacing if resize else field.spacing
+        q1, qi, q2 = _fresnel_factors(n, field.spacing, field.wavelength, distance, spacing)
+        np.multiply(field.grid, q1, out=grid)
+        np.fft.fftn(grid, out=grid)
+        grid *= qi
+        np.fft.fftn(grid, out=grid)
+        grid *= q2
+    out = ComplexField(grid, spacing, field.wavelength, field.z + distance)
+    fraction = _edge_power_fraction(grid)
     if fraction > _EDGE_GUARD_FRACTION:
         raise NumericalError(
             f"{fraction:.3e} of the power sits within {_EDGE_GUARD_CELLS} cells of "
@@ -232,8 +242,50 @@ def propagate_vacuum(
     return out
 
 
-def apply_screen(field: ComplexField, screen: PhaseScreen) -> ComplexField:
-    """Imprint one phase screen; unit-modulus, so power is untouched."""
+def _as_float64(buffer: np.ndarray, n: int) -> np.ndarray:
+    """The first N*N float64 slots of a C-contiguous buffer, as an N x N array."""
+    return buffer.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
+
+
+def _unit_phasor(phase: np.ndarray, phasor: np.ndarray, scratch: np.ndarray) -> None:
+    """exp(i phase) into the complex128 phasor, through float32 (SIMD) cos and sin.
+
+    The phase is reduced by whole turns in float64, and one float64 Newton
+    step p *= (3 - |p|^2) / 2 restores unit modulus.  The reduced angles
+    sit in the phasor's first half until their cast into ``scratch``
+    (float32, 2 x N x N), which then holds cos and sin and, once they are
+    widened, the float64 Newton factor.
+    """
+    n = phase.shape[0]
+    angle = _as_float64(phasor, n)
+    np.multiply(phase, 1.0 / _TURN, out=angle)
+    np.rint(angle, out=angle)
+    angle *= _TURN
+    np.subtract(phase, angle, out=angle)
+    reduced, cosine = scratch
+    np.copyto(reduced, angle, casting="same_kind")
+    np.cos(reduced, out=cosine)
+    np.sin(reduced, out=reduced)
+    phasor.real = cosine
+    phasor.imag = reduced
+    newton = _as_float64(scratch, n)
+    np.abs(phasor, out=newton)
+    np.square(newton, out=newton)
+    np.subtract(3.0, newton, out=newton)
+    newton *= 0.5
+    phasor *= newton
+
+
+def apply_screen(
+    field: ComplexField, screen: PhaseScreen, workspace: Workspace | None = None
+) -> ComplexField:
+    """Imprint one phase screen; unit-modulus, so power is untouched.
+
+    The phasor's angle is float32-accurate (within 3e-7 rad of the phase)
+    and its modulus float64-accurate (|p|^2 within 1e-13 of one).  The
+    result is a new array, or a workspace's ``field``, which may be the
+    input's own grid.
+    """
     if screen.grid.shape != field.grid.shape:
         raise UsageError(
             f"screen shape {screen.grid.shape} does not match field {field.grid.shape}"
@@ -242,11 +294,10 @@ def apply_screen(field: ComplexField, screen: PhaseScreen) -> ComplexField:
         raise UsageError(
             f"screen spacing {screen.spacing!r} does not match field {field.spacing!r}"
         )
-    phasor = np.empty(field.grid.shape, dtype=complex)
-    np.cos(screen.grid, out=phasor.real)
-    np.sin(screen.grid, out=phasor.imag)
-    phasor *= field.grid
-    return ComplexField(phasor, field.spacing, field.wavelength, field.z)
+    ws = Workspace(field.size) if workspace is None else workspace
+    _unit_phasor(screen.grid, ws.spectrum, ws.scratch)
+    np.multiply(field.grid, ws.spectrum, out=ws.field)
+    return ComplexField(ws.field, field.spacing, field.wavelength, field.z)
 
 
 @locked_cache(maxsize=8)
@@ -275,6 +326,8 @@ def split_step(
     and is charged to the measured transmissivity.  Turbulent slabs are
     paired in walk order: one spectral draw from the stream of the pair's
     first slab serves both, and the second screen is held until its slab.
+    Everything runs in one workspace: the first hop copies the source into
+    it, and after that no N x N array is allocated.
     """
     if receiver_window <= 0.0:
         raise UsageError("receiver window must be positive")
@@ -283,17 +336,16 @@ def split_step(
     walk = range(len(plan.slabs) - 1, -1, -1)
     turbulent = [idx for idx in walk if plan.slabs[idx].has_screen]
     partner = dict(zip(turbulent[0::2], turbulent[1::2]))
+    workspace = Workspace(n)
 
     def hop(field: ComplexField, dist: float, first: bool) -> ComplexField:
         if dist == 0.0 and not first:
             return field
-        mask = _apodization_mask(n)
-        if first:
-            # the source grid is shared by every realization and worker
-            field = ComplexField(field.grid * mask, field.spacing, field.wavelength, field.z)
-        else:
-            np.multiply(field.grid, mask, out=field.grid)
-        return propagate_vacuum(field, dist, target if first else None)
+        # the first hop reads the source, which every realization and
+        # worker shares, and writes the workspace; later hops run in place
+        np.multiply(field.grid, _apodization_mask(n), out=workspace.field)
+        absorbed = ComplexField(workspace.field, field.spacing, field.wavelength, field.z)
+        return propagate_vacuum(absorbed, dist, target if first else None, workspace=workspace)
 
     field = source
     pending = 0.0
@@ -312,9 +364,9 @@ def split_step(
         else:
             pair = (slab, plan.slabs[partner[idx]]) if idx in partner else (slab,)
             screen, *held = generate_screen(
-                pair, n, field.spacing, streams.generator(idx), profile
+                pair, n, field.spacing, streams.generator(idx), profile, workspace=workspace
             )
-        field = apply_screen(field, screen)
+        field = apply_screen(field, screen, workspace=workspace)
         pending = half
     return hop(field, pending, first)
 

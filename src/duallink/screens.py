@@ -126,6 +126,24 @@ class PhaseScreen:
     spacing: float
 
 
+class Workspace:
+    """The N x N buffers of one channel realization, written in place.
+
+    ``field`` (complex128) is the running field; ``spectrum`` (complex128)
+    a screen pair's spectral draw, then an imprint's phasor; ``screens``
+    (float64, 2 x N x N) the normal draws, then the pair's screens;
+    ``scratch`` (float32, 2 x N x N) the imprint's float32 angles and
+    cos/sin.  Never shared between realizations or workers; a call given
+    none makes a fresh one and touches only the buffers it uses.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.field = np.empty((n, n), dtype=complex)
+        self.spectrum = np.empty((n, n), dtype=complex)
+        self.screens = np.empty((2, n, n))
+        self.scratch = np.empty((2, n, n), dtype=np.float32)
+
+
 @dataclass(frozen=True)
 class ScreenStreams:
     """Counter-based random substreams, one per (realization, screen pair).
@@ -306,6 +324,7 @@ def generate_screen(
     spacing: float,
     rng: np.random.Generator,
     profile: AtmosphereProfile,
+    workspace: Workspace | None = None,
 ) -> tuple[PhaseScreen, ...]:
     """Draw the phase screens of one or two slabs on an N x N grid.
 
@@ -316,7 +335,8 @@ def generate_screen(
     independent screens: the real part goes to the first slab and the
     imaginary part to the second, each with its own subharmonic draws
     taken in slab order after the spectral draw.  A one-slab call makes
-    only the first slab's draws.  Vacuum slabs get zero screens.
+    only the first slab's draws.  Vacuum slabs get zero screens.  The
+    screens live in the workspace's ``screens`` buffer.
     """
     n = grid_size
     if n <= 0 or n & (n - 1):
@@ -340,9 +360,11 @@ def generate_screen(
     # everything below one window cycle.  Each slab's r0 scale is applied
     # once, to its finished screen; the first screen's buffer first holds
     # the normal draws.
+    ws = Workspace(n) if workspace is None else workspace
     factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
-    spectrum = np.empty((n, n), dtype=complex)
-    draws = rng.standard_normal((n, n))
+    spectrum = ws.spectrum
+    draws = ws.screens[0]
+    rng.standard_normal(out=draws)
     np.multiply(draws, factor, out=spectrum.real)
     rng.standard_normal(out=draws)
     np.multiply(draws, factor, out=spectrum.imag)
@@ -351,8 +373,7 @@ def generate_screen(
 
     weights, basis, means = _subharmonic_factors(n, spacing, l_out, l_in)
     screens = []
-    buffers = (draws, *(np.empty((n, n)) for _ in slabs[1:]))
-    for slab, half, screen in zip(slabs, (spectrum.real, spectrum.imag), buffers):
+    for slab, half, screen in zip(slabs, (spectrum.real, spectrum.imag), ws.screens):
         coeff = np.zeros((len(basis), len(basis)))
         for sqrt_w, rows in zip(weights, _LEVEL_ROWS):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -367,38 +388,3 @@ def generate_screen(
         screen *= slab.fried ** (-5.0 / 6.0) if slab.has_screen else 0.0
         screens.append(PhaseScreen(screen, spacing))
     return tuple(screens)
-
-
-def screen_structure_function(screens: list[PhaseScreen], separations) -> list[float]:
-    """Empirical phase structure function, averaged over pixels and screens.
-
-    D(r) = <(phi(x + r) - phi(x))^2> along both grid axes; separations must
-    be grid-aligned (integer multiples of the common spacing).
-    """
-    if len(screens) < 50:
-        raise UsageError(f"need at least 50 screens for a stable estimate, got {len(screens)}")
-    spacing = screens[0].spacing
-    n = screens[0].grid.shape[0]
-    for s in screens:
-        if s.spacing != spacing or s.grid.shape != (n, n):
-            raise UsageError("screens must share grid geometry")
-
-    shifts = []
-    for r in separations:
-        m = round(r / spacing)
-        if not math.isclose(m * spacing, r, rel_tol=1e-6, abs_tol=1e-12):
-            raise UsageError(f"separation {r} is not a multiple of the grid spacing {spacing}")
-        if m < 1 or m >= n:
-            raise UsageError(f"separation {r} outside the grid (max {(n - 1) * spacing})")
-        shifts.append(m)
-
-    totals = np.zeros(len(shifts))
-    counts = np.zeros(len(shifts))
-    for s in screens:
-        g = s.grid
-        for idx, m in enumerate(shifts):
-            dx = g[:, m:] - g[:, :-m]
-            dy = g[m:, :] - g[:-m, :]
-            totals[idx] += float(np.sum(dx * dx)) + float(np.sum(dy * dy))
-            counts[idx] += dx.size + dy.size
-    return list(totals / counts)

@@ -15,6 +15,7 @@ import pytest
 from scipy.stats import norm
 
 from conftest import make_geometry
+from oracles import screen_structure_function
 from duallink.atmosphere import (
     AtmosphereProfile,
     TurbulenceDiagnostics,
@@ -51,7 +52,6 @@ from duallink.screens import (
     ScreenStreams,
     Slab,
     generate_screen,
-    screen_structure_function,
 )
 
 TABLE_PROFILE = AtmosphereProfile(

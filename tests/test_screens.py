@@ -28,10 +28,10 @@ from duallink.screens import (
     generate_screen,
     mvk_psd,
     plan_slabs,
-    screen_structure_function,
 )
 
 from conftest import make_geometry
+from oracles import screen_structure_function
 
 
 def kolmogorov_like_profile(inner_scale: float = 0.04) -> AtmosphereProfile:
