@@ -20,7 +20,7 @@ boundary in degrees and are converted to radians exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,8 +133,6 @@ def rms_wind(Vg: float) -> float:
 class AtmosphereProfile:
     """Hufnagel-Valley style turbulence profile plus spectrum scale bounds.
 
-    ``rms_wind_speed`` is derived from ``ground_wind`` at construction; the
-    two are kept consistent so a profile cannot quietly carry a stale value.
     ``cn2_scale`` is a global multiplier on Cn2 (0 disables turbulence
     entirely), used for scaling-law checks and vacuum baselines.
     """
@@ -144,7 +142,6 @@ class AtmosphereProfile:
     outer_scale: float  # m
     inner_scale: float  # m
     cn2_scale: float = 1.0
-    rms_wind_speed: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.ground_cn2 <= 0.0:
@@ -153,14 +150,13 @@ class AtmosphereProfile:
             raise UsageError("require 0 < inner scale < outer scale")
         if self.cn2_scale < 0.0:
             raise UsageError("cn2_scale must be nonnegative")
-        derived = rms_wind(self.ground_wind)
-        if self.rms_wind_speed is None:
-            object.__setattr__(self, "rms_wind_speed", derived)
-        elif not math.isclose(self.rms_wind_speed, derived, rel_tol=1e-9):
-            raise UsageError(
-                f"stored rms wind {self.rms_wind_speed} inconsistent with "
-                f"ground wind {self.ground_wind} (expected {derived})"
-            )
+        if self.ground_wind < 0.0:
+            raise UsageError("ground wind speed must be nonnegative")
+
+    @property
+    def rms_wind_speed(self) -> float:
+        """Rms wind over the 5-20 km band, derived from ``ground_wind``."""
+        return rms_wind(self.ground_wind)
 
 
 @dataclass(frozen=True)

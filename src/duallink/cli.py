@@ -202,13 +202,7 @@ def cmd_simulate_channel(config: RunConfig, args: argparse.Namespace) -> int:
     written = [ensemble_path, stats_path, histogram_path]
     if math.isfinite(ens.coherence_time):
         steps_path = out / f"{config.scenario}_steps.csv"
-        duration = (len(ens) - 0.5) * ens.coherence_time
-        _write_csv(
-            steps_path,
-            stamp,
-            "t_start_s,eta",
-            coherence_step_series(ens, duration),
-        )
+        _write_csv(steps_path, stamp, "t_start_s,eta", coherence_step_series(ens))
         written.append(steps_path)
 
     print(
@@ -228,12 +222,11 @@ def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
 
     stats = fading_stats(ens)
     params = config.squeezing_params()
-    rates = key_rate_summary(params, stats, config.detector, config.finite_size_params())
+    fin = config.finite_size_params()
+    rates = key_rate_summary(params, stats, config.detector, fin)
 
     report_path = out / f"{config.scenario}_keyrate.txt"
-    report = render_key_rate_report(
-        params, stats, config.detector, config.finite_size_params()
-    )
+    report = render_key_rate_report(params, stats, config.detector, fin, rates)
     report_path.write_text(
         stamp + f"scenario {config.scenario}\n" + report, encoding="utf-8", newline="\n"
     )
@@ -297,9 +290,9 @@ def _verify_predictions(params: SqueezingParams, etas, displacement: float):
         b_q = cm.b_q * (1.0 - 4.0 * s * phi + 4.0 * s * s * tail)
         shrink = 1.0 - 2.0 * s * phi
         c_q = shrink * cm.c_q
-        # Written out rather than eve_bob_correlation, which returns an
-        # exact 0.0 under zero leakage: the report prints the rounding
-        # residue of the excess variance (e.g. -0.000000 at 7.5 dB).
+        # Not forced to an exact 0.0 under zero leakage: the report prints
+        # the rounding residue of the excess variance (e.g. -0.000000 at
+        # 7.5 dB).
         mix = math.sqrt(eta * (1.0 - eta))
         eb_q = shrink * mix * excess_q
         eb_p = mix * excess_p

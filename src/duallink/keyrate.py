@@ -17,6 +17,8 @@ from .errors import PhysicalityError, UsageError
 from .protocol import CovarianceMatrix, SqueezingParams, covariance_matrix
 
 _AEP_POLICIES = ("composed", "smoothing_bar")
+# Constant-loss range (dB) that max_tolerable_loss searches for the zero crossing.
+_LOSS_BRACKET_DB = (0.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,6 @@ class DetectorModel:
     @property
     def added_variance(self) -> float:
         return (1.0 - self.efficiency) + self.electronic_noise
-
-
-IDEAL_DETECTOR = DetectorModel(efficiency=1.0, electronic_noise=0.0)
 
 
 @dataclass(frozen=True)
@@ -239,21 +238,14 @@ def _rate_at_loss_db(
     return finite_size_rate(p, mutual_information(cm, det))
 
 
-def max_tolerable_loss(
-    p: FiniteSizeParams,
-    det: DetectorModel,
-    squeezing_db: float,
-    bracket_db: tuple[float, float] = (0.0, 100.0),
-) -> float:
+def max_tolerable_loss(p: FiniteSizeParams, det: DetectorModel, squeezing_db: float) -> float:
     """Constant-loss level where the finite-size rate crosses zero.
 
-    Bisects the loss axis to 0.01 dB.  Requires the rate to be positive
-    at the low edge of the bracket and negative at the high edge.
+    Bisects 0-100 dB of loss to 0.01 dB.  Requires the rate to be
+    positive at 0 dB and negative at 100 dB.
     """
     params = SqueezingParams.from_squeezing_db(squeezing_db)
-    lo, hi = bracket_db
-    if not (0.0 <= lo < hi):
-        raise UsageError(f"invalid loss bracket {bracket_db}")
+    lo, hi = _LOSS_BRACKET_DB
     rate_lo = _rate_at_loss_db(lo, p, det, params)
     rate_hi = _rate_at_loss_db(hi, p, det, params)
     if rate_lo <= 0.0 or rate_hi >= 0.0:
@@ -295,9 +287,10 @@ def render_key_rate_report(
     stats: FadingStats,
     det: DetectorModel,
     fin: FiniteSizeParams,
+    rates: dict[str, float],
 ) -> str:
-    """Human-readable report echoing all inputs next to the rates."""
-    rates = key_rate_summary(params, stats, det, fin)
+    """Human-readable report echoing all inputs next to their
+    ``key_rate_summary`` rates."""
     lines = [
         "key rate report",
         "",

@@ -74,10 +74,6 @@ class ComplexField:
     def window(self) -> float:
         return self.size * self.spacing
 
-    @property
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.grid) ** 2)) * self.spacing**2
-
 
 def gaussian_source(geom: LinkGeometry, grid_size: int = 1024) -> ComplexField:
     """Unit-power fundamental Gaussian at its waist, on an 8*w0 window.
@@ -108,12 +104,9 @@ def vacuum_beam_radius(geom: LinkGeometry, z: float) -> float:
     return geom.beam_waist * math.sqrt(1.0 + (z / geom.rayleigh_range) ** 2)
 
 
-def choose_receiver_window(geom: LinkGeometry, aperture_radii=()) -> float:
+def choose_receiver_window(geom: LinkGeometry, aperture_radii) -> float:
     """Receiver-plane window: max(8 x diffracted beam radius, 4 x largest aperture)."""
-    if np.isscalar(aperture_radii):
-        aperture_radii = (float(aperture_radii),)
-    ra_max = max((float(r) for r in aperture_radii), default=0.0)
-    return max(8.0 * vacuum_beam_radius(geom, geom.path_length), 4.0 * ra_max)
+    return max(8.0 * vacuum_beam_radius(geom, geom.path_length), 4.0 * max(aperture_radii))
 
 
 @locked_cache(maxsize=16)

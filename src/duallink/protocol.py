@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import ChannelEnsemble, FadingStats
+from .ensemble import FadingStats
 from .errors import PhysicalityError, UsageError
 
 # |eps*Va + (1-eps)*Vs - 1| below this counts as zero-leakage.
@@ -149,17 +149,6 @@ class CovarianceMatrix:
                 f"unphysical covariance matrix: smaller symplectic eigenvalue {nu_minus}"
             )
 
-    def as_array(self) -> np.ndarray:
-        """Dense 4x4 matrix in (q_A, p_A, q_B, p_B) order."""
-        return np.array(
-            [
-                [self.a_q, 0.0, self.c_q, 0.0],
-                [0.0, self.a_p, 0.0, self.c_p],
-                [self.c_q, 0.0, self.b_q, 0.0],
-                [0.0, self.c_p, 0.0, self.b_p],
-            ]
-        )
-
     def _invariants(self) -> tuple[float, float]:
         det_a = self.a_q * self.a_p
         det_b = self.b_q * self.b_p
@@ -208,19 +197,6 @@ def covariance_matrix(params: SqueezingParams, stats: FadingStats) -> Covariance
     c_q = root_eta_f * cross * (va - vs)
     c_p = root_eta_f * cross * (1.0 / va - 1.0 / vs)
     return CovarianceMatrix(a_q, a_p, b_q, b_p, c_q, c_p)
-
-
-def eve_bob_correlation(params: SqueezingParams, eta: float) -> float:
-    """<X_E X_B> for a passive eavesdropper holding the lost light.
-
-    The correlation is sqrt(eta(1-eta)) times the excess of the
-    transmitted q-variance over vacuum, so it vanishes identically for
-    a zero-leakage tap and at either end of the transmissivity range.
-    """
-    _require_transmissivity(eta)
-    if params.is_zero_leakage:
-        return 0.0
-    return math.sqrt(eta * (1.0 - eta)) * (params.transmitted_q_variance - 1.0)
 
 
 def _require_transmissivity(eta: float) -> None:
@@ -286,7 +262,7 @@ class EmpiricalMoments:
 def mc_quadrature_sim(
     params: SqueezingParams,
     classical: ClassicalLayer,
-    channel: ChannelEnsemble | Sequence[float],
+    etas: Sequence[float],
     shots_per_eta: int,
     rng: np.random.Generator,
 ) -> EmpiricalMoments:
@@ -302,7 +278,7 @@ def mc_quadrature_sim(
     knowledge of the classical stream.  Bob's post-subtraction moments
     therefore carry his decision errors while Eve's do not.
     """
-    etas = channel.etas if isinstance(channel, ChannelEnsemble) else tuple(channel)
+    etas = tuple(etas)
     if not etas:
         raise UsageError("channel must contain at least one realization")
     for eta in etas:

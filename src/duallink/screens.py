@@ -29,7 +29,6 @@ from .atmosphere import (
     AtmosphereProfile,
     LinkGeometry,
     NoTurbulence,
-    TurbulenceDiagnostics,
     _cumulative_integral,
     _rytov_density,
     cn2,
@@ -85,7 +84,6 @@ class Slab:
     h_hi: float
     path_length: float  # slant distance across the band
     fried: float | NoTurbulence  # local r0 evaluated over the band
-    scint_index: float  # local sigma_I^2 of the band
 
     @property
     def has_screen(self) -> bool:
@@ -104,18 +102,6 @@ class SlabPlan:
         for a, b in zip(self.slabs[:-1], self.slabs[1:]):
             if not math.isclose(a.h_hi, b.h_lo, rel_tol=0.0, abs_tol=1e-6):
                 raise UsageError("slabs must be contiguous and non-overlapping")
-
-    @property
-    def boundaries(self) -> tuple[float, ...]:
-        return tuple(s.h_lo for s in self.slabs) + (self.slabs[-1].h_hi,)
-
-    @property
-    def screen_count(self) -> int:
-        return sum(1 for s in self.slabs if s.has_screen)
-
-    @property
-    def total_path_length(self) -> float:
-        return sum(s.path_length for s in self.slabs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +152,7 @@ class ScreenStreams:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def plan_slabs(
-    geom: LinkGeometry, profile: AtmosphereProfile, diagnostics: TurbulenceDiagnostics | None
-) -> SlabPlan:
+def plan_slabs(geom: LinkGeometry, profile: AtmosphereProfile) -> SlabPlan:
     """Greedy bottom-up partition of the turbulent path.
 
     Each slab grows upward until its locally evaluated scintillation index
@@ -181,7 +165,7 @@ def plan_slabs(
     sec = geom.sec_zenith
 
     def vacuum(h_lo: float, h_hi: float) -> Slab:
-        return Slab(h_lo, h_hi, (h_hi - h_lo) * sec, NO_TURBULENCE, 0.0)
+        return Slab(h_lo, h_hi, (h_hi - h_lo) * sec, NO_TURBULENCE)
 
     if profile.cn2_scale == 0.0:
         return SlabPlan((vacuum(h0, top),))
@@ -193,11 +177,7 @@ def plan_slabs(
         np.interp(_EFFECTIVE_ATMOSPHERE_FRACTION * cum_cn2[-1], cum_cn2, hs)
     )
 
-    sigma_total = (
-        diagnostics.scintillation_index
-        if diagnostics is not None
-        else scintillation_index(rytov_variance(geom, profile))
-    )
+    sigma_total = scintillation_index(rytov_variance(geom, profile))
     cap = min(_SLAB_SIGMA_CAP, _SLAB_SHARE_CAP * sigma_total)
     if cap <= 0.0:
         raise UsageError("whole-channel scintillation index must be positive to plan slabs")
@@ -226,11 +206,10 @@ def plan_slabs(
         else:
             edges.append(float(np.interp(target, cum_ryt, hs)))
 
-    slabs = []
-    for h_lo, h_hi in zip(edges[:-1], edges[1:]):
-        local_r0 = fried_parameter(geom, profile, h_lo, h_hi)
-        local_scint = scintillation_index(rytov_variance(geom, profile, h_lo, h_hi))
-        slabs.append(Slab(h_lo, h_hi, (h_hi - h_lo) * sec, local_r0, local_scint))
+    slabs = [
+        Slab(h_lo, h_hi, (h_hi - h_lo) * sec, fried_parameter(geom, profile, h_lo, h_hi))
+        for h_lo, h_hi in zip(edges[:-1], edges[1:])
+    ]
     if h_top < top:
         slabs.append(vacuum(h_top, top))
     return SlabPlan(tuple(slabs))

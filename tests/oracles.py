@@ -1,4 +1,5 @@
-"""Estimators that only the tests use: beam radius and phase structure function."""
+"""Estimators that only the tests use: field power, beam radius, phase
+structure function, and the Eve-Bob correlation."""
 
 import math
 
@@ -6,7 +7,13 @@ import numpy as np
 
 from duallink.errors import UsageError
 from duallink.optics import ComplexField
+from duallink.protocol import SqueezingParams
 from duallink.screens import PhaseScreen, _centered_coords
+
+
+def field_power(field: ComplexField) -> float:
+    """Total power, the sum of |E|^2 times the cell area."""
+    return float(np.sum(np.abs(field.grid) ** 2)) * field.spacing**2
 
 
 def second_moment_radius(field: ComplexField) -> float:
@@ -53,3 +60,15 @@ def screen_structure_function(screens: list[PhaseScreen], separations) -> list[f
             totals[idx] += float(np.sum(dx * dx)) + float(np.sum(dy * dy))
             counts[idx] += dx.size + dy.size
     return list(totals / counts)
+
+
+def eve_bob_correlation(params: SqueezingParams, eta: float) -> float:
+    """<X_E X_B> for a passive eavesdropper holding the lost light.
+
+    The correlation is sqrt(eta(1-eta)) times the excess of the
+    transmitted q-variance over vacuum, so it vanishes identically for
+    a zero-leakage tap and at either end of the transmissivity range.
+    """
+    if params.is_zero_leakage:
+        return 0.0
+    return math.sqrt(eta * (1.0 - eta)) * (params.transmitted_q_variance - 1.0)

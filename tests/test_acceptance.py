@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import norm
 
 from conftest import make_geometry
-from oracles import screen_structure_function
+from oracles import eve_bob_correlation, screen_structure_function
 from duallink.atmosphere import (
     AtmosphereProfile,
     TurbulenceDiagnostics,
@@ -44,7 +44,6 @@ from duallink.protocol import (
     ClassicalLayer,
     SqueezingParams,
     covariance_matrix,
-    eve_bob_correlation,
     mc_quadrature_sim,
 )
 from duallink.screens import (
@@ -175,7 +174,7 @@ def test_criterion_04_phase_screen_structure_function():
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=1e6, inner_scale=0.04
     )
     r0 = 0.1
-    slab = Slab(0.0, 100.0, 100.0, r0, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, r0)
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScreenResolutionWarning)
@@ -206,7 +205,7 @@ def test_imaginary_half_screens_pass_structure_function_oracle():
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=1e6, inner_scale=0.04
     )
     r0 = 0.1
-    slab = Slab(0.0, 100.0, 100.0, r0, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, r0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScreenResolutionWarning)
         screens = [
@@ -300,7 +299,9 @@ def test_criterion_07_monte_carlo_vs_closed_form():
     classical = ClassicalLayer(displacement=10.0, carrier_amplitude=100.0)
 
     start = time.perf_counter()
-    moments = mc_quadrature_sim(params, classical, channel, 10_000, np.random.default_rng(77))
+    moments = mc_quadrature_sim(
+        params, classical, channel.etas, 10_000, np.random.default_rng(77)
+    )
     cm = covariance_matrix(params, stats)
     tol = 4.0 / math.sqrt(moments.n_shots)
     eve_q = 1.0 + (1.0 - stats.mean_eta) * (params.transmitted_q_variance - 1.0)

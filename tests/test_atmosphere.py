@@ -109,8 +109,12 @@ def test_rms_wind_closed_form_matches_quadrature(vg):
     assert rms_wind(vg) == pytest.approx(math.sqrt(total / 15e3), rel=1e-12)
 
 
-def test_profile_consistency_enforced():
-    with pytest.raises(UsageError):
+def test_rms_wind_speed_is_derived_from_ground_wind():
+    profile = AtmosphereProfile(
+        ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01
+    )
+    assert profile.rms_wind_speed == rms_wind(3.0)
+    with pytest.raises(TypeError):
         AtmosphereProfile(
             ground_cn2=9.6e-14,
             ground_wind=3.0,
@@ -118,6 +122,8 @@ def test_profile_consistency_enforced():
             inner_scale=0.01,
             rms_wind_speed=15.0,
         )
+    with pytest.raises(UsageError):
+        AtmosphereProfile(ground_cn2=9.6e-14, ground_wind=-1.0, outer_scale=5.0, inner_scale=0.01)
 
 
 def test_profile_rejects_inverted_scales():

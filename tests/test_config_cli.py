@@ -277,6 +277,20 @@ def test_simulate_channel_writes_products(tmp_path, capsys):
     assert "simulated 6 realizations" in capsys.readouterr().out
 
 
+def test_steps_csv_has_one_row_per_realization(tmp_path):
+    config = write_config(tmp_path)
+    assert run_cli("simulate-channel", "--config", config, "--realizations", "3") == 0
+    out = tmp_path / "out"
+    lines = (out / "smoke_steps.csv").read_text().splitlines()
+    assert lines[0].startswith("# duallink ")
+    assert lines[1] == "t_start_s,eta"
+    rows = [line.split(",") for line in lines[2:]]
+    ens = load_ensemble(out / "smoke.ensemble")
+    assert len(rows) == 3
+    assert float(rows[-1][1]) == ens.etas[-1]
+    assert float(rows[-1][0]) == 2 * ens.coherence_time
+
+
 def test_simulate_channel_is_deterministic_across_threads(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

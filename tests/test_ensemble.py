@@ -62,7 +62,7 @@ def test_zero_turbulence_single_realization_matches_diffraction():
     direct = propagate_vacuum(
         gaussian_source(geom, 256),
         geom.path_length,
-        target_spacing=choose_receiver_window(geom, 0.5) / 256,
+        target_spacing=choose_receiver_window(geom, (0.5,)) / 256,
     )
     assert ens.etas[0] == pytest.approx(aperture_transmissivity(direct, 0.5), abs=1e-7)
     spread = vacuum_beam_radius(geom, geom.path_length)
@@ -308,22 +308,11 @@ def test_alien_file_refused(tmp_path):
 
 def test_one_step_per_coherence_time():
     ens = synthetic_ensemble([0.4, 0.5, 0.6], coherence_time=2.0e-3)
-    steps = coherence_step_series(ens, 2.0e-3)
-    assert steps == [(0.0, 0.4)]
-
-
-def test_step_count_is_floor_of_duration():
-    ens = synthetic_ensemble([0.1 * k for k in range(1, 9)], coherence_time=1.0e-3)
-    steps = coherence_step_series(ens, 5.5e-3)
-    assert len(steps) == 5
-    assert steps[4] == (pytest.approx(4.0e-3), 0.5)
-    assert coherence_step_series(ens, 0.5e-3) == []
+    steps = coherence_step_series(ens)
+    assert steps == [(0.0, 0.4), (2.0e-3, 0.5), (4.0e-3, 0.6)]
 
 
 def test_step_series_bounds():
-    ens = synthetic_ensemble([0.4, 0.5], coherence_time=1.0e-3)
-    with pytest.raises(UsageError):
-        coherence_step_series(ens, 10.0e-3)
     frozen = synthetic_ensemble([0.4], coherence_time=math.inf)
     with pytest.raises(UsageError):
-        coherence_step_series(frozen, 1.0)
+        coherence_step_series(frozen)

@@ -9,7 +9,6 @@ import pytest
 from duallink.ensemble import FadingStats, fading_stats
 from duallink.errors import PhysicalityError, UsageError
 from duallink.keyrate import (
-    IDEAL_DETECTOR,
     DetectorModel,
     FiniteSizeParams,
     aep_delta,
@@ -28,6 +27,8 @@ from duallink.protocol import SqueezingParams, covariance_matrix
 # significant digits for d=5, eps_sm=eps_bar=eps_cor=2.5e-10, eps_pe=0,
 # N'=5e9.
 AEP_DELTA_REFERENCE = 411.07599905195616
+
+IDEAL_DETECTOR = DetectorModel(efficiency=1.0, electronic_noise=0.0)
 
 
 def reference_detector() -> DetectorModel:
@@ -328,8 +329,11 @@ def test_key_rate_summary_keys_and_clamping():
 
 def test_render_key_rate_report_echoes_inputs():
     params = SqueezingParams.from_squeezing_db(10.0)
+    stats = constant_stats(0.3)
+    det = reference_detector()
+    fin = reference_finite_size()
     report = render_key_rate_report(
-        params, constant_stats(0.3), reference_detector(), reference_finite_size()
+        params, stats, det, fin, key_rate_summary(params, stats, det, fin)
     )
     for token in (
         "squeezed_variance",

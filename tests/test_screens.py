@@ -42,6 +42,14 @@ def kolmogorov_like_profile(inner_scale: float = 0.04) -> AtmosphereProfile:
     )
 
 
+def plan_boundaries(plan) -> tuple[float, ...]:
+    return tuple(s.h_lo for s in plan.slabs) + (plan.slabs[-1].h_hi,)
+
+
+def plan_path_length(plan) -> float:
+    return sum(s.path_length for s in plan.slabs)
+
+
 def make_screens(slab, n, spacing, profile, count, seed=11):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", duallink.screens.ScreenResolutionWarning)
@@ -60,24 +68,27 @@ def test_zero_turbulence_plan_is_single_vacuum_slab(baseline_profile):
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01, cn2_scale=0.0
     )
     geom = make_geometry(0.0)
-    plan = plan_slabs(geom, dead, None)
+    plan = plan_slabs(geom, dead)
     assert len(plan.slabs) == 1
     assert not plan.slabs[0].has_screen
-    assert plan.total_path_length == pytest.approx(geom.path_length, rel=1e-12)
+    assert plan_path_length(plan) == pytest.approx(geom.path_length, rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 30.0, 60.0])
 def test_slab_conditions_hold(baseline_profile, theta):
     geom = make_geometry(theta)
     diag = greenwood_and_coherence(geom, baseline_profile)
-    plan = plan_slabs(geom, baseline_profile, diag)
+    plan = plan_slabs(geom, baseline_profile)
     cap = min(0.1, 0.1 * diag.scintillation_index)
     for slab in plan.slabs:
-        assert slab.scint_index < 0.1
-        assert slab.scint_index < cap or not slab.has_screen
+        local = scintillation_index(
+            rytov_variance(geom, baseline_profile, slab.h_lo, slab.h_hi)
+        )
+        assert local < 0.1
+        assert local < cap or not slab.has_screen
     # contiguous, non-overlapping, and covering the whole slant path
-    assert plan.total_path_length == pytest.approx(geom.path_length, rel=1e-9)
-    bounds = plan.boundaries
+    assert plan_path_length(plan) == pytest.approx(geom.path_length, rel=1e-9)
+    bounds = plan_boundaries(plan)
     assert all(b2 > b1 for b1, b2 in zip(bounds[:-1], bounds[1:]))
 
 
@@ -86,20 +97,19 @@ def test_slab_count_at_sixty_degrees(baseline_profile):
     # least ten turbulent slabs are forced by additivity of the Rytov
     # variance. Count and coarse boundaries are regression-pinned.
     geom = make_geometry(60.0)
-    diag = greenwood_and_coherence(geom, baseline_profile)
-    plan = plan_slabs(geom, baseline_profile, diag)
+    plan = plan_slabs(geom, baseline_profile)
     turbulent = [s for s in plan.slabs if s.has_screen]
     assert len(turbulent) >= 10
     assert len(turbulent) == 12  # snapshot
     assert plan.slabs[-1].has_screen is False
-    assert plan.boundaries[-2] == pytest.approx(16037.4, abs=2.0)  # snapshot
-    assert plan.boundaries[-1] == pytest.approx(500e3)
+    assert plan_boundaries(plan)[-2] == pytest.approx(16037.4, abs=2.0)  # snapshot
+    assert plan_boundaries(plan)[-1] == pytest.approx(500e3)
 
 
 def test_slab_rytov_additivity(baseline_profile):
     geom = make_geometry(30.0)
     diag = greenwood_and_coherence(geom, baseline_profile)
-    plan = plan_slabs(geom, baseline_profile, diag)
+    plan = plan_slabs(geom, baseline_profile)
     total = sum(
         rytov_variance(geom, baseline_profile, s.h_lo, s.h_hi) for s in plan.slabs
     )
@@ -112,12 +122,12 @@ def test_slab_cap_exceeded_is_config_error(baseline_profile):
     )
     geom = make_geometry(60.0)
     with pytest.raises(UsageError):
-        plan_slabs(geom, violent, None)
+        plan_slabs(geom, violent)
 
 
 def test_plan_rejects_noncontiguous_slabs():
-    a = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
-    b = Slab(200.0, 300.0, 100.0, 0.1, 0.01)
+    a = Slab(0.0, 100.0, 100.0, 0.1)
+    b = Slab(200.0, 300.0, 100.0, 0.1)
     with pytest.raises(UsageError):
         SlabPlan((a, b))
 
@@ -149,7 +159,7 @@ def test_mvk_psd_rejects_negative_frequency():
 
 
 def test_vacuum_slab_yields_zero_screen(baseline_profile):
-    vac = Slab(16e3, 500e3, 484e3, NO_TURBULENCE, 0.0)
+    vac = Slab(16e3, 500e3, 484e3, NO_TURBULENCE)
     (screen,) = generate_screen(
         (vac,), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
     )
@@ -157,35 +167,35 @@ def test_vacuum_slab_yields_zero_screen(baseline_profile):
 
 
 def test_screens_are_deterministic(baseline_profile):
-    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.08)
     a = generate_screen((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
     b = generate_screen((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
     assert np.array_equal(a.grid, b.grid)
 
 
 def test_distinct_streams_give_distinct_screens(baseline_profile):
-    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.08)
     a = generate_screen((slab,), 64, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
     b = generate_screen((slab,), 64, 0.05, ScreenStreams(42, 8).generator(3), baseline_profile)[0]
     assert not np.array_equal(a.grid, b.grid)
 
 
 def test_grid_size_must_be_power_of_two(baseline_profile):
-    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.08)
     with pytest.raises(UsageError):
         generate_screen((slab,), 100, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
 
 
 def test_under_resolved_outer_scale_warns():
     profile = kolmogorov_like_profile()
-    slab = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.1)
     with pytest.warns(duallink.screens.ScreenResolutionWarning):
         generate_screen((slab,), 64, 0.01, ScreenStreams(1, 0).generator(0), profile)
 
 
 def test_ensemble_pixel_means_near_zero():
     profile = kolmogorov_like_profile()
-    slab = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.1)
     screens = make_screens(slab, 64, 0.01, profile, 200, seed=5)
     stack = np.stack([s.grid for s in screens])
     mean = stack.mean(axis=0)
@@ -197,8 +207,8 @@ def test_screen_variance_scales_with_integrated_turbulence():
     # Doubling integrated Cn2 in a slab divides r0 by 2^(3/5) and must
     # double the pixel variance (r0^(-5/3) scaling).
     profile = kolmogorov_like_profile()
-    base = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
-    doubled = Slab(0.0, 100.0, 100.0, 0.1 * 2 ** (-3.0 / 5.0), 0.01)
+    base = Slab(0.0, 100.0, 100.0, 0.1)
+    doubled = Slab(0.0, 100.0, 100.0, 0.1 * 2 ** (-3.0 / 5.0))
     base_screens = make_screens(base, 128, 0.01, profile, 200, seed=5)
     doubled_screens = make_screens(doubled, 128, 0.01, profile, 200, seed=6)
     v1 = np.mean([np.var(s.grid) for s in base_screens])
@@ -245,7 +255,7 @@ SCREEN_MATCH_TOLERANCE = 1e-12
 @pytest.mark.parametrize("n, spacing", [(64, 0.05), (256, 0.02)])
 @pytest.mark.parametrize("seed", [1, 42, 2024])
 def test_screen_matches_complex_phasor_reference(baseline_profile, n, spacing, seed):
-    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.08)
     streams = ScreenStreams(seed, 3)
     ref_rng = streams.generator(5)
     rng = streams.generator(5)
@@ -261,7 +271,7 @@ def test_screen_matches_complex_phasor_reference(baseline_profile, n, spacing, s
 @pytest.mark.parametrize("seed", [1, 42, 2024])
 def test_screen_pair_matches_complex_phasor_reference(baseline_profile, n, spacing, seed):
     # two slabs of different strength: each half carries its own r0
-    slabs = (Slab(0.0, 100.0, 100.0, 0.08, 0.01), Slab(100.0, 400.0, 300.0, 0.2, 0.01))
+    slabs = (Slab(0.0, 100.0, 100.0, 0.08), Slab(100.0, 400.0, 300.0, 0.2))
     streams = ScreenStreams(seed, 3)
     ref_rng = streams.generator(5)
     rng = streams.generator(5)
@@ -275,7 +285,7 @@ def test_screen_pair_matches_complex_phasor_reference(baseline_profile, n, spaci
 
 
 def test_pair_first_screen_is_the_one_slab_screen(baseline_profile):
-    slabs = (Slab(0.0, 100.0, 100.0, 0.08, 0.01), Slab(100.0, 400.0, 300.0, 0.2, 0.01))
+    slabs = (Slab(0.0, 100.0, 100.0, 0.08), Slab(100.0, 400.0, 300.0, 0.2))
     streams = ScreenStreams(8, 2)
     (alone,) = generate_screen(slabs[:1], 128, 0.05, streams.generator(4), baseline_profile)
     first, _ = generate_screen(slabs, 128, 0.05, streams.generator(4), baseline_profile)
@@ -283,8 +293,8 @@ def test_pair_first_screen_is_the_one_slab_screen(baseline_profile):
 
 
 def test_pair_with_vacuum_slab_gives_zero_screen(baseline_profile):
-    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
-    vac = Slab(16e3, 500e3, 484e3, NO_TURBULENCE, 0.0)
+    slab = Slab(0.0, 100.0, 100.0, 0.08)
+    vac = Slab(16e3, 500e3, 484e3, NO_TURBULENCE)
     turbulent, flat = generate_screen(
         (slab, vac), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
     )
@@ -293,7 +303,7 @@ def test_pair_with_vacuum_slab_gives_zero_screen(baseline_profile):
 
 
 def test_screen_call_takes_one_or_two_slabs(baseline_profile):
-    slab = Slab(0.0, 100.0, 100.0, 0.08, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.08)
     for slabs in ((), (slab,) * 3):
         with pytest.raises(UsageError):
             generate_screen(slabs, 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
@@ -304,7 +314,7 @@ def test_screen_halves_are_uncorrelated(baseline_profile):
     # their 0.32 m increments along both axes, sits within 4 standard errors
     # of zero.  Per-pair correlations scatter widely because each screen is
     # dominated by a few large-scale modes, hence the ensemble average.
-    slab = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.1)
     shift = 16  # 0.32 m at 0.02 m spacing
     values, increments = [], []
     for i in range(128):
@@ -364,7 +374,7 @@ def test_structure_function_rejects_off_grid_separation():
 
 def test_structure_function_nondecreasing():
     profile = kolmogorov_like_profile()
-    slab = Slab(0.0, 100.0, 100.0, 0.1, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.1)
     screens = make_screens(slab, 128, 0.01, profile, 60, seed=9)
     rs = [0.02, 0.04, 0.08, 0.16, 0.32]
     d = screen_structure_function(screens, rs)
@@ -378,7 +388,7 @@ def test_structure_function_matches_exact_spectrum_with_table_scales():
     profile = AtmosphereProfile(
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01
     )
-    slab = Slab(0.0, 100.0, 100.0, 0.25, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, 0.25)
     screens = make_screens(slab, 256, 0.02, profile, 120, seed=13)
     rs = [0.08, 0.32, 1.28]
     measured = screen_structure_function(screens, rs)
@@ -393,7 +403,7 @@ def test_structure_function_matches_kolmogorov_power_law():
     # to a quarter of the window.
     profile = kolmogorov_like_profile(inner_scale=0.04)
     r0 = 0.1
-    slab = Slab(0.0, 100.0, 100.0, r0, 0.01)
+    slab = Slab(0.0, 100.0, 100.0, r0)
     screens = make_screens(slab, 256, 0.01, profile, 200, seed=17)
     rs = [0.08, 0.16, 0.32, 0.64]
     measured = screen_structure_function(screens, rs)
