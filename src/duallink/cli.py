@@ -54,9 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the run config file")
     common.add_argument("--seed", type=int, help="override the master seed")
-    common.add_argument(
-        "--realizations", type=int, help="override the ensemble size"
-    )
+    common.add_argument("--realizations", type=int, help="override the ensemble size")
     common.add_argument(
         "--threads",
         type=int,
@@ -139,19 +137,15 @@ def _write_csv(path: Path, stamp: str, header: str, rows) -> None:
 
 
 def _check_ensemble_matches_config(ens: ChannelEnsemble, config: RunConfig) -> None:
-    problems = []
-    if ens.geometry != config.geometry:
-        problems.append(
-            f"geometry differs (ensemble {ens.geometry}, config {config.geometry})"
+    problems = [
+        f"{what} differs (ensemble {theirs}, config {ours})"
+        for what, theirs, ours in (
+            ("geometry", ens.geometry, config.geometry),
+            ("atmosphere", ens.profile, config.profile),
+            ("grid size", ens.grid_size, config.grid_size),
         )
-    if ens.profile != config.profile:
-        problems.append(
-            f"atmosphere differs (ensemble {ens.profile}, config {config.profile})"
-        )
-    if ens.grid_size != config.grid_size:
-        problems.append(
-            f"grid size differs (ensemble {ens.grid_size}, config {config.grid_size})"
-        )
+        if theirs != ours
+    ]
     if problems:
         raise UsageError("ensemble file does not match config: " + "; ".join(problems))
 
@@ -232,25 +226,14 @@ def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
     )
 
     csv_path = out / f"{config.scenario}_keyrate.csv"
-    _write_csv(
-        csv_path,
-        stamp,
-        "zenith_angle_deg,aperture_radius_m,squeezing_db,mutual_information,"
-        "asymptotic_rate,finite_size_rate_raw,finite_size_rate,ideal_rate,plob_bound",
-        [
-            (
-                config.geometry.zenith_angle,
-                config.geometry.aperture_radius,
-                config.squeezing_db,
-                rates["mutual_information"],
-                rates["asymptotic_rate"],
-                rates["finite_size_rate_raw"],
-                rates["finite_size_rate"],
-                rates["ideal_rate"],
-                rates["plob_bound"],
-            )
-        ],
+    columns = (
+        "mutual_information", "asymptotic_rate", "finite_size_rate_raw",
+        "finite_size_rate", "ideal_rate", "plob_bound",
     )
+    geom = config.geometry
+    row = (geom.zenith_angle, geom.aperture_radius, config.squeezing_db)
+    header = "zenith_angle_deg,aperture_radius_m,squeezing_db," + ",".join(columns)
+    _write_csv(csv_path, stamp, header, [row + tuple(rates[name] for name in columns)])
 
     print(
         f"finite-size rate {rates['finite_size_rate']:.6g} bits/use "
@@ -399,15 +382,9 @@ def cmd_link_budget(config: RunConfig, args: argparse.Namespace) -> int:
     ens = load_ensemble(args.ensemble)
     _check_ensemble_matches_config(ens, config)
 
-    alpha = config.classical.displacement
-    rows = []
-    bers = []
-    for index, eta in enumerate(ens.etas):
-        snr = classical_snr(alpha, eta)
-        ber = classical_ber(snr)
-        bers.append(ber)
-        rows.append((index, eta, snr, ber))
-    mean_ber = sum(bers) / len(bers)
+    snrs = [classical_snr(config.classical.displacement, eta) for eta in ens.etas]
+    rows = [(i, eta, snr, classical_ber(snr)) for i, (eta, snr) in enumerate(zip(ens.etas, snrs))]
+    mean_ber = sum(row[3] for row in rows) / len(rows)
 
     csv_path = out / f"{config.scenario}_linkbudget.csv"
     _write_csv(csv_path, stamp, "realization,eta,snr,ber", rows)

@@ -36,7 +36,9 @@ _FORMAT_NAME = "duallink-ensemble"
 # 3: altitude integrals by a fixed Gauss-Legendre rule, which moves every r0
 # 4: float32 cos and sin in the screen imprint, and the Fresnel hop's shifts
 #    folded into its chirps, which move every eta at rounding level
-_FORMAT_VERSION = 4
+# 5: paraxial, separable hop factors (1-D axis vectors instead of N x N
+#    kernels), which move every eta at rounding level
+_FORMAT_VERSION = 5
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (

@@ -5,9 +5,12 @@ the slab plan: vacuum transfer-function hops alternate with mid-slab phase
 screens, and the received power inside the telescope aperture, relative to
 the unit-power source, is the transmissivity of that realization.
 
-All propagation kernels are referenced to the on-axis plane wave (the
-carrier phase exp(ikz) is dropped), so composing many short hops agrees
-with one long hop to machine precision even over hundreds of kilometres.
+Vacuum hops are paraxial, within pi N lambda^2 / (16 dx^2) rad of the exact
+angular spectrum (see ``propagate_vacuum``), and separable: every transfer
+function and chirp exp(ia(x^2 + y^2)) is cached as its length-N axis factor
+exp(iax^2) and applied along each axis in turn.  Kernels are referenced to
+the on-axis plane wave (the carrier phase exp(ikz) is dropped), so composing
+many short hops agrees with one long hop to machine precision.
 
 Fields, kernels and hops are float64 throughout.  The one exception is the
 screen imprint: its phasor is the float32 cos and sin of the phase reduced
@@ -113,27 +116,22 @@ def choose_receiver_window(geom: LinkGeometry, aperture_radii) -> float:
 def _angular_spectrum_kernel(
     n: int, spacing: float, wavelength: float, distance: float
 ) -> np.ndarray:
-    k = 2.0 * math.pi / wavelength
+    """Axis factor of the paraxial transfer function exp(-i pi lambda d (fx^2 + fy^2))."""
     f = np.fft.fftfreq(n, d=spacing)
-    f2 = f[:, None] ** 2 + f[None, :] ** 2
-    kz2 = k * k - 4.0 * math.pi**2 * f2
-    traveling = kz2 > 0.0
-    kz = np.sqrt(np.where(traveling, kz2, 0.0))
-    # (kz - k) written without cancellation; evanescent components are dropped
-    phase = -4.0 * math.pi**2 * f2 / (kz + k) * distance
-    kernel = np.where(traveling, np.exp(1j * phase), 0.0)
+    kernel = np.exp(1j * (-math.pi * wavelength * distance) * (f * f))
     kernel.setflags(write=False)
     return kernel
 
 
 @locked_cache(maxsize=4)
 def _fresnel_factors(n: int, d1: float, wavelength: float, distance: float, d2: float):
-    """Chirp grids and scale for the two-step transform d1 -> d2 over distance.
+    """Axis factors of the chirps of the two-step transform d1 -> d2 over distance.
 
     Each step is a centered FFT, fftshift(fft2(ifftshift(x))).  On an even
     grid that equals s * fft2(s * x) with the checkerboard s = (-1)^(i+j),
     so s is folded into the input and output chirps (s * s = 1 between the
-    steps) and the hop needs no shifted copies; a sign flip is exact.
+    steps) and the hop needs no shifted copies; a sign flip is exact.  The
+    output chirp also carries the scale, as its square root on each axis.
     """
     if n % 2:
         raise UsageError(f"a rescaling hop needs an even grid size, got {n}")
@@ -145,15 +143,15 @@ def _fresnel_factors(n: int, d1: float, wavelength: float, distance: float, d2: 
 
     def chirp(spacing: float, curvature: float) -> np.ndarray:
         x = _centered_coords(n, spacing)
-        r2 = x[:, None] ** 2 + x[None, :] ** 2
-        return np.exp(1j * (0.5 * k * curvature) * r2)
+        return np.exp(1j * (0.5 * k * curvature) * (x * x))
 
-    checkerboard = 1 - 2 * (np.add.outer(np.arange(n), np.arange(n)) % 2)
-    q1 = chirp(d1, 1.0 / dz1) * checkerboard
+    sign = 1 - 2 * (np.arange(n) % 2)
+    q1 = chirp(d1, 1.0 / dz1) * sign
     # outgoing chirp of the first step and incoming chirp of the second
     qi = chirp(di, 1.0 / dz1 + 1.0 / dz2)
-    scale = -(d1 * d1) * (di * di) / (wavelength**2 * dz1 * dz2)
-    q2 = chirp(d2, 1.0 / dz2) * (scale * checkerboard)
+    # the scale is -(d1 di)^2 / (lambda^2 dz1 dz2); its square root is imaginary
+    root = 1j * d1 * di / (wavelength * math.sqrt(dz1 * dz2))
+    q2 = chirp(d2, 1.0 / dz2) * (root * sign)
     for factor in (q1, qi, q2):
         factor.setflags(write=False)
     return q1, qi, q2
@@ -167,7 +165,8 @@ def _power_sum(grid: np.ndarray) -> float:
 
 
 def _edge_power_fraction(grid: np.ndarray) -> float:
-    total = _power_sum(grid)
+    flat = grid.reshape(-1).view(np.float64)  # one pass for the total
+    total = float(np.einsum("i,i->", flat, flat))
     if total <= 0.0:
         return 0.0
     c = _EDGE_GUARD_CELLS
@@ -188,10 +187,15 @@ def propagate_vacuum(
 ) -> ComplexField:
     """Diffract the field forward through vacuum.
 
-    With no rescaling and a kernel that stays Nyquist-sampled the exact
-    angular-spectrum transfer function is applied on the fixed grid;
+    With no rescaling and a kernel that stays Nyquist-sampled
+    (dx * N dx >= lambda d) the paraxial transfer function
+    exp(-i pi lambda d f^2) is applied on the fixed grid, one axis at a time;
     otherwise the hop runs as two Fresnel steps whose intermediate plane
     magnifies the window from the current spacing to target_spacing.
+    The paraxial phase is off the exact (kz - k) d by pi d lambda^3 f^4 / 4
+    to leading order: pi d lambda^3 / (16 dx^4) at the Nyquist corner, at
+    most pi N lambda^2 / (16 dx^2) under the sampling condition.  While
+    dx >= lambda no component is evanescent.
     The result is a new array, or a workspace's ``field``, which may be
     the input's own grid.
     """
@@ -210,19 +214,23 @@ def propagate_vacuum(
     grid = (Workspace(n) if workspace is None else workspace).field
     # fftn and ifftn rather than fft2 and ifft2, which ignore out=
     if not resize and field.spacing * field.window >= field.wavelength * distance:
-        kernel = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
+        h = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
         np.fft.fftn(field.grid, out=grid)
-        grid *= kernel
+        grid *= h
+        grid *= h[:, None]
         np.fft.ifftn(grid, out=grid)
         spacing = field.spacing
     else:
         spacing = target_spacing if resize else field.spacing
         q1, qi, q2 = _fresnel_factors(n, field.spacing, field.wavelength, distance, spacing)
         np.multiply(field.grid, q1, out=grid)
+        grid *= q1[:, None]
         np.fft.fftn(grid, out=grid)
         grid *= qi
+        grid *= qi[:, None]
         np.fft.fftn(grid, out=grid)
         grid *= q2
+        grid *= q2[:, None]
     out = ComplexField(grid, spacing, field.wavelength, field.z + distance)
     fraction = _edge_power_fraction(grid)
     if fraction > _EDGE_GUARD_FRACTION:
@@ -384,10 +392,19 @@ def _signed_corner_area(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarr
     return np.sign(x) * np.sign(y) * _quadrant_area(np.abs(x), np.abs(y), radius)
 
 
+def _aperture_span(n: int, spacing: float, radius: float) -> slice:
+    """Rows (and columns) of the cells that the centered disc can touch."""
+    reach = math.ceil(radius / spacing + 0.5)
+    return slice(max(n // 2 - reach, 0), min(n // 2 + reach + 1, n))
+
+
 @locked_cache(maxsize=32)
 def _aperture_weights(n: int, spacing: float, radius: float) -> np.ndarray:
-    """Per-cell fraction of area inside the circular aperture, exact at the rim."""
-    centers = _centered_coords(n, spacing)
+    """Per-cell fraction of area inside the circular aperture, exact at the rim.
+
+    Only the block ``[span, span]`` of ``_aperture_span`` is held; other cells weigh zero.
+    """
+    centers = _centered_coords(n, spacing)[_aperture_span(n, spacing, radius)]
     lo = (centers - 0.5 * spacing)[:, None]
     hi = (centers + 0.5 * spacing)[:, None]
     area = (
@@ -409,5 +426,9 @@ def aperture_transmissivity(field: ComplexField, radius: float) -> float:
             f"(spacing {field.spacing!r} m); refine the receiver grid"
         )
     weights = _aperture_weights(field.size, field.spacing, radius)
-    eta = float(np.sum(weights * np.abs(field.grid) ** 2)) * field.spacing**2
-    return min(eta, 1.0)
+    span = _aperture_span(field.size, field.spacing, radius)
+    block = field.grid[span, span]
+    power = np.einsum("ij,ij,ij->", weights, block.real, block.real) + np.einsum(
+        "ij,ij,ij->", weights, block.imag, block.imag
+    )
+    return min(float(power) * field.spacing**2, 1.0)

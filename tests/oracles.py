@@ -1,12 +1,13 @@
 """Estimators that only the tests use: field power, beam radius, phase
-structure function, and the Eve-Bob correlation."""
+structure function, and the Eve-Bob correlation; and full-grid references
+for the separable hop factors and the block-metered aperture."""
 
 import math
 
 import numpy as np
 
 from duallink.errors import UsageError
-from duallink.optics import ComplexField
+from duallink.optics import ComplexField, _signed_corner_area
 from duallink.protocol import SqueezingParams
 from duallink.screens import PhaseScreen, _centered_coords
 
@@ -72,3 +73,58 @@ def eve_bob_correlation(params: SqueezingParams, eta: float) -> float:
     if params.is_zero_leakage:
         return 0.0
     return math.sqrt(eta * (1.0 - eta)) * (params.transmitted_q_variance - 1.0)
+
+
+def exact_transfer_function(n: int, spacing: float, wavelength: float, distance: float):
+    """N x N exp(i (kz - k) d) of the angular spectrum, evanescent entries zero."""
+    k = 2.0 * math.pi / wavelength
+    f = np.fft.fftfreq(n, d=spacing)
+    f2 = f[:, None] ** 2 + f[None, :] ** 2
+    kz2 = k * k - 4.0 * math.pi**2 * f2
+    traveling = kz2 > 0.0
+    kz = np.sqrt(np.where(traveling, kz2, 0.0))
+    # (kz - k) written without cancellation
+    phase = -4.0 * math.pi**2 * f2 / (kz + k) * distance
+    return np.where(traveling, np.exp(1j * phase), 0.0)
+
+
+def full_grid_fresnel_chirps(n: int, d1: float, wavelength: float, distance: float, d2: float):
+    """The two-step hop's three N x N chirps, checkerboard and scale included."""
+    m = d2 / d1
+    dz1 = distance / (1.0 + m)
+    dz2 = distance - dz1
+    di = wavelength * dz1 / (n * d1)
+    k = 2.0 * math.pi / wavelength
+
+    def chirp(spacing: float, curvature: float) -> np.ndarray:
+        x = _centered_coords(n, spacing)
+        r2 = x[:, None] ** 2 + x[None, :] ** 2
+        return np.exp(1j * (0.5 * k * curvature) * r2)
+
+    checkerboard = 1 - 2 * (np.add.outer(np.arange(n), np.arange(n)) % 2)
+    scale = -(d1 * d1) * (di * di) / (wavelength**2 * dz1 * dz2)
+    return (
+        chirp(d1, 1.0 / dz1) * checkerboard,
+        chirp(di, 1.0 / dz1 + 1.0 / dz2),
+        chirp(d2, 1.0 / dz2) * (scale * checkerboard),
+    )
+
+
+def full_grid_aperture_weights(n: int, spacing: float, radius: float) -> np.ndarray:
+    """Per-cell area fraction inside the centered disc, over the whole N x N grid."""
+    centers = _centered_coords(n, spacing)
+    lo = (centers - 0.5 * spacing)[:, None]
+    hi = (centers + 0.5 * spacing)[:, None]
+    area = (
+        _signed_corner_area(hi, hi.T, radius)
+        - _signed_corner_area(lo, hi.T, radius)
+        - _signed_corner_area(hi, lo.T, radius)
+        + _signed_corner_area(lo, lo.T, radius)
+    )
+    return np.clip(area / spacing**2, 0.0, 1.0)
+
+
+def full_grid_transmissivity(field: ComplexField, radius: float) -> float:
+    """Aperture power summed over every cell of the grid."""
+    weights = full_grid_aperture_weights(field.size, field.spacing, radius)
+    return float(np.sum(weights * np.abs(field.grid) ** 2)) * field.spacing**2

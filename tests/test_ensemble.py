@@ -281,11 +281,12 @@ def test_version_mismatch_refused(tmp_path):
         load_ensemble(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_format_one_file_refused(tmp_path, version):
     # format 1 drew one spectral FFT per screen, format 2 integrated the
-    # altitude profile by adaptive quadrature, and format 3 imprinted with
-    # float64 cos and sin; their etas differ
+    # altitude profile by adaptive quadrature, format 3 imprinted with
+    # float64 cos and sin, and format 4 hopped with the exact N x N angular
+    # spectrum kernel; their etas differ
     ens = synthetic_ensemble([0.5])
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)

@@ -12,8 +12,12 @@ from duallink.errors import NumericalError, UsageError
 from duallink.optics import (
     _EDGE_GUARD_CELLS,
     ComplexField,
+    _angular_spectrum_kernel,
+    _aperture_span,
+    _aperture_weights,
     _apodization_mask,
     _edge_power_fraction,
+    _fresnel_factors,
     aperture_transmissivity,
     apply_screen,
     choose_receiver_window,
@@ -33,7 +37,14 @@ from duallink.screens import (
 )
 
 from conftest import make_geometry
-from oracles import field_power, second_moment_radius
+from oracles import (
+    exact_transfer_function,
+    field_power,
+    full_grid_aperture_weights,
+    full_grid_fresnel_chirps,
+    full_grid_transmissivity,
+    second_moment_radius,
+)
 
 
 def dead_profile() -> AtmosphereProfile:
@@ -161,12 +172,105 @@ def test_edge_fraction_frame_sum_matches_full_grid(seed):
     assert _edge_power_fraction(grid) == pytest.approx(full_grid_edge_fraction(grid), rel=1e-12)
 
 
+def test_edge_fraction_of_strided_and_propagated_fields():
+    # a transposed view is not contiguous; a diffracted beam is what the guard sees
+    rng = np.random.default_rng(3)
+    grid = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    assert _edge_power_fraction(grid.T) == pytest.approx(full_grid_edge_fraction(grid), rel=1e-12)
+    beam = propagate_vacuum(gaussian_source(make_geometry(), 256), 1000.0).grid
+    assert _edge_power_fraction(beam) == pytest.approx(full_grid_edge_fraction(beam), rel=1e-12)
+
+
 def test_edge_fraction_of_empty_and_frame_only_fields():
     assert _edge_power_fraction(np.zeros((32, 32), dtype=complex)) == 0.0
     c = _EDGE_GUARD_CELLS
     frame = np.full((32, 32), 1.0 - 2.0j)
     frame[c:-c, c:-c] = 0.0
     assert _edge_power_fraction(frame) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# separable hop factors
+
+
+def paraxial_phase_bound(spacing: float, wavelength: float, distance: float) -> float:
+    """Largest gap between the paraxial and exact hop phases on a grid.
+
+    With u = 4 pi^2 f^2, kz - k = -u / 2k - u^2 / 8k^3 - ..., so the gap is
+    pi d lambda^3 f^4 / 4 to leading order and at most that times
+    (1 - lambda^2 f^2)^(-3/2); both grow with f, up to the Nyquist corner
+    f^2 = 1 / (2 dx^2).
+    """
+    f2 = 0.5 / spacing**2
+    return (
+        math.pi * distance * wavelength**3 * f2**2 / 4.0
+        / (1.0 - wavelength**2 * f2) ** 1.5
+    )
+
+
+def receiver_spacing(zenith: float, n: int) -> float:
+    return choose_receiver_window(make_geometry(zenith), (0.5,)) / n
+
+
+@pytest.mark.parametrize(
+    "n, spacing, distance",
+    [
+        pytest.param(256, 1.2 / 256, 4000.0, id="256-at-4km"),
+        # channel-512 (zenith 60), at the longest hop the sampling condition allows
+        pytest.param(
+            512, receiver_spacing(60.0, 512),
+            512 * receiver_spacing(60.0, 512) ** 2 / make_geometry().wavelength,
+            id="channel-512-receiver",
+        ),
+    ],
+)
+def test_paraxial_kernel_within_bound_of_exact_transfer_function(n, spacing, distance):
+    wavelength = make_geometry().wavelength
+    assert spacing * n * spacing >= wavelength * distance * (1.0 - 1e-12)
+    h = _angular_spectrum_kernel(n, spacing, wavelength, distance)
+    exact = exact_transfer_function(n, spacing, wavelength, distance)
+    gap = np.max(np.abs(np.outer(h, h) - exact))
+    bound = paraxial_phase_bound(spacing, wavelength, distance)
+    assert bound <= math.pi * n * wavelength**2 / (16.0 * spacing**2) * (1.0 + 1e-6)
+    # the bound is attained at the corner, up to the phase rounding
+    assert 0.5 * bound < gap <= bound + 1e-12
+
+
+def test_paraxial_hop_within_bound_of_exact_hop():
+    field = gaussian_source(make_geometry(), 256)
+    exact = np.fft.ifft2(
+        np.fft.fft2(field.grid)
+        * exact_transfer_function(256, field.spacing, field.wavelength, 4000.0)
+    )
+    out = propagate_vacuum(field, 4000.0)
+    error = np.linalg.norm(out.grid - exact) / np.linalg.norm(exact)
+    assert error <= paraxial_phase_bound(field.spacing, field.wavelength, 4000.0)
+
+
+def rescaling_hop(zenith: float, n: int) -> tuple:
+    geom = make_geometry(zenith)
+    spacing = gaussian_source(geom, n).spacing
+    return n, spacing, geom.wavelength, geom.path_length, receiver_spacing(zenith, n)
+
+
+@pytest.mark.parametrize("zenith, n", [(0.0, 256), (60.0, 512)], ids=["256", "channel-512"])
+def test_fresnel_axis_factors_match_full_grid_chirps(zenith, n):
+    args = rescaling_hop(zenith, n)
+    for factor, chirp in zip(_fresnel_factors(*args), full_grid_fresnel_chirps(*args)):
+        outer = np.outer(factor, factor)
+        assert np.linalg.norm(outer - chirp) <= 1e-12 * np.linalg.norm(chirp)
+
+
+def test_hop_caches_hold_axis_factors():
+    n = 256
+    field = gaussian_source(make_geometry(), n)
+    entries = [
+        _angular_spectrum_kernel(n, field.spacing, field.wavelength, 4000.0),
+        *_fresnel_factors(*rescaling_hop(0.0, n)),
+    ]
+    for entry in entries:
+        assert entry.shape == (n,)
+        assert not entry.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +361,28 @@ def test_aperture_weights_integrate_to_disk_area():
         gaussian_source(geom, 512), geom.path_length,
         target_spacing=choose_receiver_window(geom, (0.5,)) / 512,
     )
-    from duallink.optics import _aperture_weights
-
     weights = _aperture_weights(field.size, field.spacing, 0.5)
     area = float(weights.sum()) * field.spacing**2
     assert area == pytest.approx(math.pi * 0.25, rel=1e-9)
+
+
+@pytest.mark.parametrize("cells", [2.0, 7.3, 40.0, 127.6, 200.0])
+def test_block_metering_matches_full_grid(cells):
+    # 127.6 cells reaches the edge of the 256 grid; 200 cells covers all of it
+    n = 256
+    rng = np.random.default_rng(11)
+    grid = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    field = ComplexField(grid / (0.01 * np.linalg.norm(grid)), 0.01, 1e-6)  # unit power
+    radius = cells * field.spacing
+    span = _aperture_span(n, field.spacing, radius)
+    full = full_grid_aperture_weights(n, field.spacing, radius)
+    outside = full.copy()
+    outside[span, span] = 0.0
+    assert np.array_equal(_aperture_weights(n, field.spacing, radius), full[span, span])
+    assert not outside.any()
+    eta = aperture_transmissivity(field, radius)
+    assert eta == pytest.approx(min(full_grid_transmissivity(field, radius), 1.0), rel=1e-14)
+    assert (span.start == 0) == (cells > 127.0)
 
 
 def test_full_window_aperture_collects_all_power():
