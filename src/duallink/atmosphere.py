@@ -15,6 +15,10 @@ independently coded fixed-step trapezoid rule.
 Altitudes are measured vertically in meters; zenith angles enter only
 through secant factors on the path integrals. Angles cross the API
 boundary in degrees and are converted to radians exactly once.
+
+A path with no turbulence (integrated Cn2 below a fixed floor) is its
+physical limit rather than a special value: r0 = inf, whose r0^(-5/6)
+screen scale is exactly zero, and tau0 = inf.
 """
 
 from __future__ import annotations
@@ -34,28 +38,6 @@ _TURBULENCE_FLOOR = 1e-30
 # nodes per cell.
 _CELL_EDGES = 60
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-class NoTurbulence:
-    """Singleton marking a path segment with negligible integrated turbulence.
-
-    Returned instead of a Fried parameter (which would diverge) so callers
-    must handle the vacuum case explicitly rather than comparing against an
-    arbitrary huge float.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NO_TURBULENCE"
-
-
-NO_TURBULENCE = NoTurbulence()
 
 
 @dataclass(frozen=True)
@@ -159,28 +141,6 @@ class AtmosphereProfile:
         return rms_wind(self.ground_wind)
 
 
-@dataclass(frozen=True)
-class TurbulenceDiagnostics:
-    """Whole-channel scalar diagnostics; tau0 * greenwood = 0.134 by construction."""
-
-    rytov_variance: float
-    scintillation_index: float
-    fried_parameter: float
-    greenwood_frequency: float
-    coherence_time: float
-
-    def __post_init__(self) -> None:
-        for name in (
-            "rytov_variance",
-            "scintillation_index",
-            "fried_parameter",
-            "greenwood_frequency",
-            "coherence_time",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise UsageError(f"{name} must be positive")
-
-
 def cn2(h, profile: AtmosphereProfile):
     """Refractive-index structure parameter Cn2(h) in m^(-2/3), h scalar or array.
 
@@ -276,45 +236,34 @@ def fried_parameter(
     profile: AtmosphereProfile,
     h_lo: float | None = None,
     h_hi: float | None = None,
-) -> float | NoTurbulence:
+) -> float:
     """Atmospheric coherence length r0 for the (optionally restricted) path.
 
     Restricting [h_lo, h_hi] yields the local r0 of one altitude slab, which
-    is what the phase-screen synthesis consumes.
+    is what the phase-screen synthesis consumes.  A turbulence-free segment
+    has r0 = inf.
     """
     integral = integrated_cn2(geom, profile, h_lo, h_hi)
     if integral < _TURBULENCE_FLOOR:
-        return NO_TURBULENCE
+        return math.inf
     k = geom.wavenumber
     return (0.423 * k**2 * geom.sec_zenith * integral) ** (-3.0 / 5.0)
 
 
-def greenwood_and_coherence(
-    geom: LinkGeometry, profile: AtmosphereProfile
-) -> TurbulenceDiagnostics | NoTurbulence:
-    """Bundle the whole-channel diagnostics, including Greenwood frequency.
+def greenwood_and_coherence(geom: LinkGeometry, profile: AtmosphereProfile) -> tuple[float, float]:
+    """Whole-channel Greenwood frequency f_G and coherence time tau0 = 0.134 / f_G.
 
     The Greenwood integral weights Cn2 by the 5/3 power of the wind speed;
-    the coherence time is 0.134 / f_G, the interval over which the channel
-    transmissivity is treated as frozen.
+    tau0 is the interval over which the channel transmissivity is treated
+    as frozen.  A turbulence-free channel, by its wind-weighted integral
+    or by its whole-path r0 = inf, gives (0, inf): it never decorrelates.
     """
     weighted = float(_cumulative_integral(
         lambda h: cn2(h, profile) * bufton_wind(h, profile.ground_wind) ** (5.0 / 3.0),
         geom.ground_altitude,
         geom.satellite_altitude,
     )[1][-1])
-    if weighted < _TURBULENCE_FLOOR:
-        return NO_TURBULENCE
+    if weighted < _TURBULENCE_FLOOR or fried_parameter(geom, profile) == math.inf:
+        return 0.0, math.inf
     f_g = 2.31 * geom.wavelength ** (-6.0 / 5.0) * (geom.sec_zenith * weighted) ** (3.0 / 5.0)
-    tau0 = 0.134 / f_g
-    sigma_r2 = rytov_variance(geom, profile)
-    r0 = fried_parameter(geom, profile)
-    if isinstance(r0, NoTurbulence):
-        return NO_TURBULENCE
-    return TurbulenceDiagnostics(
-        rytov_variance=sigma_r2,
-        scintillation_index=scintillation_index(sigma_r2),
-        fried_parameter=r0,
-        greenwood_frequency=f_g,
-        coherence_time=tau0,
-    )
+    return f_g, 0.134 / f_g

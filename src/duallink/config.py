@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -170,6 +171,8 @@ def parse_config(text: str) -> RunConfig:
                     raise UsageError(
                         f"[{section}] {key}: cannot parse {raw!r} as {convert.__name__}"
                     ) from exc
+                if convert is float and not math.isfinite(value):
+                    raise UsageError(f"[{section}] {key}: {raw!r} is not finite")
             elif default is _REQUIRED:
                 raise UsageError(f"missing required key [{section}] {key}")
             else:
@@ -186,7 +189,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

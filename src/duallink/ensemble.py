@@ -16,12 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atmosphere import (
-    AtmosphereProfile,
-    LinkGeometry,
-    NoTurbulence,
-    greenwood_and_coherence,
-)
+from .atmosphere import AtmosphereProfile, LinkGeometry, greenwood_and_coherence
 from .errors import DataIntegrityError, DuallinkError, UsageError
 from .optics import (
     aperture_transmissivity,
@@ -126,10 +121,7 @@ def run_ensembles(
                 f"aperture radius {radius!r} m spans fewer than 2 receiver cells "
                 f"({spacing!r} m); increase the grid size"
             )
-    diagnostics = greenwood_and_coherence(geom, profile)
-    coherence_time = (
-        math.inf if isinstance(diagnostics, NoTurbulence) else diagnostics.coherence_time
-    )
+    _, coherence_time = greenwood_and_coherence(geom, profile)
     plan = plan_slabs(geom, profile)
     source = gaussian_source(geom, grid_size)
 
@@ -259,8 +251,11 @@ def save_ensemble(ens: ChannelEnsemble, path) -> None:
 
 def load_ensemble(path) -> ChannelEnsemble:
     """Parse and verify a saved ensemble; any corruption refuses the whole file."""
-    with open(path, "r", encoding="ascii", newline="\n") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii", newline="\n") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataIntegrityError(f"{path}: not an ASCII text file ({exc})") from exc
     head, sep, data = text.partition("\ndata:\n")
     if not sep:
         raise DataIntegrityError(f"{path}: missing data section")

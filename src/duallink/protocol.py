@@ -82,13 +82,11 @@ class SqueezingParams:
         return cls(vs, va, zero_leakage_epsilon(vs, va))
 
     @classmethod
-    def from_squeezing_db(
-        cls, squeezing_db: float, modulation_variance: float | None = None
-    ) -> "SqueezingParams":
+    def from_squeezing_db(cls, squeezing_db: float) -> "SqueezingParams":
         """Zero-leakage parameters from a squeezing level in dB (positive)."""
         if squeezing_db <= 0.0:
             raise UsageError(f"squeezing level must be positive dB, got {squeezing_db}")
-        return cls.zero_leakage(10.0 ** (-squeezing_db / 10.0), modulation_variance)
+        return cls.zero_leakage(10.0 ** (-squeezing_db / 10.0))
 
     @property
     def transmitted_q_variance(self) -> float:

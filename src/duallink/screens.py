@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atmosphere import (
-    NO_TURBULENCE,
     AtmosphereProfile,
     LinkGeometry,
-    NoTurbulence,
     _cumulative_integral,
     _rytov_density,
     cn2,
@@ -83,11 +81,11 @@ class Slab:
     h_lo: float
     h_hi: float
     path_length: float  # slant distance across the band
-    fried: float | NoTurbulence  # local r0 evaluated over the band
+    fried: float  # local r0 over the band; r0 = inf is vacuum
 
     @property
     def has_screen(self) -> bool:
-        return not isinstance(self.fried, NoTurbulence)
+        return self.fried < math.inf
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,7 @@ def plan_slabs(geom: LinkGeometry, profile: AtmosphereProfile) -> SlabPlan:
     sec = geom.sec_zenith
 
     def vacuum(h_lo: float, h_hi: float) -> Slab:
-        return Slab(h_lo, h_hi, (h_hi - h_lo) * sec, NO_TURBULENCE)
+        return Slab(h_lo, h_hi, (h_hi - h_lo) * sec, math.inf)
 
     if profile.cn2_scale == 0.0:
         return SlabPlan((vacuum(h0, top),))
@@ -314,8 +312,9 @@ def generate_screen(
     independent screens: the real part goes to the first slab and the
     imaginary part to the second, each with its own subharmonic draws
     taken in slab order after the spectral draw.  A one-slab call makes
-    only the first slab's draws.  Vacuum slabs get zero screens.  The
-    screens live in the workspace's ``screens`` buffer.
+    only the first slab's draws.  A vacuum slab (r0 = inf) gets a zero
+    screen, since its r0^(-5/6) scale is exactly zero.  The screens live
+    in the workspace's ``screens`` buffer.
     """
     n = grid_size
     if n <= 0 or n & (n - 1):
@@ -324,8 +323,6 @@ def generate_screen(
         raise UsageError("grid spacing must be positive")
     if not 1 <= len(slabs) <= 2:
         raise UsageError(f"one or two slabs per spectral draw, got {len(slabs)}")
-    if not any(slab.has_screen for slab in slabs):
-        return tuple(PhaseScreen(np.zeros((n, n)), spacing) for _ in slabs)
     l_out, l_in = profile.outer_scale, profile.inner_scale
     if n * spacing < l_out / 2.0:
         warnings.warn(
@@ -364,6 +361,6 @@ def generate_screen(
         # product here would wake its thread pool once per screen.
         np.einsum("ki,kj->ij", basis, np.einsum("kl,lj->kj", coeff, basis), out=screen)
         screen += half
-        screen *= slab.fried ** (-5.0 / 6.0) if slab.has_screen else 0.0
+        screen *= slab.fried ** (-5.0 / 6.0)
         screens.append(PhaseScreen(screen, spacing))
     return tuple(screens)

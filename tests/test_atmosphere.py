@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import duallink.atmosphere as atm
 from duallink.atmosphere import (
-    NO_TURBULENCE,
     AtmosphereProfile,
     LinkGeometry,
     bufton_wind,
@@ -220,7 +219,7 @@ def test_fried_parameter_sentinel():
     dead = AtmosphereProfile(
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01, cn2_scale=0.0
     )
-    assert fried_parameter(make_geometry(0.0), dead) is NO_TURBULENCE
+    assert fried_parameter(make_geometry(0.0), dead) == math.inf
 
 
 def test_fried_scaling_with_cn2_multiplier(baseline_profile):
@@ -272,9 +271,9 @@ def test_scintillation_large_argument():
 
 
 def test_coherence_time_at_sixty_degrees(baseline_profile):
-    diag = greenwood_and_coherence(make_geometry(60.0), baseline_profile)
-    assert diag.coherence_time == pytest.approx(2.29e-3, rel=0.10)
-    assert diag.coherence_time == pytest.approx(2.2919e-3, rel=1e-3)  # frozen
+    _, tau0 = greenwood_and_coherence(make_geometry(60.0), baseline_profile)
+    assert tau0 == pytest.approx(2.29e-3, rel=0.10)
+    assert tau0 == pytest.approx(2.2919e-3, rel=1e-3)  # frozen
 
 
 def test_greenwood_against_oracle(baseline_profile):
@@ -286,22 +285,35 @@ def test_greenwood_against_oracle(baseline_profile):
         500e3,
     )
     oracle = 2.31 * geom.wavelength ** (-6.0 / 5.0) * weighted ** (3.0 / 5.0)
-    diag = greenwood_and_coherence(geom, baseline_profile)
-    assert diag.greenwood_frequency == pytest.approx(oracle, rel=1e-3)
-    assert diag.greenwood_frequency == pytest.approx(38.5733, rel=1e-4)  # frozen
+    f_g, _ = greenwood_and_coherence(geom, baseline_profile)
+    assert f_g == pytest.approx(oracle, rel=1e-3)
+    assert f_g == pytest.approx(38.5733, rel=1e-4)  # frozen
 
 
 def test_coherence_product_invariant(baseline_profile):
     for theta in (0.0, 30.0, 60.0):
-        diag = greenwood_and_coherence(make_geometry(theta), baseline_profile)
-        assert diag.coherence_time * diag.greenwood_frequency == pytest.approx(0.134, rel=1e-12)
+        f_g, tau0 = greenwood_and_coherence(make_geometry(theta), baseline_profile)
+        assert tau0 * f_g == pytest.approx(0.134, rel=1e-12)
 
 
 def test_greenwood_sentinel_for_dead_atmosphere():
     dead = AtmosphereProfile(
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01, cn2_scale=0.0
     )
-    assert greenwood_and_coherence(make_geometry(0.0), dead) is NO_TURBULENCE
+    assert greenwood_and_coherence(make_geometry(0.0), dead) == (0.0, math.inf)
+
+
+def test_coherence_time_infinite_when_path_r0_is():
+    # the wind weighting lifts the Greenwood integral over the floor while
+    # the plain Cn2 integral stays under it; at grazing zenith such a path
+    # still plans (as vacuum slabs), so tau0 must follow r0 = inf
+    faint = AtmosphereProfile(
+        ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01, cn2_scale=5e-20
+    )
+    for theta in (0.0, 89.9):
+        geom = make_geometry(theta)
+        assert fried_parameter(geom, faint) == math.inf
+        assert greenwood_and_coherence(geom, faint) == (0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 import duallink
 from duallink.cli import _verify_predictions, main
-from duallink.config import config_hash, parse_config, render_config
+from duallink.config import _SCHEMA, config_hash, parse_config, render_config
 from duallink.ensemble import fading_stats, load_ensemble
 from duallink.errors import UsageError
 from duallink.optics import vacuum_beam_radius
@@ -226,6 +226,25 @@ def test_unparseable_value_rejected(tmp_path):
         "beam_waist = 0.15", "beam_waist = wide"
     )
     with pytest.raises(UsageError, match="beam_waist"):
+        parse_config(text)
+
+
+FLOAT_KEYS = [
+    (section, key)
+    for section, keys in _SCHEMA.items()
+    for key, (convert, _, _) in keys.items()
+    if convert is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_non_finite_float_rejected(tmp_path, section, key, value):
+    # the canonical rendering lists every key, defaulted ones included
+    text = render_config(parse_config(BASE_CONFIG.format(out=tmp_path)))
+    text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    assert count == 1
+    with pytest.raises(UsageError, match=re.escape(f"[{section}] {key}: '{value}' is not finite")):
         parse_config(text)
 
 
@@ -444,6 +463,66 @@ def test_bad_config_exits_one(tmp_path, capsys):
     path.write_text(BASE_CONFIG.format(out=tmp_path).replace("size = 64", "size = 63"))
     assert run_cli("simulate-channel", "--config", str(path)) == 1
     assert "power of two" in capsys.readouterr().err
+
+
+def assert_one_error_line(capsys, message: str) -> None:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert message in err[0]
+
+
+def test_non_finite_config_value_exits_one(tmp_path, capsys):
+    config = write_config(tmp_path, **{"aperture_radius = 0.5": "aperture_radius = nan"})
+    assert run_cli("simulate-channel", "--config", config) == 1
+    assert_one_error_line(capsys, "[geometry] aperture_radius: 'nan' is not finite")
+
+
+def test_undecodable_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    text = BASE_CONFIG.format(out=tmp_path).replace("smoke", "sm\xf6ke")
+    path.write_bytes(text.encode("latin-1"))
+    assert run_cli("simulate-channel", "--config", str(path)) == 1
+    assert_one_error_line(capsys, "cannot read config")
+
+
+def test_undecodable_ensemble_exits_one(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert run_cli("simulate-channel", "--config", config) == 0
+    ensemble_path = tmp_path / "out" / "smoke.ensemble"
+    ensemble_path.write_bytes(ensemble_path.read_bytes().replace(b"data:", b"d\xe4ta:"))
+    capsys.readouterr()
+    assert run_cli("key-rate", "--config", config, "--ensemble", str(ensemble_path)) == 1
+    assert_one_error_line(capsys, "not an ASCII text file")
+
+
+def test_turbulence_too_weak_to_plan_exits_one(tmp_path, capsys):
+    # the channel's scintillation index rounds to zero, so no slab cap exists
+    config = write_config(
+        tmp_path, **{"inner_scale = 0.01": "inner_scale = 0.01\ncn2_scale = 1e-17"}
+    )
+    assert run_cli("simulate-channel", "--config", config) == 1
+    assert_one_error_line(
+        capsys, "whole-channel scintillation index must be positive to plan slabs"
+    )
+
+
+def test_turbulence_free_grazing_path_runs_as_vacuum(tmp_path):
+    # at 89.9 deg the faint channel's scintillation index is positive, so
+    # it plans, but every slab and the whole path have r0 = inf
+    config = write_config(
+        tmp_path,
+        **{
+            "zenith_angle = 0.0": "zenith_angle = 89.9",
+            "aperture_radius = 0.5": "aperture_radius = 500.0",
+            "inner_scale = 0.01": "inner_scale = 0.01\ncn2_scale = 5e-20",
+            "realizations = 6": "realizations = 2",
+        },
+    )
+    assert run_cli("simulate-channel", "--config", config, "--threads", "1") == 0
+    out = tmp_path / "out"
+    assert math.isinf(load_ensemble(out / "smoke.ensemble").coherence_time)
+    assert not (out / "smoke_steps.csv").exists()
 
 
 def reference_verify_predictions(params: SqueezingParams, etas, displacement: float):

@@ -26,7 +26,6 @@ from duallink.optics import (
     split_step,
     vacuum_beam_radius,
 )
-from duallink.atmosphere import NO_TURBULENCE
 from duallink.screens import (
     PhaseScreen,
     ScreenStreams,
@@ -491,7 +490,7 @@ def three_screen_plan(geom, profile) -> SlabPlan:
         Slab(lo, hi, hi - lo, fried_parameter(geom, profile, lo, hi))
         for lo, hi in zip(edges[:-1], edges[1:])
     ]
-    slabs.append(Slab(15e3, geom.satellite_altitude, 485e3, NO_TURBULENCE))
+    slabs.append(Slab(15e3, geom.satellite_altitude, 485e3, math.inf))
     return SlabPlan(tuple(slabs))
 
 
@@ -547,9 +546,9 @@ def test_single_screen_scattering_broadens_beam():
     )
     plan = SlabPlan(
         (
-            Slab(0.0, 99e3, 99e3, NO_TURBULENCE),
+            Slab(0.0, 99e3, 99e3, math.inf),
             Slab(99e3, 101e3, 2e3, 0.05),
-            Slab(101e3, geom.satellite_altitude, 399e3, NO_TURBULENCE),
+            Slab(101e3, geom.satellite_altitude, 399e3, math.inf),
         )
     )
     window = choose_receiver_window(geom, (0.5,))
