@@ -123,6 +123,9 @@ def run_ensembles(
             )
     _, coherence_time = greenwood_and_coherence(geom, profile)
     plan = plan_slabs(geom, profile)
+    if not any(slab.has_screen for slab in plan.slabs):
+        # simulated as vacuum, so no realization ever decorrelates from the last
+        coherence_time = math.inf
     source = gaussian_source(geom, grid_size)
 
     def realize(index: int) -> tuple[float, ...]:

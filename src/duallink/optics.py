@@ -33,6 +33,7 @@ from .screens import (
     SlabPlan,
     Workspace,
     _centered_coords,
+    _row_tiles,
     generate_screen,
     locked_cache,
 )
@@ -243,33 +244,29 @@ def propagate_vacuum(
     return out
 
 
-def _as_float64(buffer: np.ndarray, n: int) -> np.ndarray:
-    """The first N*N float64 slots of a C-contiguous buffer, as an N x N array."""
-    return buffer.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
-
-
 def _unit_phasor(phase: np.ndarray, phasor: np.ndarray, scratch: np.ndarray) -> None:
     """exp(i phase) into the complex128 phasor, through float32 (SIMD) cos and sin.
 
     The phase is reduced by whole turns in float64, and one float64 Newton
-    step p *= (3 - |p|^2) / 2 restores unit modulus.  The reduced angles
-    sit in the phasor's first half until their cast into ``scratch``
-    (float32, 2 x N x N), which then holds cos and sin and, once they are
-    widened, the float64 Newton factor.
+    step p *= (3 - |p|^2) / 2 restores unit modulus.  ``phasor`` and
+    ``scratch`` (float64) are contiguous arrays of the phase's shape.  The
+    reduced angles sit in the phasor's first half until their cast into
+    ``scratch``, read as two float32 arrays, which then hold cos and sin;
+    once they are widened, ``scratch`` takes the float64 Newton factor.
     """
-    n = phase.shape[0]
-    angle = _as_float64(phasor, n)
+    shape = phase.shape
+    angle = phasor.reshape(-1).view(np.float64)[: phase.size].reshape(shape)
     np.multiply(phase, 1.0 / _TURN, out=angle)
     np.rint(angle, out=angle)
     angle *= _TURN
     np.subtract(phase, angle, out=angle)
-    reduced, cosine = scratch
+    reduced, cosine = scratch.reshape(-1).view(np.float32).reshape(2, *shape)
     np.copyto(reduced, angle, casting="same_kind")
     np.cos(reduced, out=cosine)
     np.sin(reduced, out=reduced)
     phasor.real = cosine
     phasor.imag = reduced
-    newton = _as_float64(scratch, n)
+    newton = scratch
     np.abs(phasor, out=newton)
     np.square(newton, out=newton)
     np.subtract(3.0, newton, out=newton)
@@ -283,9 +280,11 @@ def apply_screen(
     """Imprint one phase screen; unit-modulus, so power is untouched.
 
     The phasor's angle is float32-accurate (within 3e-7 rad of the phase)
-    and its modulus float64-accurate (|p|^2 within 1e-13 of one).  The
-    result is a new array, or a workspace's ``field``, which may be the
-    input's own grid.
+    and its modulus float64-accurate (|p|^2 within 1e-13 of one).  It is
+    built and multiplied in one row tile at a time, in the workspace's
+    ``phasor`` and ``scratch`` tiles, so the screen may be a half of the
+    workspace's ``spectrum``.  The result is a new array, or a workspace's
+    ``field``, which may be the input's own grid.
     """
     if screen.grid.shape != field.grid.shape:
         raise UsageError(
@@ -296,16 +295,22 @@ def apply_screen(
             f"screen spacing {screen.spacing!r} does not match field {field.spacing!r}"
         )
     ws = Workspace(field.size) if workspace is None else workspace
-    _unit_phasor(screen.grid, ws.spectrum, ws.scratch)
-    np.multiply(field.grid, ws.spectrum, out=ws.field)
+    for tile in _row_tiles(field.size):
+        rows = tile.stop - tile.start
+        phasor = ws.phasor[:rows]
+        _unit_phasor(screen.grid[tile], phasor, ws.scratch[:rows])
+        np.multiply(field.grid[tile], phasor, out=ws.field[tile])
     return ComplexField(ws.field, field.spacing, field.wavelength, field.z)
 
 
 @locked_cache(maxsize=8)
 def _apodization_mask(n: int) -> np.ndarray:
+    """Super-Gaussian absorber on the N x N grid, built by row tiles."""
     v = (np.arange(n) - n // 2) / (n / 2.0)
-    r = np.sqrt(v[:, None] ** 2 + v[None, :] ** 2)
-    mask = np.exp(-_APODIZATION_STRENGTH * r**_APODIZATION_ORDER)
+    mask = np.empty((n, n))
+    for tile in _row_tiles(n):
+        r = np.sqrt(v[tile, None] ** 2 + v[None, :] ** 2)
+        np.exp(-_APODIZATION_STRENGTH * r**_APODIZATION_ORDER, out=mask[tile])
     mask.setflags(write=False)
     return mask
 

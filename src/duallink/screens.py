@@ -110,22 +110,37 @@ class PhaseScreen:
     spacing: float
 
 
-class Workspace:
-    """The N x N buffers of one channel realization, written in place.
+# Row tiles hold at most this many bytes of complex128: 64 rows at grid 512,
+# 32 at 1024, the whole grid at 128 and below.
+_TILE_BYTES = 1 << 19
 
-    ``field`` (complex128) is the running field; ``spectrum`` (complex128)
-    a screen pair's spectral draw, then an imprint's phasor; ``screens``
-    (float64, 2 x N x N) the normal draws, then the pair's screens;
-    ``scratch`` (float32, 2 x N x N) the imprint's float32 angles and
-    cos/sin.  Never shared between realizations or workers; a call given
-    none makes a fresh one and touches only the buffers it uses.
+
+def _row_tiles(n: int) -> list[slice]:
+    """Slices of at most ``_TILE_BYTES // (16 N)`` rows that cover N rows."""
+    step = max(1, min(n, _TILE_BYTES // (16 * n)))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+class Workspace:
+    """The buffers of one channel realization, written in place.
+
+    ``field`` and ``spectrum`` (complex128, N x N) are the only full grids:
+    the running field, and a screen pair's spectral draw, whose real and
+    imaginary halves become the pair's two screens and hold the second
+    until its slab.  Everything else runs over row tiles: ``phasor``
+    (complex128) is a tile's imprint phasor, and ``scratch`` (float64, the
+    same rows) a tile of normal draws or of a finished screen, or the
+    imprint's float32 angles and cos/sin.  Never shared between
+    realizations or workers; a call given none makes a fresh one and
+    touches only the buffers it uses.
     """
 
     def __init__(self, n: int) -> None:
         self.field = np.empty((n, n), dtype=complex)
         self.spectrum = np.empty((n, n), dtype=complex)
-        self.screens = np.empty((2, n, n))
-        self.scratch = np.empty((2, n, n), dtype=np.float32)
+        rows = _row_tiles(n)[0].stop
+        self.phasor = np.empty((rows, n), dtype=complex)
+        self.scratch = np.empty((rows, n))
 
 
 @dataclass(frozen=True)
@@ -249,11 +264,14 @@ _SUBHARMONIC_LEVELS = 3
 # so they are cached per grid geometry (r0 enters as a scalar power).
 @locked_cache(maxsize=8)
 def _fft_amplitude_factor(n: int, spacing: float, l_out: float, l_in: float) -> np.ndarray:
-    """sqrt(PSD / r0^(-5/3)) * df on the FFT lattice, DC zeroed."""
+    """sqrt(PSD / r0^(-5/3)) * df on the FFT lattice, DC zeroed; built by row tiles."""
     fx = np.fft.fftfreq(n, spacing)
-    psd_geo = mvk_psd(np.hypot(fx[:, None], fx[None, :]), 1.0, l_out, l_in)
-    psd_geo[0, 0] = 0.0
-    out = np.sqrt(psd_geo) / (n * spacing)
+    out = np.empty((n, n))
+    for tile in _row_tiles(n):
+        psd_geo = mvk_psd(np.hypot(fx[tile, None], fx[None, :]), 1.0, l_out, l_in)
+        np.sqrt(psd_geo, out=psd_geo)
+        np.divide(psd_geo, n * spacing, out=out[tile])
+    out[0, 0] = 0.0
     out.setflags(write=False)
     return out
 
@@ -313,8 +331,9 @@ def generate_screen(
     imaginary part to the second, each with its own subharmonic draws
     taken in slab order after the spectral draw.  A one-slab call makes
     only the first slab's draws.  A vacuum slab (r0 = inf) gets a zero
-    screen, since its r0^(-5/6) scale is exactly zero.  The screens live
-    in the workspace's ``screens`` buffer.
+    screen, since its r0^(-5/6) scale is exactly zero.  The screens are
+    the real and imaginary halves of the workspace's ``spectrum`` (strided
+    views), so they last until its next draw.
     """
     n = grid_size
     if n <= 0 or n & (n - 1):
@@ -333,23 +352,25 @@ def generate_screen(
         )
 
     # DC cell is zeroed in the cached factor; the subharmonic levels own
-    # everything below one window cycle.  Each slab's r0 scale is applied
-    # once, to its finished screen; the first screen's buffer first holds
-    # the normal draws.
+    # everything below one window cycle.  The N^2 real-part normals, then
+    # the N^2 imaginary-part normals, are drawn one row tile at a time (the
+    # generator fills sequentially, so the stream is that of one N x N
+    # draw).  Each slab's r0 scale is applied once, to its finished screen.
     ws = Workspace(n) if workspace is None else workspace
     factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
     spectrum = ws.spectrum
-    draws = ws.screens[0]
-    rng.standard_normal(out=draws)
-    np.multiply(draws, factor, out=spectrum.real)
-    rng.standard_normal(out=draws)
-    np.multiply(draws, factor, out=spectrum.imag)
+    tiles = _row_tiles(n)
+    for half in (spectrum.real, spectrum.imag):
+        for tile in tiles:
+            draws = ws.scratch[: tile.stop - tile.start]
+            rng.standard_normal(out=draws)
+            np.multiply(draws, factor[tile], out=half[tile])
     # ifftn rather than ifft2: numpy's ifft2 ignores out=
     np.fft.ifftn(spectrum, norm="forward", out=spectrum)
 
     weights, basis, means = _subharmonic_factors(n, spacing, l_out, l_in)
     screens = []
-    for slab, half, screen in zip(slabs, (spectrum.real, spectrum.imag), ws.screens):
+    for slab, half in zip(slabs, (spectrum.real, spectrum.imag)):
         coeff = np.zeros((len(basis), len(basis)))
         for sqrt_w, rows in zip(weights, _LEVEL_ROWS):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -357,10 +378,16 @@ def generate_screen(
             coeff[rows] += (_PHASOR_FROM_REAL.T @ a @ _PHASOR_FROM_REAL).real
         # zero-mean subharmonic part: the grid mean of B^T C B is m^T C m
         coeff[0, 0] -= means @ coeff @ means
-        # B^T (C B) as an einsum, which runs in numpy's own loops; a BLAS
-        # product here would wake its thread pool once per screen.
-        np.einsum("ki,kj->ij", basis, np.einsum("kl,lj->kj", coeff, basis), out=screen)
-        screen += half
-        screen *= slab.fried ** (-5.0 / 6.0)
-        screens.append(PhaseScreen(screen, spacing))
+        # B^T (C B) as einsums, which run in numpy's own loops; a BLAS
+        # product here would wake its thread pool once per screen.  The
+        # screen is finished in place, tile by tile, over its own half.
+        cb = np.einsum("kl,lj->kj", coeff, basis)
+        scale = slab.fried ** (-5.0 / 6.0)
+        for tile in tiles:
+            screen = ws.scratch[: tile.stop - tile.start]
+            np.einsum("ki,kj->ij", basis[:, tile], cb, out=screen)
+            screen += half[tile]
+            screen *= scale
+            half[tile] = screen
+        screens.append(PhaseScreen(half, spacing))
     return tuple(screens)

@@ -1,15 +1,29 @@
 """Estimators that only the tests use: field power, beam radius, phase
 structure function, and the Eve-Bob correlation; and full-grid references
-for the separable hop factors and the block-metered aperture."""
+for the separable hop factors, the block-metered aperture, and the
+row-tiled screen synthesis, imprint and cached grids."""
 
 import math
 
 import numpy as np
 
 from duallink.errors import UsageError
-from duallink.optics import ComplexField, _signed_corner_area
+from duallink.optics import (
+    _APODIZATION_ORDER,
+    _APODIZATION_STRENGTH,
+    _TURN,
+    ComplexField,
+    _signed_corner_area,
+)
 from duallink.protocol import SqueezingParams
-from duallink.screens import PhaseScreen, _centered_coords
+from duallink.screens import (
+    _LEVEL_ROWS,
+    _PHASOR_FROM_REAL,
+    PhaseScreen,
+    _centered_coords,
+    _subharmonic_factors,
+    mvk_psd,
+)
 
 
 def field_power(field: ComplexField) -> float:
@@ -128,3 +142,64 @@ def full_grid_transmissivity(field: ComplexField, radius: float) -> float:
     """Aperture power summed over every cell of the grid."""
     weights = full_grid_aperture_weights(field.size, field.spacing, radius)
     return float(np.sum(weights * np.abs(field.grid) ** 2)) * field.spacing**2
+
+
+def full_grid_fft_amplitude_factor(n: int, spacing: float, l_out: float, l_in: float):
+    """The spectral amplitude factor built as one N x N expression."""
+    fx = np.fft.fftfreq(n, spacing)
+    psd_geo = mvk_psd(np.hypot(fx[:, None], fx[None, :]), 1.0, l_out, l_in)
+    psd_geo[0, 0] = 0.0
+    return np.sqrt(psd_geo) / (n * spacing)
+
+
+def full_grid_apodization_mask(n: int) -> np.ndarray:
+    """The edge absorber built as one N x N expression."""
+    v = (np.arange(n) - n // 2) / (n / 2.0)
+    r = np.sqrt(v[:, None] ** 2 + v[None, :] ** 2)
+    return np.exp(-_APODIZATION_STRENGTH * r**_APODIZATION_ORDER)
+
+
+def full_grid_generate_screen(slabs, n: int, spacing: float, rng, profile) -> list[np.ndarray]:
+    """Screen synthesis with whole-grid buffers: one N x N draw per half,
+    and each screen finished as one N x N einsum plus its half, then scaled."""
+    l_out, l_in = profile.outer_scale, profile.inner_scale
+    factor = full_grid_fft_amplitude_factor(n, spacing, l_out, l_in)
+    spectrum = np.empty((n, n), dtype=complex)
+    draws = np.empty((n, n))
+    rng.standard_normal(out=draws)
+    np.multiply(draws, factor, out=spectrum.real)
+    rng.standard_normal(out=draws)
+    np.multiply(draws, factor, out=spectrum.imag)
+    np.fft.ifftn(spectrum, norm="forward", out=spectrum)
+
+    weights, basis, means = _subharmonic_factors(n, spacing, l_out, l_in)
+    screens = []
+    for slab, half in zip(slabs, (spectrum.real, spectrum.imag)):
+        coeff = np.zeros((len(basis), len(basis)))
+        for sqrt_w, rows in zip(weights, _LEVEL_ROWS):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            a *= sqrt_w
+            coeff[rows] += (_PHASOR_FROM_REAL.T @ a @ _PHASOR_FROM_REAL).real
+        coeff[0, 0] -= means @ coeff @ means
+        screen = np.einsum("ki,kj->ij", basis, np.einsum("kl,lj->kj", coeff, basis))
+        screen += half
+        screen *= slab.fried ** (-5.0 / 6.0)
+        screens.append(screen)
+    return screens
+
+
+def full_grid_apply_screen(field: ComplexField, phase: np.ndarray) -> np.ndarray:
+    """The imprint with whole-grid buffers: turn-reduced float64 angle,
+    float32 cos and sin, one float64 Newton step, one N x N multiply."""
+    angle = np.rint(phase * (1.0 / _TURN))
+    angle *= _TURN
+    reduced = (phase - angle).astype(np.float32)
+    phasor = np.empty(phase.shape, dtype=complex)
+    phasor.real = np.cos(reduced)
+    phasor.imag = np.sin(reduced)
+    newton = np.abs(phasor)
+    np.square(newton, out=newton)
+    np.subtract(3.0, newton, out=newton)
+    newton *= 0.5
+    phasor *= newton
+    return field.grid * phasor

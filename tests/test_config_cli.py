@@ -525,6 +525,24 @@ def test_turbulence_free_grazing_path_runs_as_vacuum(tmp_path):
     assert not (out / "smoke_steps.csv").exists()
 
 
+def test_grazing_path_planned_without_screens_has_no_coherence_time(tmp_path):
+    # at 1e-19 the whole path has a finite r0 and tau0, but every slab falls
+    # under the turbulence floor: the channel runs as vacuum and never steps
+    config = write_config(
+        tmp_path,
+        **{
+            "zenith_angle = 0.0": "zenith_angle = 89.9",
+            "aperture_radius = 0.5": "aperture_radius = 500.0",
+            "inner_scale = 0.01": "inner_scale = 0.01\ncn2_scale = 1e-19",
+            "realizations = 6": "realizations = 2",
+        },
+    )
+    assert run_cli("simulate-channel", "--config", config, "--threads", "1") == 0
+    out = tmp_path / "out"
+    assert math.isinf(load_ensemble(out / "smoke.ensemble").coherence_time)
+    assert not (out / "smoke_steps.csv").exists()
+
+
 def reference_verify_predictions(params: SqueezingParams, etas, displacement: float):
     """The verify gate's closed forms written out by hand, as the reference
     for the predictions the CLI builds from ``covariance_matrix``."""

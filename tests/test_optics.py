@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,10 +28,13 @@ from duallink.optics import (
     vacuum_beam_radius,
 )
 from duallink.screens import (
+    _TILE_BYTES,
     PhaseScreen,
     ScreenStreams,
     Slab,
     SlabPlan,
+    Workspace,
+    _row_tiles,
     generate_screen,
     plan_slabs,
 )
@@ -40,6 +44,8 @@ from oracles import (
     exact_transfer_function,
     field_power,
     full_grid_aperture_weights,
+    full_grid_apodization_mask,
+    full_grid_apply_screen,
     full_grid_fresnel_chirps,
     full_grid_transmissivity,
     second_moment_radius,
@@ -328,6 +334,30 @@ def test_screen_phasor_has_unit_modulus():
     assert np.max(np.abs(np.abs(out.grid) ** 2 - 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [64, 256, 300, 1024])
+def test_tiled_imprint_equals_full_grid_reference(n):
+    # 64 is one row tile, 256 and 1024 many, and 300 ends on a shorter tile
+    tiles = _row_tiles(n)
+    assert (len(tiles) == 1) == (n == 64)
+    assert sum(t.stop - t.start for t in tiles) == n
+    rng = np.random.default_rng(n)
+    grid = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    field = ComplexField(grid, 0.01, 1e-6)
+    phase = 30.0 * rng.normal(size=(n, n))
+    expected = full_grid_apply_screen(field, phase)
+    assert np.array_equal(apply_screen(field, screen_like(field, phase)).grid, expected)
+    # in place on a workspace field, with the phase in a half of its spectrum
+    ws = Workspace(n)
+    ws.field[...] = grid
+    ws.spectrum.imag = phase
+    out = apply_screen(
+        ComplexField(ws.field, 0.01, 1e-6), PhaseScreen(ws.spectrum.imag, 0.01), workspace=ws
+    )
+    assert out.grid is ws.field
+    assert np.array_equal(out.grid, expected)
+    assert np.array_equal(ws.spectrum.imag, phase)
+
+
 def test_public_hops_and_imprint_leave_input_untouched():
     geom = make_geometry()
     field = gaussian_source(geom, 256)
@@ -437,6 +467,44 @@ def test_zero_turbulence_split_step_is_vacuum_diffraction():
     # the edge absorber perturbs the far tail at the 1e-7 level, nothing more
     assert eta_split == pytest.approx(eta_direct, abs=1e-7)
     assert out.z == pytest.approx(geom.path_length)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_tiled_apodization_mask_equals_full_grid(n):
+    assert np.array_equal(_apodization_mask(n), full_grid_apodization_mask(n))
+
+
+# A workspace is two N x N complex128 grids (32 N^2 bytes) plus its tiles:
+# a complex128 phasor tile of at most _TILE_BYTES and a float64 scratch
+# tile of half that.
+def workspace_bound(n: int) -> int:
+    return 32 * n * n + 3 * _TILE_BYTES // 2
+
+
+@pytest.mark.parametrize("n", [64, 256, 300, 1024])
+def test_workspace_is_two_grids_plus_tiles(n):
+    assert sum(a.nbytes for a in vars(Workspace(n)).values()) <= workspace_bound(n)
+
+
+def test_warm_split_step_peak_memory(baseline_profile):
+    # Bound fixed from the arithmetic above, before the first run: the
+    # workspace at grid 256 (2.75 MiB), plus one more tile budget (0.5 MiB)
+    # for what else a realization allocates, all of it O(N) or O(1): the
+    # 7 x N subharmonic product, 3 x 3 draws and FFT line buffers.  Every
+    # cache is warm, so nothing N x N is built.
+    geom = make_geometry(60.0)
+    plan = plan_slabs(geom, baseline_profile)
+    window = choose_receiver_window(geom, (0.5,))
+    source = gaussian_source(geom, 256)
+    split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        split_step(source, plan, baseline_profile, ScreenStreams(19, 1), window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= workspace_bound(256) + _TILE_BYTES
 
 
 def test_split_step_realization(baseline_profile):

@@ -23,13 +23,18 @@ from duallink.screens import (
     SlabPlan,
     _cell_integrated_psd,
     _fft_amplitude_factor,
+    _row_tiles,
     generate_screen,
     mvk_psd,
     plan_slabs,
 )
 
 from conftest import make_geometry
-from oracles import screen_structure_function
+from oracles import (
+    full_grid_fft_amplitude_factor,
+    full_grid_generate_screen,
+    screen_structure_function,
+)
 
 
 def kolmogorov_like_profile(inner_scale: float = 0.04) -> AtmosphereProfile:
@@ -278,6 +283,30 @@ def test_screen_pair_matches_complex_phasor_reference(baseline_profile, n, spaci
         rms = float(np.sqrt(np.mean(reference**2)))
         assert np.max(np.abs(screen.grid - reference)) <= SCREEN_MATCH_TOLERANCE * rms
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("n, spacing", [(64, 0.05), (256, 0.02), (1024, 0.01)])
+@pytest.mark.parametrize("count", [1, 2])
+def test_tiled_screens_equal_full_grid_reference(baseline_profile, n, spacing, count):
+    # grid 64 is one row tile; 256 and 1024 are many
+    assert (len(_row_tiles(n)) == 1) == (n == 64)
+    slabs = (Slab(0.0, 100.0, 100.0, 0.08), Slab(100.0, 400.0, 300.0, 0.2))[:count]
+    streams = ScreenStreams(17, 2)
+    ref_rng = streams.generator(3)
+    rng = streams.generator(3)
+    expected = full_grid_generate_screen(slabs, n, spacing, ref_rng, baseline_profile)
+    got = generate_screen(slabs, n, spacing, rng, baseline_profile)
+    assert len(got) == count
+    for screen, reference in zip(got, expected):
+        assert np.array_equal(screen.grid, reference)
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_tiled_amplitude_factor_equals_full_grid(n):
+    spacing, l_out, l_in = 0.9 / n, 5.0, 0.01
+    expected = full_grid_fft_amplitude_factor(n, spacing, l_out, l_in)
+    assert np.array_equal(_fft_amplitude_factor(n, spacing, l_out, l_in), expected)
 
 
 def test_pair_first_screen_is_the_one_slab_screen(baseline_profile):
