@@ -13,6 +13,7 @@ numerical or physicality failures, 3 verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -50,7 +51,9 @@ _VERIFY_SHOTS_PER_ETA = 20_000
 _VERIFY_THRESHOLD_SIGMA = 5.0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args leaves it as it was)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the run config file")
     common.add_argument("--seed", type=int, help="override the master seed")
@@ -58,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        help="worker threads for propagation (default: machine parallelism)",
+        help="worker threads for propagation (default: the CPUs this process may use)",
     )
     common.add_argument("--out", help="override the output directory")
 
@@ -115,6 +118,9 @@ def _thread_count(args: argparse.Namespace) -> int:
         if args.threads < 1:
             raise UsageError(f"thread count must be at least 1, got {args.threads}")
         return args.threads
+    if hasattr(os, "sched_getaffinity"):
+        # os.cpu_count() also counts CPUs outside the process's affinity mask
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -129,11 +135,12 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _write_csv(path: Path, stamp: str, header: str, rows) -> None:
+    """One line per tuple of ints and floats; %r is _render_value for both."""
+    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(stamp)
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(_render_value(cell) for cell in row) + "\n")
+        handle.writelines(line % row for row in rows)
 
 
 def _check_ensemble_matches_config(ens: ChannelEnsemble, config: RunConfig) -> None:
@@ -262,14 +269,13 @@ def _verify_predictions(params: SqueezingParams, etas, displacement: float):
         "xa_xa", "xb_xb", "xe_xe", "xa_xb", "xe_xb",
         "pa_pa", "pb_pb", "pe_pe", "pa_pb", "pe_pb",
     )}
-    ber = []
-    for eta in etas:
-        cm = covariance_matrix(params, FadingStats(eta, eta, 0.0, 0.0, 0.0))
+    bob = [covariance_matrix(params, FadingStats(eta, eta, 0.0, 0.0, 0.0)) for eta in etas]
+    snrs = classical_snr(displacement, etas) / np.array([cm.b_q for cm in bob])
+    ber = classical_ber(snrs).tolist()
+    for eta, cm, snr, tail in zip(etas, bob, snrs.tolist(), ber):
         eve = covariance_matrix(params, FadingStats(1.0 - eta, 1.0 - eta, 0.0, 0.0, 0.0))
-        snr = 4.0 * eta * displacement**2 / cm.b_q
         s = math.sqrt(snr)
         phi = math.exp(-s * s / 2.0) / math.sqrt(2.0 * math.pi)
-        tail = classical_ber(snr)
         b_q = cm.b_q * (1.0 - 4.0 * s * phi + 4.0 * s * s * tail)
         shrink = 1.0 - 2.0 * s * phi
         c_q = shrink * cm.c_q
@@ -289,7 +295,6 @@ def _verify_predictions(params: SqueezingParams, etas, displacement: float):
         per_eta["pe_pe"].append((eve.b_p, 2.0 * eve.b_p**2))
         per_eta["pa_pb"].append((cm.c_p, cm.a_p * cm.b_p + cm.c_p**2))
         per_eta["pe_pb"].append((eb_p, eve.b_p * cm.b_p + eb_p**2))
-        ber.append(tail)
 
     predictions = {
         name: (
@@ -382,16 +387,17 @@ def cmd_link_budget(config: RunConfig, args: argparse.Namespace) -> int:
     ens = load_ensemble(args.ensemble)
     _check_ensemble_matches_config(ens, config)
 
-    snrs = [classical_snr(config.classical.displacement, eta) for eta in ens.etas]
-    rows = [(i, eta, snr, classical_ber(snr)) for i, (eta, snr) in enumerate(zip(ens.etas, snrs))]
-    mean_ber = sum(row[3] for row in rows) / len(rows)
+    snrs = classical_snr(config.classical.displacement, ens.etas)
+    bers = classical_ber(snrs).tolist()
+    mean_ber = sum(bers) / len(bers)
 
     csv_path = out / f"{config.scenario}_linkbudget.csv"
+    rows = zip(range(len(bers)), ens.etas, snrs.tolist(), bers)
     _write_csv(csv_path, stamp, "realization,eta,snr,ber", rows)
     with open(csv_path, "a", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# ensemble_mean_ber = {_render_value(mean_ber)}\n")
 
-    print(f"ensemble mean BER {mean_ber:.6g} over {len(rows)} realizations")
+    print(f"ensemble mean BER {mean_ber:.6g} over {len(bers)} realizations")
     print(f"wrote {csv_path}")
     return 0
 

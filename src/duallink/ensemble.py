@@ -312,7 +312,7 @@ def load_ensemble(path) -> ChannelEnsemble:
             f"{path}: header promises {count} realizations, found {len(values)}"
         )
     try:
-        etas = tuple(float(v) for v in values)
+        etas = tuple(map(float, values))
     except ValueError as exc:
         raise DataIntegrityError(f"{path}: unparsable transmissivity ({exc})") from exc
     return ChannelEnsemble(etas, geometry, profile, grid_size, master_seed, coherence_time)

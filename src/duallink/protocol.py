@@ -197,9 +197,13 @@ def covariance_matrix(params: SqueezingParams, stats: FadingStats) -> Covariance
     return CovarianceMatrix(a_q, a_p, b_q, b_p, c_q, c_p)
 
 
-def _require_transmissivity(eta: float) -> None:
-    if not (0.0 <= eta <= 1.0) or not math.isfinite(eta):
-        raise UsageError(f"transmissivity must be in [0, 1], got {eta}")
+def _require_transmissivity(eta) -> np.ndarray:
+    """One eta or an array of them as float64, every entry in [0, 1]."""
+    etas = np.asarray(eta, dtype=float)
+    bad = ~((etas >= 0.0) & (etas <= 1.0))
+    if bad.any():
+        raise UsageError(f"transmissivity must be in [0, 1], got {etas[bad][0].item()}")
+    return etas
 
 
 @dataclass(frozen=True)
@@ -276,11 +280,9 @@ def mc_quadrature_sim(
     knowledge of the classical stream.  Bob's post-subtraction moments
     therefore carry his decision errors while Eve's do not.
     """
-    etas = tuple(etas)
+    etas = _require_transmissivity(etas).reshape(-1).tolist()
     if not etas:
         raise UsageError("channel must contain at least one realization")
-    for eta in etas:
-        _require_transmissivity(eta)
     if shots_per_eta < 1:
         raise UsageError(f"shots_per_eta must be at least 1, got {shots_per_eta}")
 
@@ -291,72 +293,105 @@ def mc_quadrature_sim(
 
     keep_a = math.sqrt(1.0 - eps)
     keep_s = math.sqrt(eps)
+    # Buffers shared by every eta.  standard_normal(out=) draws the same
+    # stream as standard_normal(m), each in-place step is the same IEEE
+    # operation as its out-of-place form (up to commuted operands), and
+    # each moment sums a contiguous 1-D product pairwise, as np.sum(a * b)
+    # does, so the moments match fresh-array arithmetic bit for bit.
+    m = shots_per_eta
+    bits = np.empty(m)
+    x_a, x_s, x_v, p_a, p_s, p_v = (np.empty(m) for _ in range(6))
+    alice, work, prod = np.empty(m), np.empty(m), np.empty(m)
+    mask = np.empty(m, dtype=bool)
+    row = np.empty(10)
     sums = np.zeros(10)
     bit_errors = 0
+
+    def tap(a, s) -> None:
+        # alice = keep_a a - keep_s s; s becomes the transmitted keep_s a + keep_a s
+        np.multiply(a, keep_a, out=alice)
+        np.subtract(alice, np.multiply(s, keep_s, out=work), out=alice)
+        np.multiply(a, keep_s, out=work)
+        s *= keep_a
+        s += work
+
+    def channel(tx, v, bob, t: float, r: float) -> None:
+        # bob = t tx + r v; tx becomes Eve's r tx - t v
+        np.multiply(tx, t, out=bob)
+        bob += np.multiply(v, r, out=work)
+        tx *= r
+        v *= t
+        tx -= v
+
+    def second_moments(first: int, pairs) -> None:
+        for k, (a, b) in enumerate(pairs, first):
+            row[k] = np.multiply(a, b, out=prod).sum()
+
     for eta in etas:
         t = math.sqrt(eta)
         r = math.sqrt(1.0 - eta)
-        signal = 2.0 * alpha * t
 
-        bits = np.where(rng.integers(0, 2, shots_per_eta) == 1, 1.0, -1.0)
-        x_a = rng.standard_normal(shots_per_eta) * math.sqrt(va)
-        x_s = rng.standard_normal(shots_per_eta) * math.sqrt(vs)
-        x_v = rng.standard_normal(shots_per_eta)
-        p_a = rng.standard_normal(shots_per_eta) / math.sqrt(va)
-        p_s = rng.standard_normal(shots_per_eta) / math.sqrt(vs)
-        p_v = rng.standard_normal(shots_per_eta)
+        np.multiply(rng.integers(0, 2, m), 2.0, out=bits)
+        bits -= 1.0  # symbols +-1
+        for draw in (x_a, x_s, x_v, p_a, p_s, p_v):
+            rng.standard_normal(out=draw)
+        x_a *= math.sqrt(va)
+        x_s *= math.sqrt(vs)
+        p_a /= math.sqrt(va)
+        p_s /= math.sqrt(vs)
 
-        x_alice = keep_a * x_a - keep_s * x_s
-        x_tx = keep_s * x_a + keep_a * x_s
-        x_out = t * (x_tx + 2.0 * alpha * bits) + r * x_v
-        x_eve_raw = r * (x_tx + 2.0 * alpha * bits) - t * x_v
+        # q: x_a carries the transmitted q plus the symbol into the channel;
+        # x_s ends as Bob's received q, x_a as Eve's
+        tap(x_a, x_s)
+        np.multiply(bits, 2.0 * alpha, out=x_a)
+        x_a += x_s
+        channel(x_a, x_v, x_s, t, r)
+        # Bob subtracts his threshold decision (+-1), Eve the true symbol
+        np.greater_equal(x_s, 0.0, out=mask)
+        np.multiply(mask, 2.0, out=work)
+        work -= 1.0
+        bit_errors += int(np.count_nonzero(np.not_equal(work, bits, out=mask)))
+        work *= 2.0 * alpha * t
+        x_s -= work
+        x_a -= np.multiply(bits, 2.0 * alpha * r, out=work)
+        second_moments(0, ((alice, alice), (x_s, x_s), (x_a, x_a), (alice, x_s), (x_a, x_s)))
 
-        decided = np.where(x_out >= 0.0, 1.0, -1.0)
-        bit_errors += int(np.count_nonzero(decided != bits))
-        x_bob = x_out - signal * decided
-        x_eve = x_eve_raw - 2.0 * alpha * r * bits
-
-        p_alice = keep_a * p_a - keep_s * p_s
-        p_tx = keep_s * p_a + keep_a * p_s
-        p_bob = t * p_tx + r * p_v
-        p_eve = r * p_tx - t * p_v
-
-        sums += [
-            np.sum(x_alice * x_alice),
-            np.sum(x_bob * x_bob),
-            np.sum(x_eve * x_eve),
-            np.sum(x_alice * x_bob),
-            np.sum(x_eve * x_bob),
-            np.sum(p_alice * p_alice),
-            np.sum(p_bob * p_bob),
-            np.sum(p_eve * p_eve),
-            np.sum(p_alice * p_bob),
-            np.sum(p_eve * p_bob),
-        ]
+        # p: the same beamsplitters without a symbol; p_a ends as Bob's, p_s as Eve's
+        tap(p_a, p_s)
+        channel(p_s, p_v, p_a, t, r)
+        second_moments(5, ((alice, alice), (p_a, p_a), (p_s, p_s), (alice, p_a), (p_s, p_a)))
+        sums += row
 
     n = shots_per_eta * len(etas)
     moments = sums / n
     return EmpiricalMoments(n, bit_errors, *moments)
 
 
-def classical_snr(displacement: float, eta: float) -> float:
+def classical_snr(displacement: float, eta):
     """Signal-to-noise ratio of the binary classical stream at Bob.
 
     Symbol means sit at +-2*displacement*sqrt(eta) against unit vacuum
     noise (the zero-leakage condition pins Bob's q-variance at 1), so
-    the SNR is 4 * eta * displacement^2.
+    the SNR is 4 * eta * displacement^2.  One eta gives a float; an
+    array of them gives an array.
     """
     if displacement < 0.0 or not math.isfinite(displacement):
         raise UsageError(f"displacement must be nonnegative, got {displacement}")
-    _require_transmissivity(eta)
-    return 4.0 * eta * displacement**2
+    snr = 4.0 * _require_transmissivity(eta) * displacement**2
+    return float(snr) if snr.ndim == 0 else snr
 
 
-def classical_ber(snr: float) -> float:
+def classical_ber(snr):
     """Bit error rate of threshold detection at the given SNR.
 
-    Gaussian tail probability Q(sqrt(snr)).
+    Gaussian tail probability Q(sqrt(snr)).  One SNR gives a float; an
+    array of them gives an array.
     """
-    if snr < 0.0 or not math.isfinite(snr):
-        raise UsageError(f"SNR must be nonnegative and finite, got {snr}")
-    return 0.5 * math.erfc(math.sqrt(snr) / math.sqrt(2.0))
+    snrs = np.asarray(snr, dtype=float)
+    bad = ~(snrs >= 0.0) | (snrs == math.inf)
+    if bad.any():
+        raise UsageError(f"SNR must be nonnegative and finite, got {snrs[bad][0].item()}")
+    # numpy has no erfc, so the tail is taken per element over Python floats
+    root2 = math.sqrt(2.0)
+    bers = [0.5 * math.erfc(x / root2) for x in np.sqrt(snrs).ravel().tolist()]
+    return bers[0] if snrs.ndim == 0 else np.array(bers)

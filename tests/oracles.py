@@ -1,12 +1,14 @@
 """Estimators that only the tests use: field power, beam radius, phase
-structure function, and the Eve-Bob correlation; and full-grid references
+structure function, and the Eve-Bob correlation; full-grid references
 for the separable hop factors, the block-metered aperture, and the
-row-tiled screen synthesis, imprint and cached grids."""
+row-tiled screen synthesis, imprint and cached grids; and per-eta
+references for the array-native link budget and quadrature Monte Carlo."""
 
 import math
 
 import numpy as np
 
+from duallink.config import _render_value
 from duallink.errors import UsageError
 from duallink.optics import (
     _APODIZATION_ORDER,
@@ -15,7 +17,7 @@ from duallink.optics import (
     ComplexField,
     _signed_corner_area,
 )
-from duallink.protocol import SqueezingParams
+from duallink.protocol import ClassicalLayer, EmpiricalMoments, SqueezingParams
 from duallink.screens import (
     _LEVEL_ROWS,
     _PHASOR_FROM_REAL,
@@ -203,3 +205,78 @@ def full_grid_apply_screen(field: ComplexField, phase: np.ndarray) -> np.ndarray
     newton *= 0.5
     phasor *= newton
     return field.grid * phasor
+
+
+def per_eta_link_budget_rows(displacement: float, etas) -> str:
+    """The link-budget CSV rows and mean-BER footer, one eta at a time."""
+    rows = []
+    for i, eta in enumerate(etas):
+        snr = 4.0 * eta * displacement**2
+        ber = 0.5 * math.erfc(math.sqrt(snr) / math.sqrt(2.0))
+        rows.append((i, eta, snr, ber))
+    mean_ber = sum(row[3] for row in rows) / len(rows)
+    lines = [",".join(_render_value(cell) for cell in row) + "\n" for row in rows]
+    return "".join(lines) + f"# ensemble_mean_ber = {_render_value(mean_ber)}\n"
+
+
+def per_eta_mc_quadrature_sim(
+    params: SqueezingParams,
+    classical: ClassicalLayer,
+    etas,
+    shots_per_eta: int,
+    rng: np.random.Generator,
+) -> EmpiricalMoments:
+    """The quadrature Monte Carlo with fresh arrays for every draw and step."""
+    eps = params.tap_transmissivity
+    va = params.modulation_variance
+    vs = params.squeezed_variance
+    alpha = classical.displacement
+
+    keep_a = math.sqrt(1.0 - eps)
+    keep_s = math.sqrt(eps)
+    sums = np.zeros(10)
+    bit_errors = 0
+    for eta in etas:
+        t = math.sqrt(eta)
+        r = math.sqrt(1.0 - eta)
+        signal = 2.0 * alpha * t
+
+        bits = np.where(rng.integers(0, 2, shots_per_eta) == 1, 1.0, -1.0)
+        x_a = rng.standard_normal(shots_per_eta) * math.sqrt(va)
+        x_s = rng.standard_normal(shots_per_eta) * math.sqrt(vs)
+        x_v = rng.standard_normal(shots_per_eta)
+        p_a = rng.standard_normal(shots_per_eta) / math.sqrt(va)
+        p_s = rng.standard_normal(shots_per_eta) / math.sqrt(vs)
+        p_v = rng.standard_normal(shots_per_eta)
+
+        x_alice = keep_a * x_a - keep_s * x_s
+        x_tx = keep_s * x_a + keep_a * x_s
+        x_out = t * (x_tx + 2.0 * alpha * bits) + r * x_v
+        x_eve_raw = r * (x_tx + 2.0 * alpha * bits) - t * x_v
+
+        decided = np.where(x_out >= 0.0, 1.0, -1.0)
+        bit_errors += int(np.count_nonzero(decided != bits))
+        x_bob = x_out - signal * decided
+        x_eve = x_eve_raw - 2.0 * alpha * r * bits
+
+        p_alice = keep_a * p_a - keep_s * p_s
+        p_tx = keep_s * p_a + keep_a * p_s
+        p_bob = t * p_tx + r * p_v
+        p_eve = r * p_tx - t * p_v
+
+        sums += [
+            np.sum(x_alice * x_alice),
+            np.sum(x_bob * x_bob),
+            np.sum(x_eve * x_eve),
+            np.sum(x_alice * x_bob),
+            np.sum(x_eve * x_bob),
+            np.sum(p_alice * p_alice),
+            np.sum(p_bob * p_bob),
+            np.sum(p_eve * p_eve),
+            np.sum(p_alice * p_bob),
+            np.sum(p_eve * p_bob),
+        ]
+
+    n = shots_per_eta * len(etas)
+    moments = sums / n
+    return EmpiricalMoments(n, bit_errors, *moments)

@@ -61,6 +61,9 @@ DESK_N = 500
 DESK_GRID = 512
 DESK_RADII = (0.15, 0.30, 0.50)
 DESK_SEED = 2026
+# Products are identical at any thread count (criterion 12), so the desk
+# ensembles use two workers to halve their wall time on two cores.
+DESK_THREADS = 2
 
 _desk_seconds: dict[str, float] = {}
 
@@ -95,6 +98,7 @@ def desk_ensembles(baseline_profile):
             DESK_SEED,
             DESK_RADII,
             grid_size=DESK_GRID,
+            threads=DESK_THREADS,
         )
     _desk_seconds["both_zeniths"] = time.perf_counter() - start
     return out
@@ -109,6 +113,7 @@ def desk_thirty_degrees(baseline_profile):
         DESK_SEED,
         (0.50,),
         grid_size=DESK_GRID,
+        threads=DESK_THREADS,
     )
     return ens
 

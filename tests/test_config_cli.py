@@ -1,6 +1,7 @@
 """Config schema, canonical rendering, the command-line workflow, and the
 package surface the README documents."""
 
+import argparse
 import ast
 import itertools
 import math
@@ -14,13 +15,14 @@ import numpy as np
 import pytest
 
 import duallink
-from duallink.cli import _verify_predictions, main
-from duallink.config import _SCHEMA, config_hash, parse_config, render_config
-from duallink.ensemble import fading_stats, load_ensemble
+from duallink.cli import _thread_count, _verify_predictions, main
+from duallink.config import _SCHEMA, config_hash, load_config, parse_config, render_config
+from duallink.ensemble import ChannelEnsemble, fading_stats, load_ensemble, save_ensemble
 from duallink.errors import UsageError
 from duallink.optics import vacuum_beam_radius
 from duallink.protocol import SqueezingParams, classical_ber
 
+from oracles import per_eta_link_budget_rows
 from test_protocol import extraction_second_moment
 
 BASE_CONFIG = """\
@@ -83,6 +85,14 @@ def write_config(tmp_path, **edits) -> str:
 # ------------------------------------------------------------------ config
 
 
+def source_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    return dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+
+
 def test_cli_import_and_config_load_leave_scipy_unloaded(tmp_path):
     # numpy is the only runtime dependency: importing and loading a config
     # must not pull scipy in, and every command must run with it blocked
@@ -100,12 +110,9 @@ def test_cli_import_and_config_load_leave_scipy_unloaded(tmp_path):
         f"print(main(['link-budget', '--config', {path!r}, '--ensemble', {ensemble!r}]))\n"
         f"print(main(['protocol-verify', '--config', {path!r}]))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(
-        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe],
+        env=source_env(), capture_output=True, text=True, check=True,
     )
     lines = result.stdout.splitlines()
     assert lines[0] == "[]"
@@ -420,6 +427,32 @@ def test_link_budget_command(tmp_path):
         )
 
 
+@pytest.mark.parametrize("displacement", ["2.0", "30.0"])
+def test_link_budget_csv_equals_per_eta_reference(tmp_path, displacement):
+    # repr's exponent forms (5e-324, 1e-300 and the subnormal SNRs they
+    # give) and, at displacement 30, BERs that underflow to 0.0 from eta
+    # of about 0.4 upward
+    config_path = write_config(
+        tmp_path, **{"displacement = 10.0": f"displacement = {displacement}"}
+    )
+    config = load_config(config_path)
+    etas = (0.0, 1.0, 5e-324, 1e-300, 1e-17, 0.01, 0.3, 0.5, 0.97, 0.999999999, 0.7071)
+    ensemble_path = tmp_path / "synthetic.ensemble"
+    save_ensemble(
+        ChannelEnsemble(etas, config.geometry, config.profile, config.grid_size, 1, math.inf),
+        ensemble_path,
+    )
+    assert run_cli("link-budget", "--config", config_path, "--ensemble", str(ensemble_path)) == 0
+    text = (tmp_path / "out" / "smoke_linkbudget.csv").read_text(encoding="utf-8")
+    stamp, header, rows = text.split("\n", 2)
+    assert stamp.startswith("# duallink ")
+    assert header == "realization,eta,snr,ber"
+    assert rows == per_eta_link_budget_rows(float(displacement), etas)
+    assert ",5e-324," in rows
+    if displacement == "30.0":
+        assert rows.count(",0.0\n") == 5
+
+
 def test_protocol_verify_passes_and_is_deterministic(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run_cli("protocol-verify", "--config", config) == 0
@@ -612,6 +645,43 @@ def test_verify_predictions_equal_hand_written_reference(squeezing_db):
         assert predictions == expected
         assert ber_mean == expected_mean
         assert ber_rows == expected_rows
+
+
+def test_parser_reused_after_a_usage_error(tmp_path, capsys):
+    # main builds its parser once per process: every subcommand, then a
+    # usage error, then a good call that must match a fresh process
+    config = write_config(tmp_path)
+    ensemble = str(tmp_path / "out" / "smoke.ensemble")
+    budget = ["link-budget", "--config", config, "--ensemble", ensemble]
+    assert run_cli("simulate-channel", "--config", config) == 0
+    assert run_cli("key-rate", "--config", config, "--ensemble", ensemble) == 0
+    assert run_cli(*budget) == 0
+    assert run_cli("protocol-verify", "--config", config) == 0
+    with pytest.raises(SystemExit) as usage:
+        run_cli("key-rate", "--config", config)
+    assert usage.value.code == 2
+    assert "--ensemble" in capsys.readouterr().err
+
+    assert run_cli(*budget) == 0
+    printed = capsys.readouterr()
+    product = (tmp_path / "out" / "smoke_linkbudget.csv").read_bytes()
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from duallink.cli import main; sys.exit(main())",
+         *budget],
+        env=source_env(), capture_output=True, text=True,
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, printed.out, printed.err)
+    assert (tmp_path / "out" / "smoke_linkbudget.csv").read_bytes() == product
+
+
+def test_default_threads_are_the_cpus_the_process_may_use(monkeypatch):
+    default = argparse.Namespace(threads=None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _thread_count(default) == 1
+    assert _thread_count(argparse.Namespace(threads=3)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _thread_count(default) == 8
 
 
 # ------------------------------------------------------------------ package

@@ -20,7 +20,7 @@ from duallink.protocol import (
     zero_leakage_epsilon,
 )
 
-from oracles import eve_bob_correlation
+from oracles import eve_bob_correlation, per_eta_mc_quadrature_sim
 
 
 def gaussian_tail(x: float) -> float:
@@ -326,6 +326,27 @@ def test_mc_small_separation_biases_extracted_moment_low():
     assert moments.xe_xe == pytest.approx(expected_eve, abs=4.0 / math.sqrt(shots))
 
 
+@pytest.mark.parametrize("seed", [23, 24])
+@pytest.mark.parametrize("shots", [1, 20_000])
+@pytest.mark.parametrize("sabotage", [False, True])
+@pytest.mark.parametrize("displacement", [0.0, 2.0, 10.0])
+def test_mc_equals_per_eta_reference(displacement, sabotage, shots, seed):
+    # exact equality of every moment and of the generator state left
+    # behind: the buffered, in-place run is the fresh-array run
+    params = SqueezingParams.from_squeezing_db(8.0)
+    if sabotage:
+        detuned = min(0.9, params.tap_transmissivity * 1.3)
+        params = SqueezingParams(params.squeezed_variance, params.modulation_variance, detuned)
+    classical = ClassicalLayer(displacement=displacement, carrier_amplitude=100.0)
+    etas = np.sort(np.random.default_rng(seed).uniform(0.15, 0.85, 6))
+    etas = np.concatenate([[0.0], etas, [1.0]])
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    moments = mc_quadrature_sim(params, classical, etas, shots, rng)
+    expected = per_eta_mc_quadrature_sim(params, classical, etas, shots, reference_rng)
+    assert moments == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_mc_rejects_bad_arguments():
     params = SqueezingParams.zero_leakage(0.25)
     classical = ClassicalLayer(displacement=1.0, carrier_amplitude=50.0)
@@ -336,6 +357,8 @@ def test_mc_rejects_bad_arguments():
         mc_quadrature_sim(params, classical, [1.5], 100, rng)
     with pytest.raises(UsageError):
         mc_quadrature_sim(params, classical, [0.5], 0, rng)
+    with pytest.raises(UsageError, match="got nan"):
+        mc_quadrature_sim(params, classical, [0.5, 0.2, math.nan], 100, rng)
 
 
 def test_classical_snr_and_ber():
@@ -349,3 +372,31 @@ def test_classical_snr_and_ber():
         classical_snr(-1.0, 0.5)
     with pytest.raises(UsageError):
         classical_ber(-0.1)
+
+
+def test_classical_snr_and_ber_of_arrays_equal_scalar_calls():
+    etas = [0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0]
+    for displacement in (0.0, 2.0, 30.0):
+        snrs = classical_snr(displacement, np.array(etas))
+        assert isinstance(snrs, np.ndarray)
+        assert snrs.tolist() == [classical_snr(displacement, eta) for eta in etas]
+        bers = classical_ber(snrs)
+        assert isinstance(bers, np.ndarray)
+        assert bers.tolist() == [classical_ber(snr) for snr in snrs.tolist()]
+    assert type(classical_snr(2.0, 0.5)) is float
+    assert type(classical_ber(4.0)) is float
+    assert classical_ber([]).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_array_validation_names_the_bad_entry_as_a_scalar_call_does(bad, where):
+    good = [0.0, 0.25, 0.5, 0.75, 1.0, 0.1]
+    values = np.array(good[:where] + [bad] + good[where:])
+    for call in (lambda x: classical_snr(2.0, x), classical_ber):
+        with pytest.raises(UsageError) as scalar:
+            call(bad)
+        with pytest.raises(UsageError) as array:
+            call(values)
+        assert str(array.value) == str(scalar.value)
+        assert repr(bad) in str(array.value)
