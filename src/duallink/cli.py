@@ -387,7 +387,7 @@ def cmd_link_budget(config: RunConfig, args: argparse.Namespace) -> int:
     ens = load_ensemble(args.ensemble)
     _check_ensemble_matches_config(ens, config)
 
-    snrs = classical_snr(config.classical.displacement, ens.etas)
+    snrs = classical_snr(config.classical.displacement, ens.eta_array)
     bers = classical_ber(snrs).tolist()
     mean_ber = sum(bers) / len(bers)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,9 @@ _FORMAT_NAME = "duallink-ensemble"
 #    folded into its chirps, which move every eta at rounding level
 # 5: paraxial, separable hop factors (1-D axis vectors instead of N x N
 #    kernels), which move every eta at rounding level
-_FORMAT_VERSION = 5
+# 6: SFC64 screen streams, and each spectral amplitude a Rayleigh modulus
+#    times a uniform phase, which draws new turbulence
+_FORMAT_VERSION = 6
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (
@@ -57,11 +59,15 @@ class ChannelEnsemble:
     grid_size: int
     master_seed: int
     coherence_time: float  # seconds; +inf when the channel never decorrelates
+    # the etas as a read-only float64 array, converted and validated once
+    eta_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.etas:
             raise UsageError("an ensemble needs at least one realization")
-        _require_valid_etas(self.etas)
+        values = _require_valid_etas(self.etas)
+        values.setflags(write=False)
+        object.__setattr__(self, "eta_array", values)
 
     def __len__(self) -> int:
         return len(self.etas)
@@ -174,7 +180,7 @@ def run_ensemble(
 
 def fading_stats(ens) -> FadingStats:
     """Exact sample moments; accepts an ensemble or any sequence of etas."""
-    etas = _require_valid_etas(ens.etas if isinstance(ens, ChannelEnsemble) else ens)
+    etas = ens.eta_array if isinstance(ens, ChannelEnsemble) else _require_valid_etas(ens)
     mean_eta = float(etas.mean())
     eta_f = float(np.sqrt(etas).mean()) ** 2
     # mathematically nonnegative; shave the last-ulp rounding
@@ -199,7 +205,7 @@ def loss_histogram(ens, bin_width_db: float):
     """
     if bin_width_db <= 0.0:
         raise UsageError("bin width must be positive")
-    etas = _require_valid_etas(ens.etas if isinstance(ens, ChannelEnsemble) else ens)
+    etas = ens.eta_array if isinstance(ens, ChannelEnsemble) else _require_valid_etas(ens)
     if np.any(etas == 0.0):
         raise UsageError("zero transmissivity has unbounded loss; cannot histogram")
     loss_db = -10.0 * np.log10(etas)

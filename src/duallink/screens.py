@@ -128,9 +128,10 @@ class Workspace:
     the running field, and a screen pair's spectral draw, whose real and
     imaginary halves become the pair's two screens and hold the second
     until its slab.  Everything else runs over row tiles: ``phasor``
-    (complex128) is a tile's imprint phasor, and ``scratch`` (float64, the
-    same rows) a tile of normal draws or of a finished screen, or the
-    imprint's float32 angles and cos/sin.  Never shared between
+    (complex128) is a tile's imprint phasor or phase uniforms, and
+    ``scratch`` (float64, the same rows) a tile of modulus uniforms or of a
+    finished screen, or the float32 angles and cos/sin of a spectral draw
+    or of the imprint.  Never shared between
     realizations or workers; a call given none makes a fresh one and
     touches only the buffers it uses.
     """
@@ -145,14 +146,15 @@ class Workspace:
 
 @dataclass(frozen=True)
 class ScreenStreams:
-    """Counter-based random substreams, one per (realization, screen pair).
+    """Independent random substreams, one per (realization, screen pair).
 
     A realization's screens are drawn in pairs of consecutive turbulent
     slabs, and each pair's stream is keyed by the slab index of the pair's
-    first slab (an odd last screen is a pair of one).  Every stream is
-    derived from (master seed, realization, slab index) alone, so any
-    subset of realizations can be regenerated bit-identically in any
-    execution order and on any worker count.
+    first slab (an odd last screen is a pair of one).  Every stream is an
+    SFC64 generator seeded by ``SeedSequence(master seed, spawn_key=
+    (realization, slab index))``, so any subset of realizations can be
+    regenerated bit-identically in any execution order and on any worker
+    count.
     """
 
     master_seed: int
@@ -162,7 +164,7 @@ class ScreenStreams:
         seq = np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(self.realization, slab_index)
         )
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def plan_slabs(geom: LinkGeometry, profile: AtmosphereProfile) -> SlabPlan:
@@ -313,6 +315,46 @@ def _subharmonic_factors(n: int, spacing: float, l_out: float, l_in: float):
     return tuple(weights), basis, means
 
 
+def _draw_spectrum(rng: np.random.Generator, factor: np.ndarray, ws: Workspace) -> None:
+    """factor * R e^(i theta) into ``ws.spectrum``: circular-Gaussian amplitudes.
+
+    Box-Muller: R = sqrt(-2 ln(1 - u)) and theta = 2 pi (v - 1/2) from two
+    row-major N x N uniform draws, all N^2 of u, then all N^2 of v.  They
+    are drawn one row tile at a time, and the generator fills sequentially,
+    so the stream is the same at any tile height.  R * factor is float64
+    and waits in the real half; theta is cast to float32 for SIMD cos and
+    sin, which are widened in the final multiplies.  1 - u is exact and at
+    least 2^-53, so R <= sqrt(106 ln 2) < 8.57.  Against float64 Box-Muller
+    of the same uniforms, each unit normal is off by at most R * 3 * 2^-23:
+    2^-23 from the cast of |theta| <= pi, and 2 float32 ulps (<= 2^-22) of
+    cos or sin.
+    """
+    spectrum = ws.spectrum
+    tiles = _row_tiles(spectrum.shape[0])
+    for tile in tiles:
+        modulus = ws.scratch[: tile.stop - tile.start]
+        rng.random(out=modulus)
+        np.subtract(1.0, modulus, out=modulus)
+        np.log(modulus, out=modulus)
+        modulus *= -2.0
+        np.sqrt(modulus, out=modulus)
+        np.multiply(modulus, factor[tile], out=spectrum.real[tile])
+    for tile in tiles:
+        shape = (tile.stop - tile.start, spectrum.shape[1])
+        angle = ws.phasor.reshape(-1).view(np.float64)[: shape[0] * shape[1]].reshape(shape)
+        rng.random(out=angle)
+        angle -= 0.5
+        angle *= 2.0 * math.pi
+        theta, cosine = ws.scratch.reshape(-1).view(np.float32)[: 2 * angle.size].reshape(
+            2, *shape
+        )
+        np.copyto(theta, angle, casting="same_kind")
+        np.cos(theta, out=cosine)
+        np.sin(theta, out=theta)
+        np.multiply(spectrum.real[tile], theta, out=spectrum.imag[tile])
+        spectrum.real[tile] *= cosine
+
+
 def generate_screen(
     slabs: tuple[Slab, ...],
     grid_size: int,
@@ -323,7 +365,8 @@ def generate_screen(
 ) -> tuple[PhaseScreen, ...]:
     """Draw the phase screens of one or two slabs on an N x N grid.
 
-    Spectral synthesis: circular-Gaussian amplitudes weighted by
+    Spectral synthesis: circular-Gaussian amplitudes, each a Rayleigh
+    modulus times a uniform phase (``_draw_spectrum``), weighted by
     sqrt(PSD) * df on the FFT lattice, plus three levels of 3x3
     subharmonic patches whose amplitudes carry the cell-integrated PSD.
     The real and imaginary parts of the inverse transform are two
@@ -352,19 +395,12 @@ def generate_screen(
         )
 
     # DC cell is zeroed in the cached factor; the subharmonic levels own
-    # everything below one window cycle.  The N^2 real-part normals, then
-    # the N^2 imaginary-part normals, are drawn one row tile at a time (the
-    # generator fills sequentially, so the stream is that of one N x N
-    # draw).  Each slab's r0 scale is applied once, to its finished screen.
+    # everything below one window cycle.  Each slab's r0 scale is applied
+    # once, to its finished screen.
     ws = Workspace(n) if workspace is None else workspace
-    factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
+    _draw_spectrum(rng, _fft_amplitude_factor(n, spacing, l_out, l_in), ws)
     spectrum = ws.spectrum
     tiles = _row_tiles(n)
-    for half in (spectrum.real, spectrum.imag):
-        for tile in tiles:
-            draws = ws.scratch[: tile.stop - tile.start]
-            rng.standard_normal(out=draws)
-            np.multiply(draws, factor[tile], out=half[tile])
     # ifftn rather than ifft2: numpy's ifft2 ignores out=
     np.fft.ifftn(spectrum, norm="forward", out=spectrum)
 

@@ -161,17 +161,25 @@ def full_grid_apodization_mask(n: int) -> np.ndarray:
     return np.exp(-_APODIZATION_STRENGTH * r**_APODIZATION_ORDER)
 
 
+def full_grid_spectrum(rng, factor: np.ndarray) -> np.ndarray:
+    """The Box-Muller spectral draw with whole-grid buffers: all N^2 modulus
+    uniforms, then all N^2 phase uniforms, and float32 cos and sin."""
+    n = factor.shape[0]
+    u = rng.random((n, n))
+    v = rng.random((n, n))
+    amplitude = np.sqrt(-2.0 * np.log(1.0 - u)) * factor
+    theta = ((v - 0.5) * (2.0 * np.pi)).astype(np.float32)
+    spectrum = np.empty((n, n), dtype=complex)
+    spectrum.real = amplitude * np.cos(theta)
+    spectrum.imag = amplitude * np.sin(theta)
+    return spectrum
+
+
 def full_grid_generate_screen(slabs, n: int, spacing: float, rng, profile) -> list[np.ndarray]:
-    """Screen synthesis with whole-grid buffers: one N x N draw per half,
+    """Screen synthesis with whole-grid buffers: one N x N spectral draw,
     and each screen finished as one N x N einsum plus its half, then scaled."""
     l_out, l_in = profile.outer_scale, profile.inner_scale
-    factor = full_grid_fft_amplitude_factor(n, spacing, l_out, l_in)
-    spectrum = np.empty((n, n), dtype=complex)
-    draws = np.empty((n, n))
-    rng.standard_normal(out=draws)
-    np.multiply(draws, factor, out=spectrum.real)
-    rng.standard_normal(out=draws)
-    np.multiply(draws, factor, out=spectrum.imag)
+    spectrum = full_grid_spectrum(rng, full_grid_fft_amplitude_factor(n, spacing, l_out, l_in))
     np.fft.ifftn(spectrum, norm="forward", out=spectrum)
 
     weights, basis, means = _subharmonic_factors(n, spacing, l_out, l_in)

@@ -160,6 +160,19 @@ def test_two_point_ensemble_moments():
     assert stats.var_sqrt == 0.25
 
 
+def test_ensemble_statistics_read_its_validated_array():
+    # the etas are converted and checked once, on construction; every
+    # statistic of the ensemble equals its value over the plain sequence
+    etas = [0.31, 0.52, 0.77, 0.4, 0.66]
+    ens = synthetic_ensemble(etas)
+    assert ens.eta_array.tolist() == etas
+    assert not ens.eta_array.flags.writeable
+    assert fading_stats(ens) == fading_stats(etas)
+    assert loss_histogram(ens, 0.5) == loss_histogram(etas, 0.5)
+    with pytest.raises(DataIntegrityError):
+        synthetic_ensemble([0.5, 1.2])
+
+
 def test_fading_stats_rejects_out_of_range():
     with pytest.raises(DataIntegrityError):
         fading_stats([0.5, 1.2])
@@ -281,12 +294,12 @@ def test_version_mismatch_refused(tmp_path):
         load_ensemble(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_format_one_file_refused(tmp_path, version):
     # format 1 drew one spectral FFT per screen, format 2 integrated the
     # altitude profile by adaptive quadrature, format 3 imprinted with
-    # float64 cos and sin, and format 4 hopped with the exact N x N angular
-    # spectrum kernel; their etas differ
+    # float64 cos and sin, format 4 hopped with the exact N x N angular
+    # spectrum kernel, and format 5 drew Philox normals; their etas differ
     ens = synthetic_ensemble([0.5])
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)

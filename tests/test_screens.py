@@ -21,7 +21,9 @@ from duallink.screens import (
     ScreenStreams,
     Slab,
     SlabPlan,
+    Workspace,
     _cell_integrated_psd,
+    _draw_spectrum,
     _fft_amplitude_factor,
     _row_tiles,
     generate_screen,
@@ -33,6 +35,7 @@ from conftest import make_geometry
 from oracles import (
     full_grid_fft_amplitude_factor,
     full_grid_generate_screen,
+    full_grid_spectrum,
     screen_structure_function,
 )
 
@@ -206,25 +209,92 @@ def test_ensemble_pixel_means_near_zero():
 
 def test_screen_variance_scales_with_integrated_turbulence():
     # Doubling integrated Cn2 in a slab divides r0 by 2^(3/5) and must
-    # double the pixel variance (r0^(-5/3) scaling).
+    # double the pixel variance (r0^(-5/3) scaling).  Both slabs draw from
+    # the same streams, so the law holds to rounding, free of sampling error.
     profile = kolmogorov_like_profile()
     base = Slab(0.0, 100.0, 100.0, 0.1)
     doubled = Slab(0.0, 100.0, 100.0, 0.1 * 2 ** (-3.0 / 5.0))
     base_screens = make_screens(base, 128, 0.01, profile, 200, seed=5)
-    doubled_screens = make_screens(doubled, 128, 0.01, profile, 200, seed=6)
+    doubled_screens = make_screens(doubled, 128, 0.01, profile, 200, seed=5)
     v1 = np.mean([np.var(s.grid) for s in base_screens])
     v2 = np.mean([np.var(s.grid) for s in doubled_screens])
-    assert v2 / v1 == pytest.approx(2.0, rel=0.05)
+    assert v2 / v1 == pytest.approx(2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spectral draws
+
+
+def unit_spectrum(n, rng):
+    """One spectral draw with every amplitude factor 1: N^2 complex normals."""
+    ws = Workspace(n)
+    _draw_spectrum(rng, np.ones((n, n)), ws)
+    return ws.spectrum
+
+
+# Fixed before the first run of the Box-Muller draw.  Against float64
+# Box-Muller of the same uniforms, each unit normal is off by at most
+# R * 3 * 2^-23: 2^-23 from the float32 cast of |theta| <= pi, and 2 float32
+# ulps (<= 2^-22) of cos or sin, the accuracy numpy's own suite holds.  The
+# float64 modulus and products add a few ulps of R.  R <= sqrt(106 ln 2).
+TRIG_BOUND = 3.0 * 2.0**-23
+MODULUS_MAX = math.sqrt(106.0 * math.log(2.0))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_spectral_draws_within_float32_trig_bound(n):
+    streams = ScreenStreams(29, 4)
+    ref_rng = streams.generator(1)
+    rng = streams.generator(1)
+    spectrum = unit_spectrum(n, rng)
+    modulus = np.sqrt(-2.0 * np.log(1.0 - ref_rng.random((n, n))))
+    theta = 2.0 * np.pi * (ref_rng.random((n, n)) - 0.5)
+    assert modulus.max() <= MODULUS_MAX
+    bound = modulus * (TRIG_BOUND + 2.0**-50)
+    assert np.all(np.abs(spectrum.real - modulus * np.cos(theta)) <= bound)
+    assert np.all(np.abs(spectrum.imag - modulus * np.sin(theta)) <= bound)
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+def test_unit_spectral_draws_are_standard_normal():
+    # Both halves are N(0, 1) and independent of each other: each sample
+    # moment sits within 5 standard errors of its value.
+    spectrum = unit_spectrum(512, ScreenStreams(31, 0).generator(2))
+    x, y = spectrum.real.ravel(), spectrum.imag.ravel()
+    m = x.size
+    tail = math.erfc(3.0 / math.sqrt(2.0))  # P(|z| > 3)
+    for z in (x, y):
+        assert abs(z.mean()) <= 5.0 * math.sqrt(1.0 / m)
+        assert abs(np.mean(z**2) - 1.0) <= 5.0 * math.sqrt(2.0 / m)
+        assert abs(np.mean(z**4) - 3.0) <= 5.0 * math.sqrt(96.0 / m)
+        beyond = np.mean(np.abs(z) > 3.0)
+        assert abs(beyond - tail) <= 5.0 * math.sqrt(tail * (1.0 - tail) / m)
+    assert abs(np.mean(x * y)) <= 5.0 * math.sqrt(1.0 / m)
+
+
+PINNED_AMPLITUDES = [
+    "-0x1.5d86856da704fp-2", "0x1.db7d9eecacdd2p-3",
+    "0x1.5ccda19c75781p-4", "-0x1.dd2cd81b42645p-1",
+    "0x1.92ce696105f79p-2", "-0x1.63742338bea1ap+0",
+]
+
+
+def test_first_spectral_amplitudes_are_pinned():
+    # ensemble format 6's stream: SFC64 keyed by (seed, realization, slab
+    # index), all modulus uniforms, then all phase uniforms
+    spectrum = unit_spectrum(64, ScreenStreams(13, 0).generator(0))
+    got = [value.hex() for z in spectrum.ravel()[:3].tolist() for value in (z.real, z.imag)]
+    assert got == PINNED_AMPLITUDES
 
 
 def reference_generate_screen(slabs, n, spacing, rng, profile):
-    """Complex-phasor synthesis: one ifft2 whose real and imaginary parts
-    serve the first and second slab, plus, per slab and subharmonic level,
-    Re(P^T A P) with P the 3 x N axis phasors exp(i k theta x), k = -1, 0, 1."""
+    """Complex-phasor synthesis: one ifft2 of the spectral draw, whose real
+    and imaginary parts serve the first and second slab, plus, per slab and
+    subharmonic level, Re(P^T A P) with P the 3 x N axis phasors
+    exp(i k theta x), k = -1, 0, 1."""
     l_out, l_in = profile.outer_scale, profile.inner_scale
     factor = _fft_amplitude_factor(n, spacing, l_out, l_in)
-    amplitude = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    transform = np.fft.ifft2(amplitude * factor) * (n * n)
+    transform = np.fft.ifft2(full_grid_spectrum(rng, factor)) * (n * n)
 
     df = 1.0 / (n * spacing)
     coords = (np.arange(n) - n // 2) * spacing
