@@ -35,7 +35,7 @@ from .ensemble import (
     save_ensemble,
 )
 from .errors import DuallinkError, UsageError, VerificationError
-from .keyrate import key_rate_summary, render_key_rate_report
+from .keyrate import RATE_NAMES, key_rate_summary, render_key_rate_report
 from .protocol import (
     SqueezingParams,
     classical_ber,
@@ -233,14 +233,10 @@ def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
     )
 
     csv_path = out / f"{config.scenario}_keyrate.csv"
-    columns = (
-        "mutual_information", "asymptotic_rate", "finite_size_rate_raw",
-        "finite_size_rate", "ideal_rate", "plob_bound",
-    )
     geom = config.geometry
     row = (geom.zenith_angle, geom.aperture_radius, config.squeezing_db)
-    header = "zenith_angle_deg,aperture_radius_m,squeezing_db," + ",".join(columns)
-    _write_csv(csv_path, stamp, header, [row + tuple(rates[name] for name in columns)])
+    header = "zenith_angle_deg,aperture_radius_m,squeezing_db," + ",".join(RATE_NAMES)
+    _write_csv(csv_path, stamp, header, [row + tuple(rates[name] for name in RATE_NAMES)])
 
     print(
         f"finite-size rate {rates['finite_size_rate']:.6g} bits/use "

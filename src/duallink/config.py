@@ -125,7 +125,7 @@ class RunConfig:
         return SqueezingParams.from_squeezing_db(self.squeezing_db)
 
     def finite_size_params(self) -> FiniteSizeParams:
-        return FiniteSizeParams.from_total_epsilon(
+        return FiniteSizeParams(
             block_size=self.block_size,
             kept_length=self.block_size * self.kept_fraction,
             recon_efficiency=self.recon_efficiency,

@@ -17,6 +17,12 @@ from .errors import PhysicalityError, UsageError
 from .protocol import CovarianceMatrix, SqueezingParams, covariance_matrix
 
 _AEP_POLICIES = ("composed", "smoothing_bar")
+# The rates of one channel, in the order key_rate_summary returns them and
+# the report and the key-rate CSV list them.
+RATE_NAMES = (
+    "mutual_information", "asymptotic_rate", "finite_size_rate_raw",
+    "finite_size_rate", "ideal_rate", "plob_bound",
+)
 # Constant-loss range (dB) that max_tolerable_loss searches for the zero crossing.
 _LOSS_BRACKET_DB = (0.0, 100.0)
 
@@ -49,7 +55,13 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class FiniteSizeParams:
-    """Block accounting and security parameters for the finite-size rate.
+    """Block accounting and the composable security budget of the finite-size rate.
+
+    The one budget ``total_epsilon`` composes as 2 eps_smooth + eps_bar +
+    eps_pe + eps_cor and is split evenly: eps_smooth = eps_bar = eps_cor =
+    total_epsilon / 4 and eps_pe = 0, since Bob's q-variance is pinned at
+    the vacuum level and needs no parameter estimation.  A budget so small
+    that the finite-size penalty is not finite is refused.
 
     ``aep_interior_eps`` selects which security parameter feeds the
     entropy-accumulation penalty: "composed" uses the total epsilon (as
@@ -62,13 +74,12 @@ class FiniteSizeParams:
     kept_length: float
     recon_efficiency: float
     discretisation: int
-    eps_smooth: float
-    eps_bar: float
-    eps_pe: float
-    eps_cor: float
+    total_epsilon: float
     aep_interior_eps: str = field(default="composed")
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.total_epsilon < 1.0):
+            raise UsageError(f"total epsilon must be in (0, 1), got {self.total_epsilon}")
         if not (1.0 <= self.kept_length <= self.block_size):
             raise UsageError(
                 f"kept length must satisfy 1 <= N' <= N, got N'={self.kept_length}, "
@@ -80,22 +91,27 @@ class FiniteSizeParams:
             )
         if self.discretisation < 1:
             raise UsageError(f"discretisation must be at least 1 bit, got {self.discretisation}")
-        for name in ("eps_smooth", "eps_bar", "eps_pe", "eps_cor"):
-            value = getattr(self, name)
-            if not (0.0 <= value < 1.0):
-                raise UsageError(f"{name} must be in [0, 1), got {value}")
-        if not (0.0 < self.total_epsilon < 1.0):
-            raise UsageError(
-                f"composed security parameter must be in (0, 1), got {self.total_epsilon}"
-            )
         if self.aep_interior_eps not in _AEP_POLICIES:
             raise UsageError(
                 f"aep_interior_eps must be one of {_AEP_POLICIES}, got {self.aep_interior_eps!r}"
             )
+        # A finite AEP penalty needs eps_smooth**2 > 0, so the correctness
+        # term, which divides by eps_bar = eps_smooth, is then finite too.
+        try:
+            finite = math.isfinite(aep_delta(self))
+        except ZeroDivisionError:  # a product of the shares underflowed to 0
+            finite = False
+        if not finite:
+            raise UsageError(
+                f"total_epsilon {self.total_epsilon!r} is too small: "
+                "the finite-size penalty is not finite"
+            )
 
     @property
-    def total_epsilon(self) -> float:
-        return 2.0 * self.eps_smooth + self.eps_bar + self.eps_pe + self.eps_cor
+    def split(self) -> dict[str, float]:
+        """The budget's shares by name, in the order the report prints them."""
+        quarter = self.total_epsilon / 4.0
+        return {"eps_smooth": quarter, "eps_bar": quarter, "eps_pe": 0.0, "eps_cor": quarter}
 
     @classmethod
     def from_total_epsilon(
@@ -107,26 +123,10 @@ class FiniteSizeParams:
         total_epsilon: float,
         aep_interior_eps: str = "composed",
     ) -> "FiniteSizeParams":
-        """Even budget split: eps_sm = eps_bar = eps_cor = eps/4, eps_pe = 0.
-
-        Parameter estimation is unnecessary for this protocol (Bob's
-        q-variance is pinned at the vacuum level), so its share of the
-        budget is zero and the remaining quarter weights make the
-        composition 2*eps_sm + eps_bar + eps_cor equal the total.
-        """
-        if not (0.0 < total_epsilon < 1.0):
-            raise UsageError(f"total epsilon must be in (0, 1), got {total_epsilon}")
-        quarter = total_epsilon / 4.0
+        """Same as the constructor; the name says which budget it takes."""
         return cls(
-            block_size=block_size,
-            kept_length=kept_length,
-            recon_efficiency=recon_efficiency,
-            discretisation=discretisation,
-            eps_smooth=quarter,
-            eps_bar=quarter,
-            eps_pe=0.0,
-            eps_cor=quarter,
-            aep_interior_eps=aep_interior_eps,
+            block_size, kept_length, recon_efficiency, discretisation,
+            total_epsilon, aep_interior_eps,
         )
 
 
@@ -187,13 +187,10 @@ def aep_delta(p: FiniteSizeParams) -> float:
     logarithmically as the security parameters tighten; the kept-length
     term is a vanishing correction for any realistic block.
     """
-    if p.eps_smooth <= 0.0:
-        raise UsageError("smoothing epsilon must be positive for the penalty term")
-    eps = p.total_epsilon if p.aep_interior_eps == "composed" else p.eps_bar
-    if eps <= 0.0:
-        raise UsageError("interior epsilon must be positive for the penalty term")
+    split = p.split
+    eps_sm = split["eps_smooth"]
+    eps = p.total_epsilon if p.aep_interior_eps == "composed" else split["eps_bar"]
     d = float(p.discretisation)
-    eps_sm = p.eps_smooth
     return (
         (d + 1.0) ** 2
         + 4.0 * (d + 1.0) * math.sqrt(math.log2(2.0 / (2.0 * eps_sm**2)))
@@ -210,13 +207,11 @@ def finite_size_rate(p: FiniteSizeParams, mutual_info: float) -> float:
     """
     if mutual_info < 0.0:
         raise UsageError(f"mutual information must be nonnegative, got {mutual_info}")
-    if p.eps_bar <= 0.0:
-        raise UsageError("eps_bar must be positive for the correctness term")
     n_kept = p.kept_length
     return (
         n_kept * p.recon_efficiency * mutual_info
         - math.sqrt(n_kept) * aep_delta(p)
-        - 2.0 * math.log2(1.0 / (2.0 * p.eps_bar))
+        - 2.0 * math.log2(1.0 / (2.0 * p.split["eps_bar"]))
     ) / p.block_size
 
 
@@ -272,14 +267,15 @@ def key_rate_summary(
     cm = covariance_matrix(params, stats)
     info = mutual_information(cm, det)
     raw = finite_size_rate(fin, info)
-    return {
-        "mutual_information": info,
-        "asymptotic_rate": asymptotic_rate(fin.recon_efficiency, info),
-        "finite_size_rate_raw": raw,
-        "finite_size_rate": max(raw, 0.0),
-        "ideal_rate": ideal_rate(stats.eta_f),
-        "plob_bound": plob_bound(stats.eta_f),
-    }
+    rates = (
+        info,
+        asymptotic_rate(fin.recon_efficiency, info),
+        raw,
+        max(raw, 0.0),
+        ideal_rate(stats.eta_f),
+        plob_bound(stats.eta_f),
+    )
+    return dict(zip(RATE_NAMES, rates))
 
 
 def render_key_rate_report(
@@ -291,35 +287,35 @@ def render_key_rate_report(
 ) -> str:
     """Human-readable report echoing all inputs next to their
     ``key_rate_summary`` rates."""
+    inputs = [
+        ("squeezed_variance", params.squeezed_variance),
+        ("modulation_variance", params.modulation_variance),
+        ("tap_transmissivity", params.tap_transmissivity),
+        ("mean_eta", stats.mean_eta),
+        ("eta_f", stats.eta_f),
+        ("var_sqrt", stats.var_sqrt),
+        ("mean_loss_db", stats.mean_loss_db),
+        ("detector_efficiency", det.efficiency),
+        ("electronic_noise", det.electronic_noise),
+        ("block_size", fin.block_size),
+        ("kept_length", fin.kept_length),
+        ("recon_efficiency", fin.recon_efficiency),
+        ("discretisation", fin.discretisation),
+        *fin.split.items(),
+        ("total_epsilon", fin.total_epsilon),
+    ]
+
+    def table(rows) -> list[str]:
+        # the discretisation is an int and prints whole
+        return [f"  {name:<22} {v if isinstance(v, int) else f'{v:.12g}'}" for name, v in rows]
+
     lines = [
         "key rate report",
         "",
         "inputs",
-        f"  squeezed_variance      {params.squeezed_variance:.12g}",
-        f"  modulation_variance    {params.modulation_variance:.12g}",
-        f"  tap_transmissivity     {params.tap_transmissivity:.12g}",
-        f"  mean_eta               {stats.mean_eta:.12g}",
-        f"  eta_f                  {stats.eta_f:.12g}",
-        f"  var_sqrt               {stats.var_sqrt:.12g}",
-        f"  mean_loss_db           {stats.mean_loss_db:.12g}",
-        f"  detector_efficiency    {det.efficiency:.12g}",
-        f"  electronic_noise       {det.electronic_noise:.12g}",
-        f"  block_size             {fin.block_size:.12g}",
-        f"  kept_length            {fin.kept_length:.12g}",
-        f"  recon_efficiency       {fin.recon_efficiency:.12g}",
-        f"  discretisation         {fin.discretisation}",
-        f"  eps_smooth             {fin.eps_smooth:.12g}",
-        f"  eps_bar                {fin.eps_bar:.12g}",
-        f"  eps_pe                 {fin.eps_pe:.12g}",
-        f"  eps_cor                {fin.eps_cor:.12g}",
-        f"  total_epsilon          {fin.total_epsilon:.12g}",
+        *table(inputs),
         "",
         "rates (bits/use)",
-        f"  mutual_information     {rates['mutual_information']:.12g}",
-        f"  asymptotic_rate        {rates['asymptotic_rate']:.12g}",
-        f"  finite_size_rate_raw   {rates['finite_size_rate_raw']:.12g}",
-        f"  finite_size_rate       {rates['finite_size_rate']:.12g}",
-        f"  ideal_rate             {rates['ideal_rate']:.12g}",
-        f"  plob_bound             {rates['plob_bound']:.12g}",
+        *table((name, rates[name]) for name in RATE_NAMES),
     ]
     return "\n".join(lines) + "\n"

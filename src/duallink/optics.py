@@ -28,6 +28,7 @@ import numpy as np
 from .atmosphere import AtmosphereProfile, LinkGeometry
 from .errors import NumericalError, UsageError
 from .screens import (
+    _MAX_SLABS,
     PhaseScreen,
     ScreenStreams,
     SlabPlan,
@@ -113,7 +114,8 @@ def choose_receiver_window(geom: LinkGeometry, aperture_radii) -> float:
     return max(8.0 * vacuum_beam_radius(geom, geom.path_length), 4.0 * max(aperture_radii))
 
 
-@locked_cache(maxsize=16)
+# one entry per fixed-grid hop of a realization: at most one per screen
+@locked_cache(maxsize=_MAX_SLABS)
 def _angular_spectrum_kernel(
     n: int, spacing: float, wavelength: float, distance: float
 ) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Estimators that only the tests use: field power, beam radius, phase
 structure function, and the Eve-Bob correlation; full-grid references
 for the separable hop factors, the block-metered aperture, and the
-row-tiled screen synthesis, imprint and cached grids; and per-eta
-references for the array-native link budget and quadrature Monte Carlo."""
+row-tiled screen synthesis, imprint and cached grids; per-eta
+references for the array-native link budget and quadrature Monte Carlo;
+and the finite-size penalty over four separately stored epsilons."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -288,3 +290,70 @@ def per_eta_mc_quadrature_sim(
     n = shots_per_eta * len(etas)
     moments = sums / n
     return EmpiricalMoments(n, bit_errors, *moments)
+
+
+class FourEpsilonParams(NamedTuple):
+    """Finite-size parameters with each share of the security budget stored
+    on its own and the total composed from them."""
+
+    block_size: float
+    kept_length: float
+    recon_efficiency: float
+    discretisation: int
+    eps_smooth: float
+    eps_bar: float
+    eps_pe: float
+    eps_cor: float
+    aep_interior_eps: str = "composed"
+
+    @property
+    def total_epsilon(self) -> float:
+        return 2.0 * self.eps_smooth + self.eps_bar + self.eps_pe + self.eps_cor
+
+    @classmethod
+    def even_split(
+        cls,
+        block_size: float,
+        kept_length: float,
+        recon_efficiency: float,
+        discretisation: int,
+        total_epsilon: float,
+        aep_interior_eps: str = "composed",
+    ) -> "FourEpsilonParams":
+        """eps_sm = eps_bar = eps_cor = eps/4, eps_pe = 0."""
+        quarter = total_epsilon / 4.0
+        return cls(
+            block_size, kept_length, recon_efficiency, discretisation,
+            quarter, quarter, 0.0, quarter, aep_interior_eps,
+        )
+
+
+def four_epsilon_aep_delta(p: FourEpsilonParams) -> float:
+    """Entropy-accumulation penalty coefficient read from the four epsilons."""
+    if p.eps_smooth <= 0.0:
+        raise UsageError("smoothing epsilon must be positive for the penalty term")
+    eps = p.total_epsilon if p.aep_interior_eps == "composed" else p.eps_bar
+    if eps <= 0.0:
+        raise UsageError("interior epsilon must be positive for the penalty term")
+    d = float(p.discretisation)
+    eps_sm = p.eps_smooth
+    return (
+        (d + 1.0) ** 2
+        + 4.0 * (d + 1.0) * math.sqrt(math.log2(2.0 / (2.0 * eps_sm**2)))
+        + 2.0 * math.log2(2.0 / (2.0 * eps**2 * eps_sm))
+        + 4.0 * eps_sm * d / (eps * math.sqrt(p.kept_length))
+    )
+
+
+def four_epsilon_finite_size_rate(p: FourEpsilonParams, mutual_info: float) -> float:
+    """Composable finite-size key rate read from the four epsilons."""
+    if mutual_info < 0.0:
+        raise UsageError(f"mutual information must be nonnegative, got {mutual_info}")
+    if p.eps_bar <= 0.0:
+        raise UsageError("eps_bar must be positive for the correctness term")
+    n_kept = p.kept_length
+    return (
+        n_kept * p.recon_efficiency * mutual_info
+        - math.sqrt(n_kept) * four_epsilon_aep_delta(p)
+        - 2.0 * math.log2(1.0 / (2.0 * p.eps_bar))
+    ) / p.block_size

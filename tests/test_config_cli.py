@@ -511,6 +511,17 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys):
     assert_one_error_line(capsys, "[geometry] aperture_radius: 'nan' is not finite")
 
 
+@pytest.mark.parametrize("total_epsilon", ["1e-105", "1e-150", "1e-323"])
+def test_budget_with_non_finite_penalty_exits_one(tmp_path, capsys, total_epsilon):
+    config = write_config(tmp_path)
+    assert run_cli("simulate-channel", "--config", config) == 0
+    ensemble_path = tmp_path / "out" / "smoke.ensemble"
+    tiny = write_config(tmp_path, **{"total_epsilon = 1e-9": f"total_epsilon = {total_epsilon}"})
+    capsys.readouterr()
+    assert run_cli("key-rate", "--config", tiny, "--ensemble", str(ensemble_path)) == 1
+    assert_one_error_line(capsys, f"total_epsilon {float(total_epsilon)!r} is too small")
+
+
 def test_undecodable_config_exits_one(tmp_path, capsys):
     path = tmp_path / "latin1.ini"
     text = BASE_CONFIG.format(out=tmp_path).replace("smoke", "sm\xf6ke")

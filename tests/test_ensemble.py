@@ -129,6 +129,19 @@ def test_concurrent_workers_build_each_kernel_once(baseline_profile, module, nam
     assert misses[4] == misses[1]
 
 
+def test_kernel_cache_keeps_every_hop_between_realizations(baseline_profile):
+    # zenith 75 plans 19 screens: each realization walks 19 fixed-grid hops
+    geom = make_geometry(75.0)
+    plan = screens.plan_slabs(geom, baseline_profile)
+    cache = optics._angular_spectrum_kernel
+    cache.cache_clear()
+    run_ensemble(geom, baseline_profile, 1, 3, grid_size=256)
+    first = cache.cache_info().misses
+    assert first == sum(slab.has_screen for slab in plan.slabs)
+    run_ensemble(geom, baseline_profile, 1, 4, grid_size=256)
+    assert cache.cache_info().misses == first
+
+
 def test_ensemble_size_must_be_positive(baseline_profile):
     with pytest.raises(UsageError):
         run_ensemble(make_geometry(), baseline_profile, 0, master_seed=1)

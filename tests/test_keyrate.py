@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duallink.ensemble import FadingStats, fading_stats
 from duallink.errors import PhysicalityError, UsageError
@@ -22,6 +24,8 @@ from duallink.keyrate import (
     render_key_rate_report,
 )
 from duallink.protocol import SqueezingParams, covariance_matrix
+
+from oracles import FourEpsilonParams, four_epsilon_aep_delta, four_epsilon_finite_size_rate
 
 # Regression constant: four-term penalty expression evaluated at 40
 # significant digits for d=5, eps_sm=eps_bar=eps_cor=2.5e-10, eps_pe=0,
@@ -80,14 +84,20 @@ def test_finite_size_params_validation():
     with pytest.raises(UsageError):
         FiniteSizeParams.from_total_epsilon(1e10, 5e9, 0.98, 5, 2.0)
     with pytest.raises(UsageError):
-        FiniteSizeParams(1e10, 5e9, 0.98, 5, 2.5e-10, 2.5e-10, 0.0, 2.5e-10, "typo")
+        FiniteSizeParams(1e10, 5e9, 0.98, 5, 1e-9, "typo")
+    # budgets whose penalty overflows, divides by zero, or whose quarter is 0
+    for tiny in (1e-105, 1e-150, 1e-323):
+        for policy in ("composed", "smoothing_bar"):
+            with pytest.raises(UsageError, match="total_epsilon"):
+                FiniteSizeParams(1e10, 5e9, 0.98, 5, tiny, policy)
 
 
 def test_even_epsilon_split():
-    fin = reference_finite_size()
-    assert fin.eps_smooth == fin.eps_bar == fin.eps_cor == pytest.approx(2.5e-10)
-    assert fin.eps_pe == 0.0
-    assert fin.total_epsilon == pytest.approx(1e-9, rel=1e-12)
+    split = reference_finite_size().split
+    assert split["eps_smooth"] == split["eps_bar"] == split["eps_cor"] == pytest.approx(2.5e-10)
+    assert split["eps_pe"] == 0.0
+    composed = 2.0 * split["eps_smooth"] + split["eps_bar"] + split["eps_pe"] + split["eps_cor"]
+    assert composed == pytest.approx(1e-9, rel=1e-12)
 
 
 # ------------------------------------------------------ mutual information
@@ -185,9 +195,7 @@ def test_aep_delta_kept_length_limit():
 
 def test_aep_delta_interior_epsilon_policy():
     composed = reference_finite_size()
-    bar = FiniteSizeParams(
-        1e10, 5e9, 0.98, 5, 2.5e-10, 2.5e-10, 0.0, 2.5e-10, "smoothing_bar"
-    )
+    bar = FiniteSizeParams(1e10, 5e9, 0.98, 5, 1e-9, "smoothing_bar")
     eps_sm = 2.5e-10
     eps_bar = 2.5e-10
     expected = (
@@ -198,6 +206,33 @@ def test_aep_delta_interior_epsilon_policy():
     )
     assert aep_delta(bar) == pytest.approx(expected, rel=1e-12)
     assert aep_delta(bar) > aep_delta(composed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total_epsilon=st.floats(3e-103, 1.0, exclude_max=True),
+    policy=st.sampled_from(["composed", "smoothing_bar"]),
+    discretisation=st.integers(1, 16),
+    lengths=st.lists(st.floats(1.0, 1e14), min_size=2, max_size=2),
+    recon_efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    info=st.floats(0.0, 10.0),
+)
+def test_penalty_equals_four_epsilon_reference(
+    total_epsilon, policy, discretisation, lengths, recon_efficiency, info
+):
+    kept_length, block_size = sorted(lengths)
+    args = (block_size, kept_length, recon_efficiency, discretisation, total_epsilon, policy)
+    reference = FourEpsilonParams.even_split(*args)
+    expected = four_epsilon_aep_delta(reference)
+    if not math.isfinite(expected):
+        # only under smoothing_bar, below a budget of about 7.1e-103
+        with pytest.raises(UsageError, match="total_epsilon"):
+            FiniteSizeParams(*args)
+        return
+    fin = FiniteSizeParams(*args)
+    assert fin.total_epsilon == reference.total_epsilon
+    assert aep_delta(fin) == expected
+    assert finite_size_rate(fin, info) == four_epsilon_finite_size_rate(reference, info)
 
 
 # --------------------------------------------------------- finite-size rate
