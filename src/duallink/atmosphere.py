@@ -184,6 +184,11 @@ def _band(geom: LinkGeometry, h_lo: float | None, h_hi: float | None) -> tuple[f
     return a, b
 
 
+def _rytov_scale(geom: LinkGeometry) -> float:
+    """Downlink Rytov variance per unit of the moment integral of Cn2 (h - h0)^(5/6)."""
+    return 2.25 * geom.wavenumber ** (7.0 / 6.0) * geom.sec_zenith ** (11.0 / 6.0)
+
+
 def _rytov_density(geom: LinkGeometry, profile: AtmosphereProfile):
     """Integrand of the downlink Rytov variance per meter of altitude.
 
@@ -191,7 +196,7 @@ def _rytov_density(geom: LinkGeometry, profile: AtmosphereProfile):
     channel's ground altitude, so restricted bands add up to the full-path
     value and a slab partition conserves total scintillation.
     """
-    scale = 2.25 * geom.wavenumber ** (7.0 / 6.0) * geom.sec_zenith ** (11.0 / 6.0)
+    scale = _rytov_scale(geom)
     h0 = geom.ground_altitude
     return lambda h: scale * cn2(h, profile) * (h - h0) ** (5.0 / 6.0)
 
@@ -217,18 +222,6 @@ def rytov_variance(
     the integral of ``_rytov_density`` over [h_lo, h_hi] (defaults: full path)."""
     a, b = _band(geom, h_lo, h_hi)
     return float(_cumulative_integral(_rytov_density(geom, profile), a, b)[1][-1])
-
-
-def scintillation_index(rytov_var: float) -> float:
-    """Intensity variance from the Rytov variance, valid into strong fluctuation."""
-    if rytov_var < 0.0:
-        raise UsageError("Rytov variance must be nonnegative")
-    if rytov_var == 0.0:
-        return 0.0
-    s = math.sqrt(rytov_var)  # sigma_R
-    term1 = 0.49 * rytov_var / (1.0 + 1.11 * s ** (12.0 / 5.0)) ** (7.0 / 6.0)
-    term2 = 0.51 * rytov_var / (1.0 + 0.69 * s ** (12.0 / 5.0)) ** (5.0 / 6.0)
-    return math.exp(term1 + term2) - 1.0
 
 
 def fried_parameter(

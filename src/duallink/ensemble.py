@@ -21,6 +21,7 @@ from .errors import DataIntegrityError, DuallinkError, UsageError
 from .optics import (
     aperture_transmissivity,
     choose_receiver_window,
+    first_leg,
     gaussian_source,
     split_step,
 )
@@ -35,7 +36,8 @@ _FORMAT_NAME = "duallink-ensemble"
 #    kernels), which move every eta at rounding level
 # 6: SFC64 screen streams, and each spectral amplitude a Rayleigh modulus
 #    times a uniform phase, which draws new turbulence
-_FORMAT_VERSION = 6
+# 7: fewer screens, each at its band's moment-matched altitude: new turbulence
+_FORMAT_VERSION = 7
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (
@@ -128,16 +130,16 @@ def run_ensembles(
                 f"({spacing!r} m); increase the grid size"
             )
     _, coherence_time = greenwood_and_coherence(geom, profile)
-    plan = plan_slabs(geom, profile)
+    plan = plan_slabs(geom, profile, spacing)
     if not any(slab.has_screen for slab in plan.slabs):
         # simulated as vacuum, so no realization ever decorrelates from the last
         coherence_time = math.inf
-    source = gaussian_source(geom, grid_size)
+    entry = first_leg(gaussian_source(geom, grid_size), plan, window)
 
     def realize(index: int) -> tuple[float, ...]:
         try:
             field = split_step(
-                source, plan, profile, ScreenStreams(master_seed, index), window
+                entry, plan, profile, ScreenStreams(master_seed, index), window
             )
             return tuple(aperture_transmissivity(field, radius) for radius in radii)
         except DuallinkError as exc:

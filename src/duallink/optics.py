@@ -1,7 +1,7 @@
 """Complex-field beam propagation from satellite to ground.
 
 A realization of the channel is one pass of a sampled Gaussian beam through
-the slab plan: vacuum transfer-function hops alternate with mid-slab phase
+the slab plan: vacuum transfer-function hops alternate with the slabs' phase
 screens, and the received power inside the telescope aperture, relative to
 the unit-power source, is the transmissivity of that realization.
 
@@ -186,7 +186,7 @@ def propagate_vacuum(
     field: ComplexField,
     distance: float,
     target_spacing: float | None = None,
-    workspace: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> ComplexField:
     """Diffract the field forward through vacuum.
 
@@ -199,8 +199,7 @@ def propagate_vacuum(
     to leading order: pi d lambda^3 / (16 dx^4) at the Nyquist corner, at
     most pi N lambda^2 / (16 dx^2) under the sampling condition.  While
     dx >= lambda no component is evanescent.
-    The result is a new array, or a workspace's ``field``, which may be
-    the input's own grid.
+    The result is a new array, or ``out``, which may be the input's own grid.
     """
     if distance < 0.0:
         raise UsageError("propagation distance must be nonnegative")
@@ -214,7 +213,7 @@ def propagate_vacuum(
             raise UsageError("cannot rescale the grid over a zero-length hop")
         return field
     n = field.size
-    grid = (Workspace(n) if workspace is None else workspace).field
+    grid = np.empty_like(field.grid) if out is None else out
     # fftn and ifftn rather than fft2 and ifft2, which ignore out=
     if not resize and field.spacing * field.window >= field.wavelength * distance:
         h = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
@@ -317,6 +316,37 @@ def _apodization_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _hop(field: ComplexField, distance: float, target: float, out: np.ndarray) -> ComplexField:
+    """Apodize into ``out`` and hop there, rescaling to ``target`` spacing; no
+    length (up to rounding) is no hop.  What the absorber removes is lost."""
+    if distance <= 0.0:
+        return field
+    np.multiply(field.grid, _apodization_mask(field.size), out=out)
+    absorbed = ComplexField(out, field.spacing, field.wavelength, field.z)
+    return propagate_vacuum(absorbed, distance, target, out=out)
+
+
+def _stops(plan: SlabPlan) -> list[tuple[int | None, float]]:
+    """(slab index, slant depth below the top) per screen, top down, then (None, the ground's)."""
+    stops, above = [], 0.0
+    for idx in range(len(plan.slabs) - 1, -1, -1):
+        slab = plan.slabs[idx]
+        if slab.has_screen:
+            stops.append((idx, above + slab.screen_depth))
+        above += slab.path_length
+    return stops + [(None, above)]
+
+
+def first_leg(source: ComplexField, plan: SlabPlan, receiver_window: float) -> ComplexField:
+    """The apodized, rescaled hop from the source to the plan's first screen
+    (or the receiver), which every realization makes: an ensemble makes it
+    once and shares the read-only result.  It runs in place over the source."""
+    stop = _stops(plan)[0][1]
+    field = _hop(source, stop - source.z, receiver_window / source.size, source.grid)
+    field.grid.setflags(write=False)
+    return field
+
+
 def split_step(
     source: ComplexField,
     plan: SlabPlan,
@@ -326,57 +356,37 @@ def split_step(
 ) -> ComplexField:
     """One channel realization: source plane to receiver plane through the plan.
 
-    Slabs are walked from the top of the atmosphere down.  Consecutive
-    vacuum stretches (the exoatmospheric gap plus half slabs on either
-    side of each screen) coalesce into single hops, and the first hop
-    also rescales the grid to the receiver window.  The soft edge
-    absorber runs before every hop; whatever it removes stays removed
-    and is charged to the measured transmissivity.  Turbulent slabs are
-    paired in walk order: one spectral draw from the stream of the pair's
-    first slab serves both, and the second screen is held until its slab.
-    Everything runs in one workspace: the first hop copies the source into
-    it, and after that no N x N array is allocated.
+    The field's ``z`` is its slant distance below the top of the plan: the
+    source at 0, or ``first_leg``'s result, from which the walk gives the
+    same bits.  It hops from screen to screen (at each slab's screen
+    altitude), then to the ground; the first hop rescales the grid to the
+    receiver window.  Screens are paired in walk order: one spectral draw
+    from the stream of the pair's first slab serves both, and the second
+    screen is held until its slab.  Everything runs in one workspace, and
+    after the first hop or imprint no N x N array is allocated.
     """
     if receiver_window <= 0.0:
         raise UsageError("receiver window must be positive")
     n = source.size
     target = receiver_window / n
-    walk = range(len(plan.slabs) - 1, -1, -1)
-    turbulent = [idx for idx in walk if plan.slabs[idx].has_screen]
-    partner = dict(zip(turbulent[0::2], turbulent[1::2]))
+    *stops, (_, ground) = _stops(plan)
+    partner = {upper[0]: lower[0] for upper, lower in zip(stops[0::2], stops[1::2])}
     workspace = Workspace(n)
 
-    def hop(field: ComplexField, dist: float, first: bool) -> ComplexField:
-        if dist == 0.0 and not first:
-            return field
-        # the first hop reads the source, which every realization and
-        # worker shares, and writes the workspace; later hops run in place
-        np.multiply(field.grid, _apodization_mask(n), out=workspace.field)
-        absorbed = ComplexField(workspace.field, field.spacing, field.wavelength, field.z)
-        return propagate_vacuum(absorbed, dist, target if first else None, workspace=workspace)
-
     field = source
-    pending = 0.0
-    first = True
     held: list[PhaseScreen] = []
-    for idx in walk:
-        slab = plan.slabs[idx]
-        if not slab.has_screen:
-            pending += slab.path_length
-            continue
-        half = 0.5 * slab.path_length
-        field = hop(field, pending + half, first)
-        first = False
+    for idx, stop in stops:
+        field = _hop(field, stop - field.z, target, workspace.field)
         if held:
             screen = held.pop()
         else:
+            slab = plan.slabs[idx]
             pair = (slab, plan.slabs[partner[idx]]) if idx in partner else (slab,)
             screen, *held = generate_screen(
                 pair, n, field.spacing, streams.generator(idx), profile, workspace=workspace
             )
         field = apply_screen(field, screen, workspace=workspace)
-        pending = half
-    return hop(field, pending, first)
+    return _hop(field, ground - field.z, target, workspace.field)
 
 
 def _quadrant_area(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:

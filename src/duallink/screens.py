@@ -1,10 +1,10 @@
 """Slab partitioning of the turbulent path and random phase screen synthesis.
 
-A slab is a horizontal altitude band thin enough that its own scintillation
-is negligible, both in absolute terms and relative to the whole channel;
-each turbulent slab is represented by one random phase screen placed at the
-middle of its slant extent. Screens are drawn from the modified von Karman
-spectrum with the slab's local Fried parameter.
+A slab is an altitude band whose turbulence one random phase screen
+carries, at the band's moment-matched altitude; the band is weak enough for
+the screen's own scintillation to stay small, with an r0 of a few receiver
+cells.  Screens are drawn from the modified von Karman spectrum with the
+slab's local Fried parameter.
 
 The FFT sampling of the spectrum misses power below one grid-window cycle,
 which shows up as a structure-function deficit at large separations. Three
@@ -29,21 +29,20 @@ from .atmosphere import (
     LinkGeometry,
     _cumulative_integral,
     _rytov_density,
+    _rytov_scale,
     cn2,
     fried_parameter,
-    rytov_variance,
-    scintillation_index,
 )
 from .errors import UsageError
 
-# Both slab conditions: absolute scintillation bound and share of the total.
-_SLAB_SIGMA_CAP = 0.1
-_SLAB_SHARE_CAP = 0.1
+# Both bounds on every screen: the Rytov variance of its band, and its r0
+# in receiver cells.  Pixel sigma_I^2 at zenith 0, grid 512, read 13% low
+# at a cap of 0.1 (3 screens) and reads 10% low at 0.055 (4 screens).
+_SCREEN_RYTOV_CAP = 0.055
+_SCREEN_R0_CELLS = 2.0
 _MAX_SLABS = 64
 # Cell edges of the running Cn2 and Rytov integrals that place the slab edges.
 _PLANNING_EDGES = 2000
-# Fraction of the integrated Cn2 kept below the modeled turbulence top.
-_EFFECTIVE_ATMOSPHERE_FRACTION = 0.999
 
 
 def locked_cache(maxsize: int):
@@ -76,21 +75,32 @@ class ScreenResolutionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Slab:
-    """One altitude band of the propagation path."""
+    """One altitude band of the propagation path and the altitude of its screen."""
 
     h_lo: float
     h_hi: float
     path_length: float  # slant distance across the band
     fried: float  # local r0 over the band; r0 = inf is vacuum
+    screen_altitude: float | None = None  # None: the middle of the band
+
+    def __post_init__(self) -> None:
+        if self.screen_altitude is None:
+            object.__setattr__(self, "screen_altitude", 0.5 * (self.h_lo + self.h_hi))
+        if not self.h_lo <= self.screen_altitude <= self.h_hi:
+            raise UsageError("a slab's screen must sit inside its band")
 
     @property
     def has_screen(self) -> bool:
         return self.fried < math.inf
 
+    @property
+    def screen_depth(self) -> float:  # slant distance from the band's top to its screen
+        return self.path_length * (self.h_hi - self.screen_altitude) / (self.h_hi - self.h_lo)
+
 
 @dataclass(frozen=True)
 class SlabPlan:
-    """Contiguous slabs from the ground up; the last is pure vacuum."""
+    """Contiguous slabs from the ground up to the satellite."""
 
     slabs: tuple[Slab, ...]
 
@@ -167,66 +177,51 @@ class ScreenStreams:
         return np.random.Generator(np.random.SFC64(seq))
 
 
-def plan_slabs(geom: LinkGeometry, profile: AtmosphereProfile) -> SlabPlan:
-    """Greedy bottom-up partition of the turbulent path.
+def plan_slabs(geom: LinkGeometry, profile: AtmosphereProfile, spacing: float) -> SlabPlan:
+    """Fewest contiguous bands, ground to satellite, whose screens meet both bounds.
 
-    Each slab grows upward until its locally evaluated scintillation index
-    would reach the cap (the lesser of 0.1 and 10% of the whole-channel
-    value); everything above the altitude holding 99.9% of the integrated
-    Cn2 becomes a single vacuum slab with no screen.
+    Bands grow from the ground up until the band's Rytov variance would pass
+    ``_SCREEN_RYTOV_CAP`` or its r0 fall below ``_SCREEN_R0_CELLS`` cells of
+    the receiver ``spacing``; both budgets add over bands, so the greedy cut
+    is the fewest.  Each screen sits at its band's h*, (h* - h0)^(5/6) =
+    int Cn2 (h - h0)^(5/6) dh / int Cn2 dh, which keeps the weak-fluctuation
+    sigma_I^2 where the grid-truncated kernel is a z^(5/6) law less a
+    constant: beyond z_c = k dx^2 / pi^2, where the Nyquist wavenumber has
+    unit Fresnel phase.  Below z_c it grows as z^2, so no band straddles z_c.
     """
     h0 = geom.ground_altitude
     top = geom.satellite_altitude
     sec = geom.sec_zenith
-
-    def vacuum(h_lo: float, h_hi: float) -> Slab:
-        return Slab(h_lo, h_hi, (h_hi - h_lo) * sec, math.inf)
-
     if profile.cn2_scale == 0.0:
-        return SlabPlan((vacuum(h0, top),))
+        return SlabPlan((Slab(h0, top, (top - h0) * sec, math.inf),))
 
     hs, cum_cn2 = _cumulative_integral(lambda h: cn2(h, profile), h0, top, _PLANNING_EDGES)
     _, cum_ryt = _cumulative_integral(_rytov_density(geom, profile), h0, top, _PLANNING_EDGES)
-
-    h_top = float(
-        np.interp(_EFFECTIVE_ATMOSPHERE_FRACTION * cum_cn2[-1], cum_cn2, hs)
-    )
-
-    sigma_total = scintillation_index(rytov_variance(geom, profile))
-    cap = min(_SLAB_SIGMA_CAP, _SLAB_SHARE_CAP * sigma_total)
-    if cap <= 0.0:
-        raise UsageError("whole-channel scintillation index must be positive to plan slabs")
-    # Rytov budget per slab for a scintillation index just under the cap,
-    # by bisection: the index rises monotonically from 0 and exceeds 0.7 at 1.
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if scintillation_index(mid) < cap * (1.0 - 1e-3):
-            lo = mid
-        else:
-            hi = mid
-    budget = 0.5 * (lo + hi)
-
+    # r0 goes as the band's Cn2 integral to the -3/5; the 0.1% margin covers
+    # the interpolated edges
+    r0_cells = fried_parameter(geom, profile) / (_SCREEN_R0_CELLS * spacing)
+    budgets = (1.0 - 1e-3) * np.array([cum_cn2[-1] * r0_cells ** (5.0 / 3.0), _SCREEN_RYTOV_CAP])
+    cums = (cum_cn2, cum_ryt)
+    at = lambda h: np.array([np.interp(h, hs, cum) for cum in cums])
+    h_c = h0 + geom.wavenumber * spacing**2 / (math.pi**2 * sec)
     edges = [h0]
-    ryt_at = lambda h: float(np.interp(h, hs, cum_ryt))
-    while edges[-1] < h_top:
+    while np.any(at(top) - at(edges[-1]) > budgets) or edges[-1] < h_c < top:
         if len(edges) > _MAX_SLABS:
             raise UsageError(
                 f"slab conditions need more than {_MAX_SLABS} slabs; "
-                "check the turbulence profile and geometry"
+                "refine the grid or check the turbulence profile and geometry"
             )
-        target = ryt_at(edges[-1]) + budget
-        if target >= ryt_at(h_top):
-            edges.append(h_top)
-        else:
-            edges.append(float(np.interp(target, cum_ryt, hs)))
+        targets = at(edges[-1]) + budgets
+        edge = min(float(np.interp(t, cum, hs)) for t, cum in zip(targets, cums))
+        edges.append(min(edge, h_c) if edges[-1] < h_c else edge)
+    edges.append(top)
 
-    slabs = [
-        Slab(h_lo, h_hi, (h_hi - h_lo) * sec, fried_parameter(geom, profile, h_lo, h_hi))
-        for h_lo, h_hi in zip(edges[:-1], edges[1:])
-    ]
-    if h_top < top:
-        slabs.append(vacuum(h_top, top))
+    slabs = []
+    for h_lo, h_hi in zip(edges[:-1], edges[1:]):
+        band_cn2, band_ryt = at(h_hi) - at(h_lo)
+        h_star = h0 + (band_ryt / (_rytov_scale(geom) * band_cn2)) ** (6.0 / 5.0)
+        r0 = fried_parameter(geom, profile, h_lo, h_hi)
+        slabs.append(Slab(h_lo, h_hi, (h_hi - h_lo) * sec, r0, min(max(h_star, h_lo), h_hi)))
     return SlabPlan(tuple(slabs))
 
 

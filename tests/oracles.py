@@ -1,5 +1,7 @@
 """Estimators that only the tests use: field power, beam radius, phase
-structure function, and the Eve-Bob correlation; full-grid references
+structure function, the Eve-Bob correlation, the plane-wave
+scintillation index from the Rytov variance and the weak-fluctuation
+scintillation index of the downlink; full-grid references
 for the separable hop factors, the block-metered aperture, and the
 row-tiled screen synthesis, imprint and cached grids; per-eta
 references for the array-native link budget and quadrature Monte Carlo;
@@ -10,6 +12,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from duallink.atmosphere import (
+    AtmosphereProfile,
+    LinkGeometry,
+    _cumulative_integral,
+    cn2,
+    integrated_cn2,
+)
 from duallink.config import _render_value
 from duallink.errors import UsageError
 from duallink.optics import (
@@ -79,6 +88,91 @@ def screen_structure_function(screens: list[PhaseScreen], separations) -> list[f
             totals[idx] += float(np.sum(dx * dx)) + float(np.sum(dy * dy))
             counts[idx] += dx.size + dy.size
     return list(totals / counts)
+
+
+# Gauss-Legendre rule of the wavenumber integral: log cells up to
+# _KAPPA_LOG_TOP rad/m, where the spectrum is steep, then linear cells of at
+# most _KAPPA_STEP rad/m, narrow enough for the oscillation of
+# cos(kappa^2 z / k) wherever Cn2 is not negligible.
+_KAPPA_FLOOR = 1e-3
+_KAPPA_LOG_TOP = 10.0
+_KAPPA_LOG_CELLS = 60
+_KAPPA_STEP = 0.5
+_KAPPA_GL = np.polynomial.legendre.leggauss(8)
+
+
+def _kappa_rule(breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights over consecutive [breaks[i], breaks[i+1]] cells."""
+    edges = [np.geomspace(_KAPPA_FLOOR, _KAPPA_LOG_TOP, _KAPPA_LOG_CELLS + 1)]
+    lo = _KAPPA_LOG_TOP
+    for hi in breaks:
+        edges.append(np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _KAPPA_STEP)) + 1)[1:])
+        lo = hi
+    edges = np.concatenate(edges)
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _KAPPA_GL[0]
+    return nodes.ravel(), (half[:, None] * _KAPPA_GL[1]).ravel()
+
+
+def weak_scintillation_index(
+    geom: LinkGeometry, profile: AtmosphereProfile, spacing: float | None = None, plan=None
+) -> float:
+    """Plane-wave downlink sigma_I^2 of weak-fluctuation theory (Andrews and
+    Phillips 2005, ch. 12), with the screens' own modified von Karman spectrum.
+
+    sigma_I^2 = 4 pi k^2 sec(zeta) int dh Cn2(h) int d^2kappa Phi(kappa)
+    [1 - cos(kappa^2 (h - h0) sec(zeta) / k)], from the ground up to the
+    satellite, with Phi = 0.033 exp(-kappa^2 / km^2) / (kappa^2 + k0^2)^(11/6),
+    km = 2 pi 0.9422 / l0 and k0 = 2 pi / L0.  Given a grid ``spacing``, only
+    the square |kappa_x|, |kappa_y| <= K = pi / spacing is kept: in polar
+    form, the angular fraction 1 - (4 / pi) acos(K / kappa) of each ring
+    with K < kappa <= sqrt(2) K.  Given a slab ``plan``, the h integral
+    becomes a sum over its screens, each carrying its band's Cn2 at its
+    screen altitude.
+    """
+    k = geom.wavenumber
+    sec = geom.sec_zenith
+    km = 2.0 * math.pi * 0.9422 / profile.inner_scale
+    k0 = 2.0 * math.pi / profile.outer_scale
+    if spacing is None:
+        kappa, weight = _kappa_rule([4.0 * km])
+        fraction = np.ones_like(kappa)
+    else:
+        cut = math.pi / spacing
+        kappa, weight = _kappa_rule([cut, math.sqrt(2.0) * cut])
+        fraction = np.where(
+            kappa <= cut, 1.0, 1.0 - (4.0 / math.pi) * np.arccos(np.minimum(cut / kappa, 1.0))
+        )
+    ring = 2.0 * math.pi * kappa * weight * fraction
+    ring *= 0.033 * np.exp(-((kappa / km) ** 2)) / (kappa**2 + k0**2) ** (11.0 / 6.0)
+    h0 = geom.ground_altitude
+
+    def kernel(h: float) -> float:
+        return float(ring @ (1.0 - np.cos(kappa**2 * ((h - h0) * sec / k))))
+
+    if plan is None:
+        density = lambda h: cn2(h, profile) * np.vectorize(kernel)(h)
+        total = float(_cumulative_integral(density, h0, geom.satellite_altitude)[1][-1])
+    else:
+        total = sum(
+            integrated_cn2(geom, profile, slab.h_lo, slab.h_hi) * kernel(slab.screen_altitude)
+            for slab in plan.slabs
+            if slab.has_screen
+        )
+    return 4.0 * math.pi * k**2 * sec * total
+
+
+def scintillation_index(rytov_var: float) -> float:
+    """Plane-wave intensity variance from the Rytov variance, valid into
+    strong fluctuation (Andrews and Phillips 2005, ch. 9)."""
+    if rytov_var < 0.0:
+        raise UsageError("Rytov variance must be nonnegative")
+    if rytov_var == 0.0:
+        return 0.0
+    s = math.sqrt(rytov_var)  # sigma_R
+    term1 = 0.49 * rytov_var / (1.0 + 1.11 * s ** (12.0 / 5.0)) ** (7.0 / 6.0)
+    term2 = 0.51 * rytov_var / (1.0 + 0.69 * s ** (12.0 / 5.0)) ** (5.0 / 6.0)
+    return math.exp(term1 + term2) - 1.0
 
 
 def eve_bob_correlation(params: SqueezingParams, eta: float) -> float:

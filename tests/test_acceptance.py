@@ -6,16 +6,23 @@ self-describing.  The two 500-realization ensembles are session fixtures so
 the trend and positivity checks share one propagation run per zenith angle.
 """
 
+import functools
 import math
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from conftest import make_geometry
-from oracles import eve_bob_correlation, screen_structure_function
+from oracles import (
+    eve_bob_correlation,
+    scintillation_index,
+    screen_structure_function,
+    weak_scintillation_index,
+)
 from duallink.atmosphere import (
     AtmosphereProfile,
     greenwood_and_coherence,
@@ -38,7 +45,13 @@ from duallink.keyrate import (
     mutual_information,
     plob_bound,
 )
-from duallink.optics import vacuum_beam_radius
+from duallink.optics import (
+    choose_receiver_window,
+    first_leg,
+    gaussian_source,
+    split_step,
+    vacuum_beam_radius,
+)
 from duallink.protocol import (
     ClassicalLayer,
     SqueezingParams,
@@ -46,10 +59,12 @@ from duallink.protocol import (
     mc_quadrature_sim,
 )
 from duallink.screens import (
+    PhaseScreen,
     ScreenResolutionWarning,
     ScreenStreams,
     Slab,
     generate_screen,
+    plan_slabs,
 )
 
 TABLE_PROFILE = AtmosphereProfile(
@@ -167,7 +182,16 @@ def test_criterion_03_vacuum_diffraction_oracle():
     )
 
 
-def test_criterion_04_phase_screen_structure_function():
+STRUCTURE_SEEDS = range(1, 7)
+STRUCTURE_SEPARATIONS = (0.10, 0.16, 0.32, 0.64, 1.28)
+STRUCTURE_R0 = 0.1
+
+
+@functools.lru_cache(maxsize=1)
+def structure_function_errors() -> np.ndarray:
+    """Relative error of the measured structure function against
+    6.88 (r/r0)^(5/3), by (seed, half, separation): 256 screen pairs per
+    seed, the real half of each spectral draw and its imaginary half."""
     # Outer scale pushed far beyond the window so the inertial-range power
     # law is the valid reference over every measurable separation; the
     # sampled r values span twice the inner scale up to a quarter of the
@@ -175,56 +199,64 @@ def test_criterion_04_phase_screen_structure_function():
     profile = AtmosphereProfile(
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=1e6, inner_scale=0.04
     )
-    r0 = 0.1
-    slab = Slab(0.0, 100.0, 100.0, r0)
-    start = time.perf_counter()
+    slab = Slab(0.0, 100.0, 100.0, STRUCTURE_R0)
+    reference = np.array([6.88 * (r / STRUCTURE_R0) ** (5.0 / 3.0) for r in STRUCTURE_SEPARATIONS])
+    errors = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScreenResolutionWarning)
-        screens = [
-            generate_screen((slab,), 256, 0.02, ScreenStreams(404, i).generator(0), profile)[0]
-            for i in range(256)
-        ]
-    separations = [0.10, 0.16, 0.32, 0.64, 1.28]
-    measured = screen_structure_function(screens, separations)
+        for seed in STRUCTURE_SEEDS:
+            halves = ([], [])
+            for i in range(256):
+                pair = generate_screen(
+                    (slab, slab), 256, 0.02, ScreenStreams(seed, i).generator(0), profile
+                )
+                for screens, screen in zip(halves, pair):
+                    screens.append(PhaseScreen(screen.grid.copy(), screen.spacing))
+            measured = [
+                screen_structure_function(screens, STRUCTURE_SEPARATIONS) for screens in halves
+            ]
+            errors.append(np.array(measured) / reference - 1.0)
+    return np.array(errors)
+
+
+def structure_function_gate(errors: np.ndarray) -> tuple[bool, float]:
+    """Per separation, the mean relative error over independent runs plus
+    three standard errors must stay within 10%; returns the verdict and the
+    largest |mean| + 3 SE."""
+    mean = errors.mean(axis=0)
+    se = errors.std(axis=0, ddof=1) / math.sqrt(errors.shape[0])
+    worst = float(np.max(np.abs(mean) + 3.0 * se))
+    return worst <= 0.10, worst
+
+
+def test_criterion_04_phase_screen_structure_function():
+    # Seeds 1-6, both halves of every draw: twelve independent runs of 256
+    # screens.  The bound (|mean| + 3 SE <= 10% at every separation) was
+    # fixed before the first run.
+    start = time.perf_counter()
+    errors = structure_function_errors().reshape(-1, len(STRUCTURE_SEPARATIONS))
+    ok, worst = structure_function_gate(errors)
     elapsed = time.perf_counter() - start
-    worst = max(
-        abs(d / (6.88 * (r / r0) ** (5.0 / 3.0)) - 1.0)
-        for r, d in zip(separations, measured)
-    )
-    ok = worst <= 0.10 and elapsed < 300.0
     verdict(
         4,
         "structure function vs 6.88 (r/r0)^(5/3)",
-        ok,
-        f"{len(screens)} screens, worst rel err {worst:.4f} (<=10%), {elapsed:.1f} s",
+        ok and elapsed < 300.0,
+        f"{errors.shape[0]} runs of 256 screens, mean rel err by separation "
+        f"{np.round(errors.mean(axis=0), 4).tolist()}, worst |mean| + 3 SE {worst:.4f} "
+        f"(<=10%), {elapsed:.1f} s",
     )
 
 
 def test_imaginary_half_screens_pass_structure_function_oracle():
-    # Criterion 04's oracle on the screens that ride on the imaginary half
-    # of each spectral draw: the same profile, slab, seed and tolerance.
-    profile = AtmosphereProfile(
-        ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=1e6, inner_scale=0.04
-    )
-    r0 = 0.1
-    slab = Slab(0.0, 100.0, 100.0, r0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScreenResolutionWarning)
-        screens = [
-            generate_screen((slab, slab), 256, 0.02, ScreenStreams(404, i).generator(0), profile)[1]
-            for i in range(256)
-        ]
-    separations = [0.10, 0.16, 0.32, 0.64, 1.28]
-    measured = screen_structure_function(screens, separations)
-    worst = max(
-        abs(d / (6.88 * (r / r0) ** (5.0 / 3.0)) - 1.0)
-        for r, d in zip(separations, measured)
-    )
+    # Criterion 04's gate on the screens that ride on the imaginary half
+    # of each spectral draw alone: six runs of 256 screens.
+    errors = structure_function_errors()[:, 1]
+    ok, worst = structure_function_gate(errors)
     verdict(
         4,
         "imaginary-half structure function vs 6.88 (r/r0)^(5/3)",
-        worst <= 0.10,
-        f"{len(screens)} screens, worst rel err {worst:.4f} (<=10%)",
+        ok,
+        f"{errors.shape[0]} runs of 256 screens, worst |mean| + 3 SE {worst:.4f} (<=10%)",
     )
 
 
@@ -257,6 +289,66 @@ def test_criterion_05_channel_statistics_trends(desk_ensembles):
         f"mean dB by (zenith, aperture) {means}, zenith up {zenith_trend}, "
         f"aperture down {aperture_trend}, spread nonincreasing {spread_trend}, "
         f"{elapsed:.0f} s",
+    )
+
+
+# (zenith deg, grid, master seed): the oracle's three cases, 200
+# realizations each.  The tolerance, 3 bootstrap standard errors, was fixed
+# before the first run.  The reference is the truncated weak-fluctuation
+# sigma_I^2 taken as the plane-wave Rytov variance into the strong-
+# fluctuation scintillation index: at zenith 60 (whole-path sigma_R^2 =
+# 0.57) the first-order value stands 7% above it.
+SCINTILLATION_CASES = [(0.0, 256, 1511), (0.0, 512, 1512), (60.0, 512, 1513)]
+SCINTILLATION_REALIZATIONS = 200
+
+
+def on_axis_intensities(geom, profile, grid: int, seed: int, count: int):
+    """|E|^2 of the receiver grid's center pixel, one per realization, and the plan."""
+    window = choose_receiver_window(geom, (geom.aperture_radius,))
+    plan = plan_slabs(geom, profile, window / grid)
+    entry = first_leg(gaussian_source(geom, grid), plan, window)
+
+    def pixel(index: int) -> float:
+        field = split_step(entry, plan, profile, ScreenStreams(seed, index), window)
+        return abs(field.grid[grid // 2, grid // 2]) ** 2
+
+    with ThreadPoolExecutor(max_workers=DESK_THREADS) as pool:
+        return np.array(list(pool.map(pixel, range(count)))), plan
+
+
+def scintillation_index_with_se(intensities: np.ndarray) -> tuple[float, float]:
+    """Var(I) / <I>^2 and its bootstrap standard error (1000 resamples)."""
+    rng = np.random.default_rng(1514)
+    n = intensities.size
+    boot = [
+        sample.var() / sample.mean() ** 2
+        for sample in (intensities[rng.integers(0, n, n)] for _ in range(1000))
+    ]
+    return float(intensities.var() / intensities.mean() ** 2), float(np.std(boot, ddof=1))
+
+
+@pytest.mark.parametrize("zenith, grid, seed", SCINTILLATION_CASES)
+def test_pixel_scintillation_matches_weak_theory(baseline_profile, zenith, grid, seed):
+    # The on-axis pixel's sigma_I^2 against the plane-wave scintillation of
+    # the spectrum that the receiver grid can hold.
+    geom = make_geometry(zenith)
+    start = time.perf_counter()
+    intensities, plan = on_axis_intensities(
+        geom, baseline_profile, grid, seed, SCINTILLATION_REALIZATIONS
+    )
+    simulated, se = scintillation_index_with_se(intensities)
+    spacing = choose_receiver_window(geom, (geom.aperture_radius,)) / grid
+    weak = weak_scintillation_index(geom, baseline_profile, spacing)
+    reference = scintillation_index(weak)
+    elapsed = time.perf_counter() - start
+    screens = sum(slab.has_screen for slab in plan.slabs)
+    verdict(
+        13,
+        f"on-axis sigma_I^2 vs truncated-spectrum theory, zenith {zenith:g}, grid {grid}",
+        abs(simulated - reference) <= 3.0 * se,
+        f"{simulated:.4f} +- {se:.4f} vs {reference:.4f} (weak {weak:.4f}) "
+        f"({(simulated - reference) / se:+.2f} SE, <= 3), {screens} screens, "
+        f"{SCINTILLATION_REALIZATIONS} realizations, {elapsed:.1f} s",
     )
 
 

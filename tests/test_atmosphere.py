@@ -24,11 +24,11 @@ from duallink.atmosphere import (
     integrated_cn2,
     rms_wind,
     rytov_variance,
-    scintillation_index,
 )
 from duallink.errors import UsageError
 
 from conftest import make_geometry
+from oracles import scintillation_index
 
 
 # ---------------------------------------------------------------------------

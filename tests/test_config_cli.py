@@ -16,6 +16,7 @@ import pytest
 
 import duallink
 from duallink.cli import _thread_count, _verify_predictions, main
+from duallink.atmosphere import greenwood_and_coherence
 from duallink.config import _SCHEMA, config_hash, load_config, parse_config, render_config
 from duallink.ensemble import ChannelEnsemble, fading_stats, load_ensemble, save_ensemble
 from duallink.errors import UsageError
@@ -540,15 +541,17 @@ def test_undecodable_ensemble_exits_one(tmp_path, capsys):
     assert_one_error_line(capsys, "not an ASCII text file")
 
 
-def test_turbulence_too_weak_to_plan_exits_one(tmp_path, capsys):
-    # the channel's scintillation index rounds to zero, so no slab cap exists
+def test_faint_turbulence_plans_and_runs(tmp_path):
+    # the channel's scintillation index rounds to zero, which left the old
+    # share-of-the-total cap at zero and refused the run; both bounds of
+    # the planner are absolute, so a faint channel plans and runs
     config = write_config(
         tmp_path, **{"inner_scale = 0.01": "inner_scale = 0.01\ncn2_scale = 1e-17"}
     )
-    assert run_cli("simulate-channel", "--config", config) == 1
-    assert_one_error_line(
-        capsys, "whole-channel scintillation index must be positive to plan slabs"
-    )
+    assert run_cli("simulate-channel", "--config", config) == 0
+    ens = load_ensemble(tmp_path / "out" / "smoke.ensemble")
+    assert math.isfinite(ens.coherence_time)
+    assert all(0.0 < eta <= 1.0 for eta in ens.etas)
 
 
 def test_turbulence_free_grazing_path_runs_as_vacuum(tmp_path):
@@ -569,9 +572,10 @@ def test_turbulence_free_grazing_path_runs_as_vacuum(tmp_path):
     assert not (out / "smoke_steps.csv").exists()
 
 
-def test_grazing_path_planned_without_screens_has_no_coherence_time(tmp_path):
-    # at 1e-19 the whole path has a finite r0 and tau0, but every slab falls
-    # under the turbulence floor: the channel runs as vacuum and never steps
+def test_faint_grazing_path_is_simulated_with_its_screen(tmp_path):
+    # at 1e-19 the whole path has a finite r0 and tau0; the planner cuts it
+    # into one band, not into slabs that each fall under the turbulence
+    # floor, so the channel runs with a screen and steps at that tau0
     config = write_config(
         tmp_path,
         **{
@@ -583,8 +587,10 @@ def test_grazing_path_planned_without_screens_has_no_coherence_time(tmp_path):
     )
     assert run_cli("simulate-channel", "--config", config, "--threads", "1") == 0
     out = tmp_path / "out"
-    assert math.isinf(load_ensemble(out / "smoke.ensemble").coherence_time)
-    assert not (out / "smoke_steps.csv").exists()
+    ens = load_ensemble(out / "smoke.ensemble")
+    assert ens.coherence_time == greenwood_and_coherence(ens.geometry, ens.profile)[1]
+    assert math.isfinite(ens.coherence_time)
+    assert (out / "smoke_steps.csv").exists()
 
 
 def reference_verify_predictions(params: SqueezingParams, etas, displacement: float):

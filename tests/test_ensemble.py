@@ -130,9 +130,12 @@ def test_concurrent_workers_build_each_kernel_once(baseline_profile, module, nam
 
 
 def test_kernel_cache_keeps_every_hop_between_realizations(baseline_profile):
-    # zenith 75 plans 19 screens: each realization walks 19 fixed-grid hops
-    geom = make_geometry(75.0)
-    plan = screens.plan_slabs(geom, baseline_profile)
+    # zenith 60 plans 17 screens at grid 256: each realization walks 17
+    # fixed-grid hops, more than the 16 kernels the cache once held
+    geom = make_geometry(60.0)
+    window = optics.choose_receiver_window(geom, (geom.aperture_radius,))
+    plan = screens.plan_slabs(geom, baseline_profile, window / 256)
+    assert sum(slab.has_screen for slab in plan.slabs) > 16
     cache = optics._angular_spectrum_kernel
     cache.cache_clear()
     run_ensemble(geom, baseline_profile, 1, 3, grid_size=256)
@@ -307,12 +310,13 @@ def test_version_mismatch_refused(tmp_path):
         load_ensemble(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_format_one_file_refused(tmp_path, version):
     # format 1 drew one spectral FFT per screen, format 2 integrated the
     # altitude profile by adaptive quadrature, format 3 imprinted with
     # float64 cos and sin, format 4 hopped with the exact N x N angular
-    # spectrum kernel, and format 5 drew Philox normals; their etas differ
+    # spectrum kernel, format 5 drew Philox normals, and format 6 planned
+    # ten or more mid-slab screens; their etas differ
     ens = synthetic_ensemble([0.5])
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)

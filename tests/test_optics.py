@@ -22,6 +22,7 @@ from duallink.optics import (
     aperture_transmissivity,
     apply_screen,
     choose_receiver_window,
+    first_leg,
     gaussian_source,
     propagate_vacuum,
     split_step,
@@ -456,8 +457,8 @@ def test_downlink_transmissivity_matches_diffraction_oracle():
 def test_zero_turbulence_split_step_is_vacuum_diffraction():
     geom = make_geometry()
     profile = dead_profile()
-    plan = plan_slabs(geom, profile)
     window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, profile, window / 512)
     source = gaussian_source(geom, 512)
     out = split_step(source, plan, profile, ScreenStreams(7, 0), window)
     direct = propagate_vacuum(source, geom.path_length, target_spacing=window / 512)
@@ -493,8 +494,8 @@ def test_warm_split_step_peak_memory(baseline_profile):
     # 7 x N subharmonic product, 3 x 3 draws and FFT line buffers.  Every
     # cache is warm, so nothing N x N is built.
     geom = make_geometry(60.0)
-    plan = plan_slabs(geom, baseline_profile)
     window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, baseline_profile, window / 256)
     source = gaussian_source(geom, 256)
     split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
     tracemalloc.start()
@@ -509,8 +510,8 @@ def test_warm_split_step_peak_memory(baseline_profile):
 
 def test_split_step_realization(baseline_profile):
     geom = make_geometry()
-    plan = plan_slabs(geom, baseline_profile)
     window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, baseline_profile, window / 256)
     source = gaussian_source(geom, 256)
     out = split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
     again = split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
@@ -522,12 +523,31 @@ def test_split_step_realization(baseline_profile):
     assert np.array_equal(out.grid, again.grid)
 
 
+@pytest.mark.parametrize("zenith, n", [(0.0, 128), (60.0, 256)])
+def test_shared_first_leg_gives_the_same_realizations(baseline_profile, zenith, n):
+    # an ensemble hops to the first screen once and starts every
+    # realization there; the walk from the source gives the same bits
+    geom = make_geometry(zenith)
+    window = choose_receiver_window(geom, (0.5,))
+    for profile in (baseline_profile, dead_profile()):
+        plan = plan_slabs(geom, profile, window / n)
+        source = gaussian_source(geom, n)
+        entry = first_leg(gaussian_source(geom, n), plan, window)
+        assert not entry.grid.flags.writeable
+        for realization in range(2):
+            streams = ScreenStreams(41, realization)
+            direct = split_step(source, plan, profile, streams, window)
+            shared = split_step(entry, plan, profile, streams, window)
+            assert np.array_equal(shared.grid, direct.grid)
+            assert shared.z == direct.z
+
+
 def test_split_step_leaves_source_untouched(baseline_profile):
     geom = make_geometry()
-    plan = plan_slabs(geom, baseline_profile)
+    window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, baseline_profile, window / 128)
     source = gaussian_source(geom, 128)
     before = source.grid.copy()
-    window = choose_receiver_window(geom, (0.5,))
     split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
     assert np.array_equal(source.grid, before)
 
@@ -536,8 +556,8 @@ def test_interleaved_split_steps_on_two_threads_agree(baseline_profile):
     # each realization owns its workspace, so two of them running at once
     # on the same shared source cannot disturb each other
     geom = make_geometry()
-    plan = plan_slabs(geom, baseline_profile)
     window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, baseline_profile, window / 128)
     source = gaussian_source(geom, 128)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -630,8 +650,8 @@ def test_single_screen_scattering_broadens_beam():
 
 def test_turbulence_broadens_beam_and_drops_coupling(baseline_profile):
     geom = make_geometry()
-    plan = plan_slabs(geom, baseline_profile)
     window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, baseline_profile, window / 512)
     source = gaussian_source(geom, 512)
     vacuum = propagate_vacuum(source, geom.path_length, target_spacing=window / 512)
     w_vac = second_moment_radius(vacuum)

@@ -11,11 +11,16 @@ from scipy.special import j0
 import duallink.screens
 from duallink.atmosphere import (
     AtmosphereProfile,
+    _cumulative_integral,
+    cn2,
     rytov_variance,
-    scintillation_index,
 )
 from duallink.errors import UsageError
+from duallink.optics import choose_receiver_window
 from duallink.screens import (
+    _MAX_SLABS,
+    _SCREEN_R0_CELLS,
+    _SCREEN_RYTOV_CAP,
     _SUBHARMONIC_LEVELS,
     PhaseScreen,
     ScreenStreams,
@@ -37,6 +42,7 @@ from oracles import (
     full_grid_generate_screen,
     full_grid_spectrum,
     screen_structure_function,
+    weak_scintillation_index,
 )
 
 
@@ -69,12 +75,19 @@ def make_screens(slab, n, spacing, profile, count, seed=11):
 # slab planning
 
 
+def receiver_spacing(geom, n: int) -> float:
+    return choose_receiver_window(geom, (0.5,)) / n
+
+
+PLAN_CASES = [(zenith, n) for zenith in (0.0, 30.0, 60.0) for n in (256, 512, 1024)]
+
+
 def test_zero_turbulence_plan_is_single_vacuum_slab(baseline_profile):
     dead = AtmosphereProfile(
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01, cn2_scale=0.0
     )
     geom = make_geometry(0.0)
-    plan = plan_slabs(geom, dead)
+    plan = plan_slabs(geom, dead, receiver_spacing(geom, 512))
     assert len(plan.slabs) == 1
     assert not plan.slabs[0].has_screen
     assert plan_path_length(plan) == pytest.approx(geom.path_length, rel=1e-12)
@@ -82,38 +95,99 @@ def test_zero_turbulence_plan_is_single_vacuum_slab(baseline_profile):
 
 @pytest.mark.parametrize("theta", [0.0, 30.0, 60.0])
 def test_slab_conditions_hold(baseline_profile, theta):
+    # every screen meets both bounds, on every grid
     geom = make_geometry(theta)
-    plan = plan_slabs(geom, baseline_profile)
-    cap = min(0.1, 0.1 * scintillation_index(rytov_variance(geom, baseline_profile)))
-    for slab in plan.slabs:
-        local = scintillation_index(
-            rytov_variance(geom, baseline_profile, slab.h_lo, slab.h_hi)
-        )
-        assert local < 0.1
-        assert local < cap or not slab.has_screen
-    # contiguous, non-overlapping, and covering the whole slant path
-    assert plan_path_length(plan) == pytest.approx(geom.path_length, rel=1e-9)
+    for n in (256, 512, 1024):
+        spacing = receiver_spacing(geom, n)
+        for slab in plan_slabs(geom, baseline_profile, spacing).slabs:
+            assert slab.has_screen
+            assert slab.fried >= _SCREEN_R0_CELLS * spacing
+            ryt = rytov_variance(geom, baseline_profile, slab.h_lo, slab.h_hi)
+            assert ryt <= _SCREEN_RYTOV_CAP
+
+
+@pytest.mark.parametrize("zenith, n", PLAN_CASES)
+def test_plan_is_contiguous_from_ground_to_satellite(baseline_profile, zenith, n):
+    geom = make_geometry(zenith)
+    plan = plan_slabs(geom, baseline_profile, receiver_spacing(geom, n))
     bounds = plan_boundaries(plan)
+    assert bounds[0] == geom.ground_altitude
+    assert bounds[-1] == geom.satellite_altitude
     assert all(b2 > b1 for b1, b2 in zip(bounds[:-1], bounds[1:]))
+    assert plan_path_length(plan) == pytest.approx(geom.path_length, rel=1e-9)
+
+
+@pytest.mark.parametrize("zenith, n", PLAN_CASES)
+def test_screens_sit_at_their_band_moment_altitude(baseline_profile, zenith, n):
+    # (h* - h0)^(5/6) = int Cn2 (h - h0)^(5/6) / int Cn2 over the band, each
+    # integral taken on its own over [h_lo, h_hi]
+    geom = make_geometry(zenith)
+    plan = plan_slabs(geom, baseline_profile, receiver_spacing(geom, n))
+    for slab in plan.slabs:
+        weight = lambda h: cn2(h, baseline_profile)
+        moment = lambda h: cn2(h, baseline_profile) * h ** (5.0 / 6.0)
+        mass = _cumulative_integral(weight, slab.h_lo, slab.h_hi)[1][-1]
+        first = _cumulative_integral(moment, slab.h_lo, slab.h_hi)[1][-1]
+        assert slab.screen_altitude == pytest.approx((first / mass) ** (6.0 / 5.0), rel=2e-3)
+        assert slab.h_lo < slab.screen_altitude < slab.h_hi
+
+
+@pytest.mark.parametrize("zenith, n", PLAN_CASES)
+def test_no_band_straddles_the_nyquist_fresnel_distance(baseline_profile, zenith, n):
+    geom = make_geometry(zenith)
+    spacing = receiver_spacing(geom, n)
+    plan = plan_slabs(geom, baseline_profile, spacing)
+    h_c = geom.wavenumber * spacing**2 / (math.pi**2 * geom.sec_zenith)
+    assert not any(slab.h_lo < h_c < slab.h_hi for slab in plan.slabs)
+
+
+@pytest.mark.parametrize(
+    "zenith, n, expected",
+    [(0.0, None, 0.1339), (0.0, 256, 0.0756), (0.0, 512, 0.0997), (0.0, 1024, 0.1256),
+     (60.0, 512, 0.3099)],
+)
+def test_weak_scintillation_oracle_values(baseline_profile, zenith, n, expected):
+    # the full-spectrum and grid-truncated plane-wave values, to 4 decimals
+    geom = make_geometry(zenith)
+    spacing = None if n is None else receiver_spacing(geom, n)
+    value = weak_scintillation_index(geom, baseline_profile, spacing)
+    assert round(value, 4) == expected
+
+
+@pytest.mark.parametrize("zenith, n", [(0.0, 512), (0.0, 1024), (60.0, 512), (60.0, 1024)])
+def test_plan_keeps_the_weak_scintillation_of_the_path(baseline_profile, zenith, n):
+    # Discrete weak-fluctuation sigma_I^2, each screen carrying its band's
+    # Cn2 at its screen altitude, against the continuous path, both on the
+    # grid's truncated spectrum.
+    geom = make_geometry(zenith)
+    spacing = receiver_spacing(geom, n)
+    plan = plan_slabs(geom, baseline_profile, spacing)
+    continuous = weak_scintillation_index(geom, baseline_profile, spacing)
+    discrete = weak_scintillation_index(geom, baseline_profile, spacing, plan)
+    assert discrete == pytest.approx(continuous, rel=0.03)
+
+
+def test_zenith_zero_grid_1024_plan_has_at_most_six_screens(baseline_profile):
+    # the old share cap gave every plan at least ten screens
+    geom = make_geometry(0.0)
+    plan = plan_slabs(geom, baseline_profile, receiver_spacing(geom, 1024))
+    assert sum(slab.has_screen for slab in plan.slabs) <= 6
 
 
 def test_slab_count_at_sixty_degrees(baseline_profile):
-    # Each slab carries less than 10% of the total scintillation, so at
-    # least ten turbulent slabs are forced by additivity of the Rytov
-    # variance. Count and coarse boundaries are regression-pinned.
+    # The Rytov cap sets the count at zenith 60 (sigma_R^2 = 0.57), the r0
+    # bound adds ground bands on coarse grids.  Counts are regression-pinned.
     geom = make_geometry(60.0)
-    plan = plan_slabs(geom, baseline_profile)
-    turbulent = [s for s in plan.slabs if s.has_screen]
-    assert len(turbulent) >= 10
-    assert len(turbulent) == 12  # snapshot
-    assert plan.slabs[-1].has_screen is False
-    assert plan_boundaries(plan)[-2] == pytest.approx(16037.4, abs=2.0)  # snapshot
-    assert plan_boundaries(plan)[-1] == pytest.approx(500e3)
+    counts = [
+        len(plan_slabs(geom, baseline_profile, receiver_spacing(geom, n)).slabs)
+        for n in (256, 512, 1024)
+    ]
+    assert counts == [17, 12, 11]  # snapshot
 
 
 def test_slab_rytov_additivity(baseline_profile):
     geom = make_geometry(30.0)
-    plan = plan_slabs(geom, baseline_profile)
+    plan = plan_slabs(geom, baseline_profile, receiver_spacing(geom, 512))
     total = sum(
         rytov_variance(geom, baseline_profile, s.h_lo, s.h_hi) for s in plan.slabs
     )
@@ -125,8 +199,15 @@ def test_slab_cap_exceeded_is_config_error(baseline_profile):
         ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01, cn2_scale=1e4
     )
     geom = make_geometry(60.0)
+    with pytest.raises(UsageError, match=f"more than {_MAX_SLABS} slabs"):
+        plan_slabs(geom, violent, receiver_spacing(geom, 512))
+
+
+def test_slab_screen_defaults_to_mid_band_and_stays_inside():
+    assert Slab(0.0, 100.0, 200.0, 0.1).screen_altitude == 50.0
+    assert Slab(0.0, 100.0, 200.0, 0.1, 25.0).screen_depth == 150.0
     with pytest.raises(UsageError):
-        plan_slabs(geom, violent)
+        Slab(0.0, 100.0, 200.0, 0.1, 120.0)
 
 
 def test_plan_rejects_noncontiguous_slabs():
