@@ -184,11 +184,6 @@ def _band(geom: LinkGeometry, h_lo: float | None, h_hi: float | None) -> tuple[f
     return a, b
 
 
-def _rytov_scale(geom: LinkGeometry) -> float:
-    """Downlink Rytov variance per unit of the moment integral of Cn2 (h - h0)^(5/6)."""
-    return 2.25 * geom.wavenumber ** (7.0 / 6.0) * geom.sec_zenith ** (11.0 / 6.0)
-
-
 def _rytov_density(geom: LinkGeometry, profile: AtmosphereProfile):
     """Integrand of the downlink Rytov variance per meter of altitude.
 
@@ -196,7 +191,7 @@ def _rytov_density(geom: LinkGeometry, profile: AtmosphereProfile):
     channel's ground altitude, so restricted bands add up to the full-path
     value and a slab partition conserves total scintillation.
     """
-    scale = _rytov_scale(geom)
+    scale = 2.25 * geom.wavenumber ** (7.0 / 6.0) * geom.sec_zenith ** (11.0 / 6.0)
     h0 = geom.ground_altitude
     return lambda h: scale * cn2(h, profile) * (h - h0) ** (5.0 / 6.0)
 

@@ -18,13 +18,7 @@ import numpy as np
 
 from .atmosphere import AtmosphereProfile, LinkGeometry, greenwood_and_coherence
 from .errors import DataIntegrityError, DuallinkError, UsageError
-from .optics import (
-    aperture_transmissivity,
-    choose_receiver_window,
-    first_leg,
-    gaussian_source,
-    split_step,
-)
+from .optics import aperture_transmissivity, choose_receiver_window, first_leg, split_step
 from .screens import ScreenStreams, plan_slabs
 
 _FORMAT_NAME = "duallink-ensemble"
@@ -36,7 +30,7 @@ _FORMAT_NAME = "duallink-ensemble"
 #    kernels), which move every eta at rounding level
 # 6: SFC64 screen streams, and each spectral amplitude a Rayleigh modulus
 #    times a uniform phase, which draws new turbulence
-# 7: fewer screens, each at its band's moment-matched altitude: new turbulence
+# 7: fewer screens, each where the grid's weak-theory kernel keeps its band
 _FORMAT_VERSION = 7
 
 # fields serialized into the ensemble header, in writing order
@@ -134,7 +128,7 @@ def run_ensembles(
     if not any(slab.has_screen for slab in plan.slabs):
         # simulated as vacuum, so no realization ever decorrelates from the last
         coherence_time = math.inf
-    entry = first_leg(gaussian_source(geom, grid_size), plan, window)
+    entry = first_leg(geom, grid_size, plan, window)
 
     def realize(index: int) -> tuple[float, ...]:
         try:

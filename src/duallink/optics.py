@@ -21,7 +21,7 @@ step, so its angle is good to 3e-7 rad and its modulus to 1e-13.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,8 +198,8 @@ def propagate_vacuum(
     The paraxial phase is off the exact (kz - k) d by pi d lambda^3 f^4 / 4
     to leading order: pi d lambda^3 / (16 dx^4) at the Nyquist corner, at
     most pi N lambda^2 / (16 dx^2) under the sampling condition.  While
-    dx >= lambda no component is evanescent.
-    The result is a new array, or ``out``, which may be the input's own grid.
+    dx >= lambda no component is evanescent.  The result is a new array, or
+    ``out``, which may be the input's own grid.
     """
     if distance < 0.0:
         raise UsageError("propagation distance must be nonnegative")
@@ -317,8 +317,7 @@ def _apodization_mask(n: int) -> np.ndarray:
 
 
 def _hop(field: ComplexField, distance: float, target: float, out: np.ndarray) -> ComplexField:
-    """Apodize into ``out`` and hop there, rescaling to ``target`` spacing; no
-    length (up to rounding) is no hop.  What the absorber removes is lost."""
+    """Apodize into ``out`` (what the absorber takes is lost) and hop at ``target`` spacing."""
     if distance <= 0.0:
         return field
     np.multiply(field.grid, _apodization_mask(field.size), out=out)
@@ -329,20 +328,19 @@ def _hop(field: ComplexField, distance: float, target: float, out: np.ndarray) -
 def _stops(plan: SlabPlan) -> list[tuple[int | None, float]]:
     """(slab index, slant depth below the top) per screen, top down, then (None, the ground's)."""
     stops, above = [], 0.0
-    for idx in range(len(plan.slabs) - 1, -1, -1):
-        slab = plan.slabs[idx]
+    for idx, slab in reversed(list(enumerate(plan.slabs))):
         if slab.has_screen:
             stops.append((idx, above + slab.screen_depth))
         above += slab.path_length
     return stops + [(None, above)]
 
 
-def first_leg(source: ComplexField, plan: SlabPlan, receiver_window: float) -> ComplexField:
-    """The apodized, rescaled hop from the source to the plan's first screen
-    (or the receiver), which every realization makes: an ensemble makes it
-    once and shares the read-only result.  It runs in place over the source."""
-    stop = _stops(plan)[0][1]
-    field = _hop(source, stop - source.z, receiver_window / source.size, source.grid)
+def first_leg(geom: LinkGeometry, grid_size: int, plan: SlabPlan, window: float) -> ComplexField:
+    """The apodized, rescaled hop from ``gaussian_source(geom, grid_size)`` to the
+    first screen (or the receiver) that every realization makes: an ensemble
+    makes it once, in place over its own source, and shares the read-only result."""
+    source = gaussian_source(geom, grid_size)
+    field = _hop(source, _stops(plan)[0][1], window / grid_size, source.grid)
     field.grid.setflags(write=False)
     return field
 
@@ -356,14 +354,12 @@ def split_step(
 ) -> ComplexField:
     """One channel realization: source plane to receiver plane through the plan.
 
-    The field's ``z`` is its slant distance below the top of the plan: the
-    source at 0, or ``first_leg``'s result, from which the walk gives the
-    same bits.  It hops from screen to screen (at each slab's screen
-    altitude), then to the ground; the first hop rescales the grid to the
-    receiver window.  Screens are paired in walk order: one spectral draw
-    from the stream of the pair's first slab serves both, and the second
-    screen is held until its slab.  Everything runs in one workspace, and
-    after the first hop or imprint no N x N array is allocated.
+    The field's ``z`` is its slant distance below the top of the plan: the source
+    at 0, or ``first_leg``'s result, from which the walk gives the same bits.  It
+    hops from screen to screen, then to the ground, the first hop rescaling the
+    grid to the receiver window.  Screens are paired in walk order: one spectral
+    draw from the stream of the pair's first slab serves both.  Everything runs
+    in one workspace; the result never shares the source's grid.
     """
     if receiver_window <= 0.0:
         raise UsageError("receiver window must be positive")
@@ -386,7 +382,8 @@ def split_step(
                 pair, n, field.spacing, streams.generator(idx), profile, workspace=workspace
             )
         field = apply_screen(field, screen, workspace=workspace)
-    return _hop(field, ground - field.z, target, workspace.field)
+    field = _hop(field, ground - field.z, target, workspace.field)
+    return replace(field, grid=field.grid.copy()) if field is source else field
 
 
 def _quadrant_area(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Slab partitioning of the turbulent path and random phase screen synthesis.
 
-A slab is an altitude band whose turbulence one random phase screen
-carries, at the band's moment-matched altitude; the band is weak enough for
-the screen's own scintillation to stay small, with an r0 of a few receiver
-cells.  Screens are drawn from the modified von Karman spectrum with the
-slab's local Fried parameter.
+A slab is an altitude band whose turbulence one random phase screen carries,
+at the altitude that keeps the band's weak-fluctuation sigma_I^2 on the
+receiver grid; the band's Rytov variance stays small and its r0 spans a few
+receiver cells.  Screens are drawn from the modified von Karman spectrum.
 
 The FFT sampling of the spectrum misses power below one grid-window cycle,
 which shows up as a structure-function deficit at large separations. Three
@@ -29,17 +28,17 @@ from .atmosphere import (
     LinkGeometry,
     _cumulative_integral,
     _rytov_density,
-    _rytov_scale,
     cn2,
     fried_parameter,
 )
 from .errors import UsageError
 
 # Both bounds on every screen: the Rytov variance of its band, and its r0
-# in receiver cells.  Pixel sigma_I^2 at zenith 0, grid 512, read 13% low
-# at a cap of 0.1 (3 screens) and reads 10% low at 0.055 (4 screens).
+# in receiver cells.  24 Gauss-Legendre nodes per side resolve the grid's
+# kernel to 5e-6 out to _KERNEL_REACH z_c.
 _SCREEN_RYTOV_CAP = 0.055
 _SCREEN_R0_CELLS = 2.0
+_KERNEL_REACH = 32.0
 _MAX_SLABS = 64
 # Cell edges of the running Cn2 and Rytov integrals that place the slab edges.
 _PLANNING_EDGES = 2000
@@ -134,16 +133,15 @@ def _row_tiles(n: int) -> list[slice]:
 class Workspace:
     """The buffers of one channel realization, written in place.
 
-    ``field`` and ``spectrum`` (complex128, N x N) are the only full grids:
-    the running field, and a screen pair's spectral draw, whose real and
-    imaginary halves become the pair's two screens and hold the second
-    until its slab.  Everything else runs over row tiles: ``phasor``
-    (complex128) is a tile's imprint phasor or phase uniforms, and
-    ``scratch`` (float64, the same rows) a tile of modulus uniforms or of a
-    finished screen, or the float32 angles and cos/sin of a spectral draw
-    or of the imprint.  Never shared between
-    realizations or workers; a call given none makes a fresh one and
-    touches only the buffers it uses.
+    ``field`` and ``spectrum`` (complex128, N x N) are the only full grids: the
+    running field, and a screen pair's spectral draw, whose real and imaginary
+    halves become the pair's two screens and hold the second until its slab.
+    Everything else runs over row tiles: ``phasor`` (complex128) is a tile's
+    imprint phasor or phase uniforms, and ``scratch`` (float64, the same rows)
+    a tile of modulus uniforms or of a finished screen, or the float32 angles
+    and cos/sin of a spectral draw or of the imprint.  Never shared between
+    realizations or workers; a call given none makes a fresh one and touches
+    only the buffers it uses.
     """
 
     def __init__(self, n: int) -> None:
@@ -181,24 +179,22 @@ def plan_slabs(geom: LinkGeometry, profile: AtmosphereProfile, spacing: float) -
     """Fewest contiguous bands, ground to satellite, whose screens meet both bounds.
 
     Bands grow from the ground up until the band's Rytov variance would pass
-    ``_SCREEN_RYTOV_CAP`` or its r0 fall below ``_SCREEN_R0_CELLS`` cells of
-    the receiver ``spacing``; both budgets add over bands, so the greedy cut
-    is the fewest.  Each screen sits at its band's h*, (h* - h0)^(5/6) =
-    int Cn2 (h - h0)^(5/6) dh / int Cn2 dh, which keeps the weak-fluctuation
-    sigma_I^2 where the grid-truncated kernel is a z^(5/6) law less a
-    constant: beyond z_c = k dx^2 / pi^2, where the Nyquist wavenumber has
-    unit Fresnel phase.  Below z_c it grows as z^2, so no band straddles z_c.
+    ``_SCREEN_RYTOV_CAP`` or its r0 fall below ``_SCREEN_R0_CELLS`` receiver
+    cells (``spacing``); both budgets add over bands, so the greedy cut is the
+    fewest.  No band straddles z_c = k dx^2 / pi^2, where the Nyquist
+    wavenumber has unit Fresnel phase and the grid's kernel turns from z^2
+    towards a z^(5/6) law.  Each screen keeps its band's weak sigma_I^2 on
+    the grid: it sits where ``_nyquist_kernel`` equals its Cn2-weighted band
+    mean, which far beyond z_c is the 5/6 moment of the band's altitudes.
     """
-    h0 = geom.ground_altitude
-    top = geom.satellite_altitude
-    sec = geom.sec_zenith
+    h0, top, sec = geom.ground_altitude, geom.satellite_altitude, geom.sec_zenith
     if profile.cn2_scale == 0.0:
         return SlabPlan((Slab(h0, top, (top - h0) * sec, math.inf),))
 
-    hs, cum_cn2 = _cumulative_integral(lambda h: cn2(h, profile), h0, top, _PLANNING_EDGES)
+    density = lambda h: cn2(h, profile)
+    hs, cum_cn2 = _cumulative_integral(density, h0, top, _PLANNING_EDGES)
     _, cum_ryt = _cumulative_integral(_rytov_density(geom, profile), h0, top, _PLANNING_EDGES)
-    # r0 goes as the band's Cn2 integral to the -3/5; the 0.1% margin covers
-    # the interpolated edges
+    # r0 goes as the band's Cn2 integral to the -3/5; 0.1% covers interpolation
     r0_cells = fried_parameter(geom, profile) / (_SCREEN_R0_CELLS * spacing)
     budgets = (1.0 - 1e-3) * np.array([cum_cn2[-1] * r0_cells ** (5.0 / 3.0), _SCREEN_RYTOV_CAP])
     cums = (cum_cn2, cum_ryt)
@@ -216,13 +212,33 @@ def plan_slabs(geom: LinkGeometry, profile: AtmosphereProfile, spacing: float) -
         edges.append(min(edge, h_c) if edges[-1] < h_c else edge)
     edges.append(top)
 
+    kernel = _nyquist_kernel(spacing, profile)
+    u = lambda h: (h - h0) / (h_c - h0)
     slabs = []
     for h_lo, h_hi in zip(edges[:-1], edges[1:]):
-        band_cn2, band_ryt = at(h_hi) - at(h_lo)
-        h_star = h0 + (band_ryt / (_rytov_scale(geom) * band_cn2)) ** (6.0 / 5.0)
+        mean = _cumulative_integral(lambda h: density(h) * kernel(u(h)), h_lo, h_hi)[1][-1]
+        mean /= at(h_hi)[0] - at(h_lo)[0]
+        us = np.linspace(u(h_lo), u(h_hi), 257)
+        h_star = h0 + (h_c - h0) * float(np.interp(mean, kernel(us), us))
         r0 = fried_parameter(geom, profile, h_lo, h_hi)
         slabs.append(Slab(h_lo, h_hi, (h_hi - h_lo) * sec, r0, min(max(h_star, h_lo), h_hi)))
     return SlabPlan(tuple(slabs))
+
+
+def _nyquist_kernel(spacing: float, profile: AtmosphereProfile):
+    """u -> int d^2kappa PSD [1 - cos(u kappa^2 dx^2 / pi^2)] over the Nyquist square, up to
+    a constant: the weak sigma_I^2 of unit Cn2 at u = z / z_c (a ring t pi / dx keeps
+    1 - (4 / pi) acos(1 / t) of its circle past t = 1); past _KERNEL_REACH, where the nodes
+    stop resolving the cosines, a z^(5/6) law less a constant through its half-reach value."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    t = np.concatenate([1.0 + x, 2.0 + (math.sqrt(2.0) - 1.0) * (1.0 + x)]) / 2.0
+    w = np.concatenate([w, (math.sqrt(2.0) - 1.0) * w]) / 2.0
+    w *= t * (1.0 - (4.0 / math.pi) * np.arccos(1.0 / np.maximum(t, 1.0)))
+    w *= mvk_psd(t / (2.0 * spacing), 1.0, profile.outer_scale, profile.inner_scale)
+    near = lambda u: (1.0 - np.cos(np.multiply.outer(np.minimum(u, _KERNEL_REACH), t * t))) @ w
+    ends = np.array([0.5, 1.0]) * _KERNEL_REACH
+    (a, b), (pa, pb) = near(ends), ends ** (5.0 / 6.0)
+    return lambda u: near(u) + (b - a) / (pb - pa) * (np.maximum(u, ends[1]) ** (5.0 / 6.0) - pb)
 
 
 def _centered_coords(n: int, spacing: float) -> np.ndarray:
@@ -314,15 +330,14 @@ def _draw_spectrum(rng: np.random.Generator, factor: np.ndarray, ws: Workspace) 
     """factor * R e^(i theta) into ``ws.spectrum``: circular-Gaussian amplitudes.
 
     Box-Muller: R = sqrt(-2 ln(1 - u)) and theta = 2 pi (v - 1/2) from two
-    row-major N x N uniform draws, all N^2 of u, then all N^2 of v.  They
-    are drawn one row tile at a time, and the generator fills sequentially,
-    so the stream is the same at any tile height.  R * factor is float64
-    and waits in the real half; theta is cast to float32 for SIMD cos and
-    sin, which are widened in the final multiplies.  1 - u is exact and at
-    least 2^-53, so R <= sqrt(106 ln 2) < 8.57.  Against float64 Box-Muller
-    of the same uniforms, each unit normal is off by at most R * 3 * 2^-23:
-    2^-23 from the cast of |theta| <= pi, and 2 float32 ulps (<= 2^-22) of
-    cos or sin.
+    row-major N x N uniform draws, all N^2 of u, then all N^2 of v.  They are
+    drawn one row tile at a time, and the generator fills sequentially, so the
+    stream is the same at any tile height.  R * factor is float64 and waits in
+    the real half; theta is cast to float32 for SIMD cos and sin, which are
+    widened in the final multiplies.  1 - u is exact and at least 2^-53, so R
+    <= sqrt(106 ln 2) < 8.57.  Against float64 Box-Muller of the same uniforms,
+    each unit normal is off by at most R * 3 * 2^-23: 2^-23 from the cast of
+    |theta| <= pi, and 2 float32 ulps (<= 2^-22) of cos or sin.
     """
     spectrum = ws.spectrum
     tiles = _row_tiles(spectrum.shape[0])
@@ -360,16 +375,15 @@ def generate_screen(
 ) -> tuple[PhaseScreen, ...]:
     """Draw the phase screens of one or two slabs on an N x N grid.
 
-    Spectral synthesis: circular-Gaussian amplitudes, each a Rayleigh
-    modulus times a uniform phase (``_draw_spectrum``), weighted by
-    sqrt(PSD) * df on the FFT lattice, plus three levels of 3x3
-    subharmonic patches whose amplitudes carry the cell-integrated PSD.
-    The real and imaginary parts of the inverse transform are two
-    independent screens: the real part goes to the first slab and the
-    imaginary part to the second, each with its own subharmonic draws
-    taken in slab order after the spectral draw.  A one-slab call makes
-    only the first slab's draws.  A vacuum slab (r0 = inf) gets a zero
-    screen, since its r0^(-5/6) scale is exactly zero.  The screens are
+    Spectral synthesis: circular-Gaussian amplitudes, each a Rayleigh modulus
+    times a uniform phase (``_draw_spectrum``), weighted by sqrt(PSD) * df on
+    the FFT lattice, plus three levels of 3x3 subharmonic patches whose
+    amplitudes carry the cell-integrated PSD. The real and imaginary parts of
+    the inverse transform are two independent screens: the real part goes to
+    the first slab and the imaginary part to the second, each with its own
+    subharmonic draws taken in slab order after the spectral draw.  A one-slab
+    call makes only the first slab's draws.  A vacuum slab (r0 = inf) gets a
+    zero screen, since its r0^(-5/6) scale is exactly zero.  The screens are
     the real and imaginary halves of the workspace's ``spectrum`` (strided
     views), so they last until its next draw.
     """

@@ -114,22 +114,12 @@ def _kappa_rule(breaks) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), (half[:, None] * _KAPPA_GL[1]).ravel()
 
 
-def weak_scintillation_index(
-    geom: LinkGeometry, profile: AtmosphereProfile, spacing: float | None = None, plan=None
-) -> float:
-    """Plane-wave downlink sigma_I^2 of weak-fluctuation theory (Andrews and
-    Phillips 2005, ch. 12), with the screens' own modified von Karman spectrum.
-
-    sigma_I^2 = 4 pi k^2 sec(zeta) int dh Cn2(h) int d^2kappa Phi(kappa)
-    [1 - cos(kappa^2 (h - h0) sec(zeta) / k)], from the ground up to the
-    satellite, with Phi = 0.033 exp(-kappa^2 / km^2) / (kappa^2 + k0^2)^(11/6),
-    km = 2 pi 0.9422 / l0 and k0 = 2 pi / L0.  Given a grid ``spacing``, only
-    the square |kappa_x|, |kappa_y| <= K = pi / spacing is kept: in polar
-    form, the angular fraction 1 - (4 / pi) acos(K / kappa) of each ring
-    with K < kappa <= sqrt(2) K.  Given a slab ``plan``, the h integral
-    becomes a sum over its screens, each carrying its band's Cn2 at its
-    screen altitude.
-    """
+def weak_kernel(
+    geom: LinkGeometry, profile: AtmosphereProfile, spacing: float | None = None, beam=False
+):
+    """h -> int d^2kappa Phi(kappa) [1 - cos(kappa^2 s / k)], s = (h - h0) sec(zeta):
+    the weak-fluctuation sigma_I^2 per unit Cn2 at altitude h, less the factor
+    4 pi k^2 sec(zeta); see ``weak_scintillation_index``."""
     k = geom.wavenumber
     sec = geom.sec_zenith
     km = 2.0 * math.pi * 0.9422 / profile.inner_scale
@@ -146,20 +136,60 @@ def weak_scintillation_index(
     ring = 2.0 * math.pi * kappa * weight * fraction
     ring *= 0.033 * np.exp(-((kappa / km) ** 2)) / (kappa**2 + k0**2) ** (11.0 / 6.0)
     h0 = geom.ground_altitude
+    path = geom.path_length
+    theta = 1.0 / (1.0 + (2.0 * path / (k * geom.beam_waist**2)) ** 2)
+    lam = theta * 2.0 * path / (k * geom.beam_waist**2)
 
     def kernel(h: float) -> float:
-        return float(ring @ (1.0 - np.cos(kappa**2 * ((h - h0) * sec / k))))
+        s = (h - h0) * sec
+        if not beam:
+            return float(ring @ (1.0 - np.cos(kappa**2 * (s / k))))
+        damped = ring * np.exp(-lam * kappa**2 * s**2 / (k * path))
+        return float(damped @ (1.0 - np.cos(kappa**2 * (s * (1.0 - (1.0 - theta) * s / path) / k))))
 
+    return np.vectorize(kernel)
+
+
+def weak_scintillation_index(
+    geom: LinkGeometry,
+    profile: AtmosphereProfile,
+    spacing: float | None = None,
+    plan=None,
+    beam: bool = False,
+) -> float:
+    """Plane-wave downlink sigma_I^2 of weak-fluctuation theory (Andrews and
+    Phillips 2005, ch. 12), with the screens' own modified von Karman spectrum.
+
+    sigma_I^2 = 4 pi k^2 sec(zeta) int dh Cn2(h) int d^2kappa Phi(kappa)
+    [1 - cos(kappa^2 (h - h0) sec(zeta) / k)], from the ground up to the
+    satellite, with Phi = 0.033 exp(-kappa^2 / km^2) / (kappa^2 + k0^2)^(11/6),
+    km = 2 pi 0.9422 / l0 and k0 = 2 pi / L0.  Given a grid ``spacing``, only
+    the square |kappa_x|, |kappa_y| <= K = pi / spacing is kept: in polar
+    form, the angular fraction 1 - (4 / pi) acos(K / kappa) of each ring
+    with K < kappa <= sqrt(2) K.  Given a slab ``plan``, the h integral
+    becomes a sum over its screens, each carrying its band's Cn2 at its
+    screen altitude.  With ``beam``, the on-axis value for the collimated
+    Gaussian beam that the satellite sends (same chapter): at
+    s = (h - h0) sec(zeta) from the receiver the cosine's argument is
+    kappa^2 s (1 - Theta_bar s / L) / k, and the integrand is damped by
+    exp(-Lambda kappa^2 s^2 / (k L)), where L is the slant path,
+    Theta_bar = 1 - Theta, and Theta = 1 / (1 + Lambda0^2) and
+    Lambda = Lambda0 Theta are the receiver-plane beam parameters of a beam
+    leaving its waist W0, Lambda0 = 2 L / (k W0^2).
+    """
+    kernel = weak_kernel(geom, profile, spacing, beam)
     if plan is None:
-        density = lambda h: cn2(h, profile) * np.vectorize(kernel)(h)
-        total = float(_cumulative_integral(density, h0, geom.satellite_altitude)[1][-1])
+        density = lambda h: cn2(h, profile) * kernel(h)
+        total = float(
+            _cumulative_integral(density, geom.ground_altitude, geom.satellite_altitude)[1][-1]
+        )
     else:
         total = sum(
             integrated_cn2(geom, profile, slab.h_lo, slab.h_hi) * kernel(slab.screen_altitude)
             for slab in plan.slabs
             if slab.has_screen
         )
-    return 4.0 * math.pi * k**2 * sec * total
+    return 4.0 * math.pi * geom.wavenumber**2 * geom.sec_zenith * total
 
 
 def scintillation_index(rytov_var: float) -> float:

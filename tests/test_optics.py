@@ -532,7 +532,7 @@ def test_shared_first_leg_gives_the_same_realizations(baseline_profile, zenith, 
     for profile in (baseline_profile, dead_profile()):
         plan = plan_slabs(geom, profile, window / n)
         source = gaussian_source(geom, n)
-        entry = first_leg(gaussian_source(geom, n), plan, window)
+        entry = first_leg(geom, n, plan, window)
         assert not entry.grid.flags.writeable
         for realization in range(2):
             streams = ScreenStreams(41, realization)
@@ -540,6 +540,8 @@ def test_shared_first_leg_gives_the_same_realizations(baseline_profile, zenith, 
             shared = split_step(entry, plan, profile, streams, window)
             assert np.array_equal(shared.grid, direct.grid)
             assert shared.z == direct.z
+            # the vacuum plan's entry stands at the ground: still a fresh grid
+            assert not np.shares_memory(shared.grid, entry.grid)
 
 
 def test_split_step_leaves_source_untouched(baseline_profile):
