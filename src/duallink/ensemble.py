@@ -18,7 +18,7 @@ import numpy as np
 
 from .atmosphere import AtmosphereProfile, LinkGeometry, greenwood_and_coherence
 from .errors import DataIntegrityError, DuallinkError, UsageError
-from .optics import aperture_transmissivity, choose_receiver_window, first_leg, split_step
+from .optics import aperture_transmissivity, build_channel, choose_receiver_window, split_step
 from .screens import ScreenStreams, plan_slabs
 
 _FORMAT_NAME = "duallink-ensemble"
@@ -115,27 +115,17 @@ def run_ensembles(
     radii = tuple(float(r) for r in aperture_radii)
     if not radii:
         raise UsageError("at least one aperture radius is required")
-    window = choose_receiver_window(geom, radii)
-    spacing = window / grid_size
-    for radius in radii:
-        if radius < 2.0 * spacing:
-            raise UsageError(
-                f"aperture radius {radius!r} m spans fewer than 2 receiver cells "
-                f"({spacing!r} m); increase the grid size"
-            )
     _, coherence_time = greenwood_and_coherence(geom, profile)
-    plan = plan_slabs(geom, profile, spacing)
+    plan = plan_slabs(geom, profile, choose_receiver_window(geom, radii) / grid_size)
     if not any(slab.has_screen for slab in plan.slabs):
         # simulated as vacuum, so no realization ever decorrelates from the last
         coherence_time = math.inf
-    entry = first_leg(geom, grid_size, plan, window)
+    channel = build_channel(geom, profile, plan, grid_size, radii)
 
     def realize(index: int) -> tuple[float, ...]:
         try:
-            field = split_step(
-                entry, plan, profile, ScreenStreams(master_seed, index), window
-            )
-            return tuple(aperture_transmissivity(field, radius) for radius in radii)
+            field = split_step(channel, ScreenStreams(master_seed, index))
+            return tuple(aperture_transmissivity(field, ap) for ap in channel.apertures)
         except DuallinkError as exc:
             raise type(exc)(f"realization {index}: {exc}") from exc
 

@@ -3,11 +3,12 @@
 A realization of the channel is one pass of a sampled Gaussian beam through
 the slab plan: vacuum transfer-function hops alternate with the slabs' phase
 screens, and the received power inside the telescope aperture, relative to
-the unit-power source, is the transmissivity of that realization.
+the unit-power source, is the transmissivity of that realization.  What all
+realizations read is built once, into a read-only ``Channel``.
 
 Vacuum hops are paraxial, within pi N lambda^2 / (16 dx^2) rad of the exact
 angular spectrum (see ``propagate_vacuum``), and separable: every transfer
-function and chirp exp(ia(x^2 + y^2)) is cached as its length-N axis factor
+function and chirp exp(ia(x^2 + y^2)) is built as its length-N axis factor
 exp(iax^2) and applied along each axis in turn.  Kernels are referenced to
 the on-axis plane wave (the carrier phase exp(ikz) is dropped), so composing
 many short hops agrees with one long hop to machine precision.
@@ -20,6 +21,7 @@ step, so its angle is good to 3e-7 rad and its modulus to 1e-13.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,15 +30,16 @@ import numpy as np
 from .atmosphere import AtmosphereProfile, LinkGeometry
 from .errors import NumericalError, UsageError
 from .screens import (
-    _MAX_SLABS,
     PhaseScreen,
+    ScreenSpectrum,
     ScreenStreams,
+    Slab,
     SlabPlan,
     Workspace,
     _centered_coords,
     _row_tiles,
     generate_screen,
-    locked_cache,
+    screen_spectrum,
 )
 
 # Outermost frame, in cells, that the aliasing guard inspects after a hop,
@@ -114,8 +117,8 @@ def choose_receiver_window(geom: LinkGeometry, aperture_radii) -> float:
     return max(8.0 * vacuum_beam_radius(geom, geom.path_length), 4.0 * max(aperture_radii))
 
 
-# one entry per fixed-grid hop of a realization: at most one per screen
-@locked_cache(maxsize=_MAX_SLABS)
+# build_channel fills it with every hop of the walk; bench/run.py reports its cache_info()
+@functools.lru_cache
 def _angular_spectrum_kernel(
     n: int, spacing: float, wavelength: float, distance: float
 ) -> np.ndarray:
@@ -126,7 +129,6 @@ def _angular_spectrum_kernel(
     return kernel
 
 
-@locked_cache(maxsize=4)
 def _fresnel_factors(n: int, d1: float, wavelength: float, distance: float, d2: float):
     """Axis factors of the chirps of the two-step transform d1 -> d2 over distance.
 
@@ -304,7 +306,6 @@ def apply_screen(
     return ComplexField(ws.field, field.spacing, field.wavelength, field.z)
 
 
-@locked_cache(maxsize=8)
 def _apodization_mask(n: int) -> np.ndarray:
     """Super-Gaussian absorber on the N x N grid, built by row tiles."""
     v = (np.arange(n) - n // 2) / (n / 2.0)
@@ -316,74 +317,84 @@ def _apodization_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _hop(field: ComplexField, distance: float, target: float, out: np.ndarray) -> ComplexField:
+def _hop(field: ComplexField, distance: float, target: float | None, mask, out) -> ComplexField:
     """Apodize into ``out`` (what the absorber takes is lost) and hop at ``target`` spacing."""
     if distance <= 0.0:
         return field
-    np.multiply(field.grid, _apodization_mask(field.size), out=out)
+    np.multiply(field.grid, mask, out=out)
     absorbed = ComplexField(out, field.spacing, field.wavelength, field.z)
     return propagate_vacuum(absorbed, distance, target, out=out)
 
 
-def _stops(plan: SlabPlan) -> list[tuple[int | None, float]]:
-    """(slab index, slant depth below the top) per screen, top down, then (None, the ground's)."""
-    stops, above = [], 0.0
+@dataclass(frozen=True, eq=False)
+class Channel:
+    """What every realization of one ensemble reads and none writes.
+
+    ``entry`` is the apodized, rescaled hop from ``gaussian_source`` to the
+    first screen (or the ground).  ``draws`` is the walk from there, one
+    spectral draw per pair of screens: its stream key (the upper slab's
+    index), its slabs, and the hop before each screen.  ``last_hop`` reaches
+    the ground.  ``screens`` is None for a vacuum plan."""
+
+    entry: ComplexField
+    draws: tuple[tuple[int, tuple[Slab, ...], tuple[float, ...]], ...]
+    last_hop: float
+    screens: ScreenSpectrum | None
+    apodizer: np.ndarray
+    apertures: tuple[Aperture, ...]
+
+
+@functools.lru_cache(maxsize=1)
+def build_channel(
+    geom: LinkGeometry, profile: AtmosphereProfile, plan: SlabPlan, grid_size: int, radii: tuple
+) -> Channel:
+    """The channel of ``plan`` on an N x N grid whose receiver window holds every
+    aperture radius; the last one built is kept, so a rerun of one config reuses it."""
+    window = choose_receiver_window(geom, radii)
+    apertures = tuple(circular_aperture(grid_size, window / grid_size, r) for r in radii)
+    # (slab index, slant depth below the top) per screen, top down
+    stops, ground = [], 0.0
     for idx, slab in reversed(list(enumerate(plan.slabs))):
         if slab.has_screen:
-            stops.append((idx, above + slab.screen_depth))
-        above += slab.path_length
-    return stops + [(None, above)]
+            stops.append((idx, ground + slab.screen_depth))
+        ground += slab.path_length
+    depths = [depth for _, depth in stops] + [ground]
 
-
-def first_leg(geom: LinkGeometry, grid_size: int, plan: SlabPlan, window: float) -> ComplexField:
-    """The apodized, rescaled hop from ``gaussian_source(geom, grid_size)`` to the
-    first screen (or the receiver) that every realization makes: an ensemble
-    makes it once, in place over its own source, and shares the read-only result."""
+    apodizer = _apodization_mask(grid_size)
     source = gaussian_source(geom, grid_size)
-    field = _hop(source, _stops(plan)[0][1], window / grid_size, source.grid)
-    field.grid.setflags(write=False)
-    return field
+    entry = _hop(source, depths[0], window / grid_size, apodizer, source.grid)
+    entry.grid.setflags(write=False)
+    # each hop of the walk, summed into z as propagate_vacuum sums it; its kernel is built here
+    hops, z = [], entry.z
+    for depth in depths:
+        hops.append(depth - z)
+        if hops[-1] > 0.0:
+            z += hops[-1]
+            _angular_spectrum_kernel(grid_size, entry.spacing, entry.wavelength, hops[-1])
+    draws = []
+    for i in range(0, len(stops), 2):
+        slabs = tuple(plan.slabs[idx] for idx, _ in stops[i : i + 2])
+        draws.append((stops[i][0], slabs, tuple(hops[i : i + 2])))
+    spectrum = screen_spectrum(grid_size, entry.spacing, profile) if stops else None
+    return Channel(entry, tuple(draws), hops[-1], spectrum, apodizer, apertures)
 
 
-def split_step(
-    source: ComplexField,
-    plan: SlabPlan,
-    profile: AtmosphereProfile,
-    streams: ScreenStreams,
-    receiver_window: float,
-) -> ComplexField:
-    """One channel realization: source plane to receiver plane through the plan.
+def split_step(channel: Channel, streams: ScreenStreams) -> ComplexField:
+    """One channel realization: the channel's entry field to the receiver plane.
 
-    The field's ``z`` is its slant distance below the top of the plan: the source
-    at 0, or ``first_leg``'s result, from which the walk gives the same bits.  It
-    hops from screen to screen, then to the ground, the first hop rescaling the
-    grid to the receiver window.  Screens are paired in walk order: one spectral
-    draw from the stream of the pair's first slab serves both.  Everything runs
-    in one workspace; the result never shares the source's grid.
+    Screens are drawn in pairs: one spectral draw from the stream of the
+    pair's upper slab serves both.  Everything runs in one workspace; the
+    result never shares the entry's grid.
     """
-    if receiver_window <= 0.0:
-        raise UsageError("receiver window must be positive")
-    n = source.size
-    target = receiver_window / n
-    *stops, (_, ground) = _stops(plan)
-    partner = {upper[0]: lower[0] for upper, lower in zip(stops[0::2], stops[1::2])}
-    workspace = Workspace(n)
-
-    field = source
-    held: list[PhaseScreen] = []
-    for idx, stop in stops:
-        field = _hop(field, stop - field.z, target, workspace.field)
-        if held:
-            screen = held.pop()
-        else:
-            slab = plan.slabs[idx]
-            pair = (slab, plan.slabs[partner[idx]]) if idx in partner else (slab,)
-            screen, *held = generate_screen(
-                pair, n, field.spacing, streams.generator(idx), profile, workspace=workspace
-            )
-        field = apply_screen(field, screen, workspace=workspace)
-    field = _hop(field, ground - field.z, target, workspace.field)
-    return replace(field, grid=field.grid.copy()) if field is source else field
+    workspace = Workspace(channel.entry.size)
+    field = channel.entry
+    for index, slabs, hops in channel.draws:
+        pair = generate_screen(slabs, channel.screens, streams.generator(index), workspace)
+        for screen, distance in zip(pair, hops):
+            field = _hop(field, distance, None, channel.apodizer, workspace.field)
+            field = apply_screen(field, screen, workspace=workspace)
+    field = _hop(field, channel.last_hop, None, channel.apodizer, workspace.field)
+    return replace(field, grid=field.grid.copy()) if field is channel.entry else field
 
 
 def _quadrant_area(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
@@ -406,19 +417,12 @@ def _signed_corner_area(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarr
     return np.sign(x) * np.sign(y) * _quadrant_area(np.abs(x), np.abs(y), radius)
 
 
-def _aperture_span(n: int, spacing: float, radius: float) -> slice:
-    """Rows (and columns) of the cells that the centered disc can touch."""
+def _aperture_weights(n: int, spacing: float, radius: float) -> tuple[slice, np.ndarray]:
+    """The rows (and columns) of the cells that the centered disc can touch, and
+    their fractions of area inside it, exact at the rim; other cells weigh zero."""
     reach = math.ceil(radius / spacing + 0.5)
-    return slice(max(n // 2 - reach, 0), min(n // 2 + reach + 1, n))
-
-
-@locked_cache(maxsize=32)
-def _aperture_weights(n: int, spacing: float, radius: float) -> np.ndarray:
-    """Per-cell fraction of area inside the circular aperture, exact at the rim.
-
-    Only the block ``[span, span]`` of ``_aperture_span`` is held; other cells weigh zero.
-    """
-    centers = _centered_coords(n, spacing)[_aperture_span(n, spacing, radius)]
+    span = slice(max(n // 2 - reach, 0), min(n // 2 + reach + 1, n))
+    centers = _centered_coords(n, spacing)[span]
     lo = (centers - 0.5 * spacing)[:, None]
     hi = (centers + 0.5 * spacing)[:, None]
     area = (
@@ -429,19 +433,35 @@ def _aperture_weights(n: int, spacing: float, radius: float) -> np.ndarray:
     )
     weights = np.clip(area / spacing**2, 0.0, 1.0)
     weights.setflags(write=False)
-    return weights
+    return span, weights
 
 
-def aperture_transmissivity(field: ComplexField, radius: float) -> float:
-    """Power collected by a centered circular aperture, per unit source power."""
-    if radius < 2.0 * field.spacing:
+@dataclass(frozen=True, eq=False)
+class Aperture:
+    """A centered circular aperture on one N x N grid, as ``_aperture_weights``."""
+
+    size: int
+    spacing: float
+    span: slice
+    weights: np.ndarray
+
+
+def circular_aperture(grid_size: int, spacing: float, radius: float) -> Aperture:
+    """The aperture of ``radius`` on the grid; refused below 2 cells of radius."""
+    if radius < 2.0 * spacing:
         raise UsageError(
-            f"aperture radius {radius!r} m spans fewer than 2 grid cells "
-            f"(spacing {field.spacing!r} m); refine the receiver grid"
+            f"aperture radius {radius!r} m spans fewer than 2 receiver cells "
+            f"({spacing!r} m); increase the grid size"
         )
-    weights = _aperture_weights(field.size, field.spacing, radius)
-    span = _aperture_span(field.size, field.spacing, radius)
-    block = field.grid[span, span]
+    return Aperture(grid_size, spacing, *_aperture_weights(grid_size, spacing, radius))
+
+
+def aperture_transmissivity(field: ComplexField, aperture: Aperture) -> float:
+    """Power collected by a centered circular aperture, per unit source power."""
+    if (field.size, field.spacing) != (aperture.size, aperture.spacing):
+        raise UsageError("the aperture was built for another grid")
+    block = field.grid[aperture.span, aperture.span]
+    weights = aperture.weights
     power = np.einsum("ij,ij,ij->", weights, block.real, block.real) + np.einsum(
         "ij,ij,ij->", weights, block.imag, block.imag
     )

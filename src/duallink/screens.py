@@ -15,9 +15,7 @@ that midpoint weighting underfills the cells by tens of percent.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -42,30 +40,6 @@ _KERNEL_REACH = 32.0
 _MAX_SLABS = 64
 # Cell edges of the running Cn2 and Rytov integrals that place the slab edges.
 _PLANNING_EDGES = 2000
-
-
-def locked_cache(maxsize: int):
-    """``lru_cache`` for per-geometry arrays shared by concurrent workers.
-
-    Every lookup holds one lock per decorated function, so workers that
-    miss together build each entry once instead of once per worker.  The
-    decorated name keeps ``cache_info()`` and ``cache_clear()``.
-    """
-
-    def decorate(func):
-        cached = functools.lru_cache(maxsize=maxsize)(func)
-        lock = threading.Lock()
-
-        @functools.wraps(func)
-        def lookup(*args):
-            with lock:
-                return cached(*args)
-
-        lookup.cache_info = cached.cache_info
-        lookup.cache_clear = cached.cache_clear
-        return lookup
-
-    return decorate
 
 
 class ScreenResolutionWarning(UserWarning):
@@ -273,9 +247,7 @@ def _cell_integrated_psd(
 
 _SUBHARMONIC_LEVELS = 3
 
-# The r0-independent spectral factors repeat across every screen of a run,
-# so they are cached per grid geometry (r0 enters as a scalar power).
-@locked_cache(maxsize=8)
+
 def _fft_amplitude_factor(n: int, spacing: float, l_out: float, l_in: float) -> np.ndarray:
     """sqrt(PSD / r0^(-5/3)) * df on the FFT lattice, DC zeroed; built by row tiles."""
     fx = np.fft.fftfreq(n, spacing)
@@ -301,7 +273,6 @@ _LEVEL_ROWS = tuple(
 )
 
 
-@locked_cache(maxsize=8)
 def _subharmonic_factors(n: int, spacing: float, l_out: float, l_in: float):
     """Per-level sqrt cell weights (3x3, r0 factored out), the real axis
     basis ((2L+1) x N) and its row means."""
@@ -365,15 +336,45 @@ def _draw_spectrum(rng: np.random.Generator, factor: np.ndarray, ws: Workspace) 
         spectrum.real[tile] *= cosine
 
 
+@dataclass(frozen=True, eq=False)
+class ScreenSpectrum:
+    """The read-only, r0-independent factors of the screens on one N x N grid: the
+    spectral amplitude factor, and the subharmonic weights, axis basis and its means."""
+
+    spacing: float
+    amplitude: np.ndarray
+    weights: tuple[np.ndarray, ...]
+    basis: np.ndarray
+    means: np.ndarray
+
+
+def screen_spectrum(grid_size: int, spacing: float, profile: AtmosphereProfile) -> ScreenSpectrum:
+    """The factors of the N x N screens at ``spacing``; warns if the window
+    cannot resolve the outer scale."""
+    n = grid_size
+    if n <= 0 or n & (n - 1):
+        raise UsageError(f"grid size must be a power of two, got {n}")
+    if spacing <= 0.0:
+        raise UsageError("grid spacing must be positive")
+    l_out, l_in = profile.outer_scale, profile.inner_scale
+    if n * spacing < l_out / 2.0:
+        warnings.warn(
+            f"grid window {n * spacing:.3g} m resolves less than half the outer scale "
+            f"{l_out:.3g} m; low-frequency phase power will be underrepresented",
+            ScreenResolutionWarning,
+            stacklevel=2,
+        )
+    amplitude = _fft_amplitude_factor(n, spacing, l_out, l_in)
+    return ScreenSpectrum(spacing, amplitude, *_subharmonic_factors(n, spacing, l_out, l_in))
+
+
 def generate_screen(
     slabs: tuple[Slab, ...],
-    grid_size: int,
-    spacing: float,
+    spectrum: ScreenSpectrum,
     rng: np.random.Generator,
-    profile: AtmosphereProfile,
     workspace: Workspace | None = None,
 ) -> tuple[PhaseScreen, ...]:
-    """Draw the phase screens of one or two slabs on an N x N grid.
+    """Draw the phase screens of one or two slabs on the spectrum's N x N grid.
 
     Spectral synthesis: circular-Gaussian amplitudes, each a Rayleigh modulus
     times a uniform phase (``_draw_spectrum``), weighted by sqrt(PSD) * df on
@@ -387,37 +388,25 @@ def generate_screen(
     the real and imaginary halves of the workspace's ``spectrum`` (strided
     views), so they last until its next draw.
     """
-    n = grid_size
-    if n <= 0 or n & (n - 1):
-        raise UsageError(f"grid size must be a power of two, got {n}")
-    if spacing <= 0.0:
-        raise UsageError("grid spacing must be positive")
     if not 1 <= len(slabs) <= 2:
         raise UsageError(f"one or two slabs per spectral draw, got {len(slabs)}")
-    l_out, l_in = profile.outer_scale, profile.inner_scale
-    if n * spacing < l_out / 2.0:
-        warnings.warn(
-            f"grid window {n * spacing:.3g} m resolves less than half the outer scale "
-            f"{l_out:.3g} m; low-frequency phase power will be underrepresented",
-            ScreenResolutionWarning,
-            stacklevel=2,
-        )
+    n = len(spectrum.amplitude)
 
-    # DC cell is zeroed in the cached factor; the subharmonic levels own
+    # DC cell is zeroed in the amplitude factor; the subharmonic levels own
     # everything below one window cycle.  Each slab's r0 scale is applied
     # once, to its finished screen.
     ws = Workspace(n) if workspace is None else workspace
-    _draw_spectrum(rng, _fft_amplitude_factor(n, spacing, l_out, l_in), ws)
-    spectrum = ws.spectrum
+    _draw_spectrum(rng, spectrum.amplitude, ws)
+    draw = ws.spectrum
     tiles = _row_tiles(n)
     # ifftn rather than ifft2: numpy's ifft2 ignores out=
-    np.fft.ifftn(spectrum, norm="forward", out=spectrum)
+    np.fft.ifftn(draw, norm="forward", out=draw)
 
-    weights, basis, means = _subharmonic_factors(n, spacing, l_out, l_in)
+    basis, means = spectrum.basis, spectrum.means
     screens = []
-    for slab, half in zip(slabs, (spectrum.real, spectrum.imag)):
+    for slab, half in zip(slabs, (draw.real, draw.imag)):
         coeff = np.zeros((len(basis), len(basis)))
-        for sqrt_w, rows in zip(weights, _LEVEL_ROWS):
+        for sqrt_w, rows in zip(spectrum.weights, _LEVEL_ROWS):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             a *= sqrt_w
             coeff[rows] += (_PHASOR_FROM_REAL.T @ a @ _PHASOR_FROM_REAL).real
@@ -434,5 +423,5 @@ def generate_screen(
             screen += half[tile]
             screen *= scale
             half[tile] = screen
-        screens.append(PhaseScreen(half, spacing))
+        screens.append(PhaseScreen(half, spectrum.spacing))
     return tuple(screens)

@@ -3,11 +3,13 @@ structure function, the Eve-Bob correlation, the plane-wave
 scintillation index from the Rytov variance and the weak-fluctuation
 scintillation index of the downlink; full-grid references
 for the separable hop factors, the block-metered aperture, and the
-row-tiled screen synthesis, imprint and cached grids; per-eta
+row-tiled screen synthesis, imprint and channel grids, and the realization
+walked from the source with every array built per call; per-eta
 references for the array-native link budget and quadrature Monte Carlo;
 and the finite-size penalty over four separately stored epsilons."""
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -26,16 +28,22 @@ from duallink.optics import (
     _APODIZATION_STRENGTH,
     _TURN,
     ComplexField,
+    _apodization_mask,
     _signed_corner_area,
+    apply_screen,
+    propagate_vacuum,
 )
 from duallink.protocol import ClassicalLayer, EmpiricalMoments, SqueezingParams
 from duallink.screens import (
     _LEVEL_ROWS,
     _PHASOR_FROM_REAL,
     PhaseScreen,
+    Workspace,
     _centered_coords,
     _subharmonic_factors,
+    generate_screen,
     mvk_psd,
+    screen_spectrum,
 )
 
 
@@ -339,6 +347,49 @@ def full_grid_apply_screen(field: ComplexField, phase: np.ndarray) -> np.ndarray
     newton *= 0.5
     phasor *= newton
     return field.grid * phasor
+
+
+def reference_split_step(source, plan, profile, streams, receiver_window) -> ComplexField:
+    """One realization walked from the source plane, building every array per
+    call: the apodizer before each hop, the screen factors before each draw.
+
+    It hops from screen to screen, then to the ground, the first hop
+    rescaling the grid to the receiver window.  Screens are paired in walk
+    order: one spectral draw from the stream of the pair's first slab serves
+    both.  The field's ``z`` is its slant distance below the top of the plan.
+    """
+    n = source.size
+    target = receiver_window / n
+    stops, above = [], 0.0  # (slab index, slant depth) per screen, top down
+    for idx, slab in reversed(list(enumerate(plan.slabs))):
+        if slab.has_screen:
+            stops.append((idx, above + slab.screen_depth))
+        above += slab.path_length
+    partner = {upper[0]: lower[0] for upper, lower in zip(stops[0::2], stops[1::2])}
+    workspace = Workspace(n)
+
+    def hop(field, distance):
+        if distance <= 0.0:
+            return field
+        out = workspace.field
+        np.multiply(field.grid, _apodization_mask(n), out=out)
+        absorbed = ComplexField(out, field.spacing, field.wavelength, field.z)
+        return propagate_vacuum(absorbed, distance, target, out=out)
+
+    field = source
+    held: list[PhaseScreen] = []
+    for idx, stop in stops:
+        field = hop(field, stop - field.z)
+        if held:
+            screen = held.pop()
+        else:
+            slab = plan.slabs[idx]
+            pair = (slab, plan.slabs[partner[idx]]) if idx in partner else (slab,)
+            spectrum = screen_spectrum(n, field.spacing, profile)
+            screen, *held = generate_screen(pair, spectrum, streams.generator(idx), workspace)
+        field = apply_screen(field, screen, workspace=workspace)
+    field = hop(field, above - field.z)
+    return replace(field, grid=field.grid.copy()) if field is source else field
 
 
 def per_eta_link_budget_rows(displacement: float, etas) -> str:

@@ -46,8 +46,8 @@ from duallink.keyrate import (
     plob_bound,
 )
 from duallink.optics import (
+    build_channel,
     choose_receiver_window,
-    first_leg,
     split_step,
     vacuum_beam_radius,
 )
@@ -64,6 +64,7 @@ from duallink.screens import (
     Slab,
     generate_screen,
     plan_slabs,
+    screen_spectrum,
 )
 
 TABLE_PROFILE = AtmosphereProfile(
@@ -203,12 +204,11 @@ def structure_function_errors() -> np.ndarray:
     errors = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScreenResolutionWarning)
+        spectrum = screen_spectrum(256, 0.02, profile)
         for seed in STRUCTURE_SEEDS:
             halves = ([], [])
             for i in range(256):
-                pair = generate_screen(
-                    (slab, slab), 256, 0.02, ScreenStreams(seed, i).generator(0), profile
-                )
+                pair = generate_screen((slab, slab), spectrum, ScreenStreams(seed, i).generator(0))
                 for screens, screen in zip(halves, pair):
                     screens.append(PhaseScreen(screen.grid.copy(), screen.spacing))
             measured = [
@@ -311,13 +311,13 @@ SCINTILLATION_LATTICE = np.arange(-8, 9, 4)
 
 def lattice_intensities(geom, profile, grid: int, seeds, count: int):
     """|E|^2 on the receiver lattice, by (seed, realization, pixel), and the plan."""
-    window = choose_receiver_window(geom, (geom.aperture_radius,))
-    plan = plan_slabs(geom, profile, window / grid)
-    entry = first_leg(geom, grid, plan, window)
+    radii = (geom.aperture_radius,)
+    plan = plan_slabs(geom, profile, choose_receiver_window(geom, radii) / grid)
+    channel = build_channel(geom, profile, plan, grid, radii)
     lattice = np.ix_(grid // 2 + SCINTILLATION_LATTICE, grid // 2 + SCINTILLATION_LATTICE)
 
     def pixels(key: tuple[int, int]) -> np.ndarray:
-        field = split_step(entry, plan, profile, ScreenStreams(*key), window)
+        field = split_step(channel, ScreenStreams(*key))
         return np.abs(field.grid[lattice].ravel()) ** 2
 
     keys = [(seed, index) for seed in seeds for index in range(count)]

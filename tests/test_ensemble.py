@@ -1,7 +1,11 @@
 """Ensemble orchestration, fading moments, persistence, and step series."""
 
+import dataclasses
+import functools
 import math
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from duallink.errors import DataIntegrityError, UsageError
 from duallink.optics import (
     aperture_transmissivity,
     choose_receiver_window,
+    circular_aperture,
     gaussian_source,
     propagate_vacuum,
     vacuum_beam_radius,
@@ -59,12 +64,10 @@ def test_zero_turbulence_single_realization_matches_diffraction():
     geom = make_geometry()
     ens = run_ensemble(geom, dead_profile(), 1, master_seed=5, grid_size=256)
     assert len(ens) == 1
-    direct = propagate_vacuum(
-        gaussian_source(geom, 256),
-        geom.path_length,
-        target_spacing=choose_receiver_window(geom, (0.5,)) / 256,
-    )
-    assert ens.etas[0] == pytest.approx(aperture_transmissivity(direct, 0.5), abs=1e-7)
+    spacing = choose_receiver_window(geom, (0.5,)) / 256
+    direct = propagate_vacuum(gaussian_source(geom, 256), geom.path_length, spacing)
+    aperture = circular_aperture(256, spacing, 0.5)
+    assert ens.etas[0] == pytest.approx(aperture_transmissivity(direct, aperture), abs=1e-7)
     spread = vacuum_beam_radius(geom, geom.path_length)
     analytic = 1.0 - math.exp(-2.0 * 0.5**2 / spread**2)
     assert ens.etas[0] == pytest.approx(analytic, rel=0.02)
@@ -108,25 +111,102 @@ def test_multi_radius_run_shares_fields(baseline_profile):
         )
     ],
 )
-def test_concurrent_workers_build_each_kernel_once(baseline_profile, module, name):
-    # more workers than cores, and frequent thread switches, to make
-    # simultaneous misses likely
-    cache = getattr(module, name)
+def test_concurrent_workers_build_each_kernel_once(baseline_profile, monkeypatch, module, name):
+    # Every array is built in the calling thread, before the pool starts,
+    # and as often at any worker count.  More workers than cores, and
+    # frequent thread switches, give a worker every chance to build one.
+    original = getattr(module, name)
+    build = getattr(original, "__wrapped__", original)
+    callers = []
+
+    def counted(*args):
+        callers.append(threading.current_thread())
+        return build(*args)
+
+    # the hop kernels stay behind a cache: count its misses
+    patched = counted if build is original else functools.lru_cache(counted)
+    monkeypatch.setattr(module, name, patched)
     geom = make_geometry(30.0)
-    misses = {}
+    builds = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for threads in (1, 2, 4):
-            cache.cache_clear()
+            optics.build_channel.cache_clear()
+            getattr(patched, "cache_clear", lambda: None)()
+            callers.clear()
             run_ensembles(
                 geom, baseline_profile, 4, 9, (0.5,), grid_size=256, threads=threads
             )
-            misses[threads] = cache.cache_info().misses
+            builds[threads] = len(callers)
+            assert set(callers) == {threading.main_thread()}
     finally:
         sys.setswitchinterval(interval)
-    assert misses[2] == misses[1]
-    assert misses[4] == misses[1]
+        optics.build_channel.cache_clear()
+    assert builds[2] == builds[1]
+    assert builds[4] == builds[1]
+
+
+def test_one_config_builds_its_channel_once_at_any_thread_count(baseline_profile):
+    optics.build_channel.cache_clear()
+    runs = [
+        run_ensembles(
+            make_geometry(30.0), baseline_profile, 4, 16053, (0.3, 0.5), 128, threads
+        )
+        for threads in (1, 2, 4)
+    ]
+    assert optics.build_channel.cache_info().misses == 1
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_rebuilt_channel_gives_the_memo_hit_etas(baseline_profile):
+    args = (make_geometry(60.0), baseline_profile, 3, 16052, (0.5,), 128)
+    run_ensembles(*args)
+    hits = optics.build_channel.cache_info().hits
+    memo = run_ensembles(*args)
+    assert optics.build_channel.cache_info().hits == hits + 1
+    optics.build_channel.cache_clear()
+    rebuilt = run_ensembles(*args)
+    assert rebuilt[0].etas == memo[0].etas
+
+
+def arrays_of(value):
+    """Every numpy array reachable through dataclass fields and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            yield from arrays_of(getattr(value, item.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays_of(item)
+
+
+def test_channel_arrays_are_read_only(baseline_profile):
+    geom = make_geometry()
+    radii = (0.3, 0.5)
+    plan = screens.plan_slabs(
+        geom, baseline_profile, optics.choose_receiver_window(geom, radii) / 128
+    )
+    channel = optics.build_channel(geom, baseline_profile, plan, 128, radii)
+    arrays = list(arrays_of(channel))
+    # entry field, apodizer, amplitude factor, 3 subharmonic weights,
+    # basis, means and one weight block per aperture
+    assert len(arrays) == 10
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_under_resolved_ensemble_warns_once():
+    # the screen factors are built, and their window checked, once per channel
+    profile = AtmosphereProfile(
+        ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=1e3, inner_scale=0.01
+    )
+    optics.build_channel.cache_clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_ensemble(make_geometry(), profile, 3, master_seed=16051, grid_size=64)
+    assert [w.category for w in caught] == [screens.ScreenResolutionWarning]
 
 
 def test_kernel_cache_keeps_every_hop_between_realizations(baseline_profile):

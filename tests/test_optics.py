@@ -14,15 +14,15 @@ from duallink.optics import (
     _EDGE_GUARD_CELLS,
     ComplexField,
     _angular_spectrum_kernel,
-    _aperture_span,
     _aperture_weights,
     _apodization_mask,
     _edge_power_fraction,
     _fresnel_factors,
     aperture_transmissivity,
     apply_screen,
+    build_channel,
     choose_receiver_window,
-    first_leg,
+    circular_aperture,
     gaussian_source,
     propagate_vacuum,
     split_step,
@@ -38,6 +38,7 @@ from duallink.screens import (
     _row_tiles,
     generate_screen,
     plan_slabs,
+    screen_spectrum,
 )
 
 from conftest import make_geometry
@@ -49,6 +50,7 @@ from oracles import (
     full_grid_apply_screen,
     full_grid_fresnel_chirps,
     full_grid_transmissivity,
+    reference_split_step,
     second_moment_radius,
 )
 
@@ -385,13 +387,17 @@ def test_screen_geometry_must_match():
 # aperture transmissivity
 
 
+def meter(field: ComplexField, radius: float) -> float:
+    return aperture_transmissivity(field, circular_aperture(field.size, field.spacing, radius))
+
+
 def test_aperture_weights_integrate_to_disk_area():
     geom = make_geometry()
     field = propagate_vacuum(
         gaussian_source(geom, 512), geom.path_length,
         target_spacing=choose_receiver_window(geom, (0.5,)) / 512,
     )
-    weights = _aperture_weights(field.size, field.spacing, 0.5)
+    _, weights = _aperture_weights(field.size, field.spacing, 0.5)
     area = float(weights.sum()) * field.spacing**2
     assert area == pytest.approx(math.pi * 0.25, rel=1e-9)
 
@@ -404,20 +410,20 @@ def test_block_metering_matches_full_grid(cells):
     grid = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     field = ComplexField(grid / (0.01 * np.linalg.norm(grid)), 0.01, 1e-6)  # unit power
     radius = cells * field.spacing
-    span = _aperture_span(n, field.spacing, radius)
+    span, weights = _aperture_weights(n, field.spacing, radius)
     full = full_grid_aperture_weights(n, field.spacing, radius)
     outside = full.copy()
     outside[span, span] = 0.0
-    assert np.array_equal(_aperture_weights(n, field.spacing, radius), full[span, span])
+    assert np.array_equal(weights, full[span, span])
     assert not outside.any()
-    eta = aperture_transmissivity(field, radius)
+    eta = meter(field, radius)
     assert eta == pytest.approx(min(full_grid_transmissivity(field, radius), 1.0), rel=1e-14)
     assert (span.start == 0) == (cells > 127.0)
 
 
 def test_full_window_aperture_collects_all_power():
     field = gaussian_source(make_geometry(), 128)
-    assert aperture_transmissivity(field, field.window) == pytest.approx(1.0, abs=1e-12)
+    assert meter(field, field.window) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_small_aperture_matches_encircled_power():
@@ -426,13 +432,20 @@ def test_small_aperture_matches_encircled_power():
     for cells in (4.0, 8.0):
         radius = cells * field.spacing
         expected = encircled_power(radius, geom.beam_waist)
-        assert aperture_transmissivity(field, radius) == pytest.approx(expected, rel=0.01)
+        assert meter(field, radius) == pytest.approx(expected, rel=0.01)
 
 
 def test_under_resolved_aperture_rejected():
     field = gaussian_source(make_geometry(), 128)
     with pytest.raises(UsageError):
-        aperture_transmissivity(field, 1.9 * field.spacing)
+        circular_aperture(field.size, field.spacing, 1.9 * field.spacing)
+
+
+def test_aperture_refuses_a_field_on_another_grid():
+    field = gaussian_source(make_geometry(), 128)
+    for n, spacing in ((64, field.spacing), (128, 1.5 * field.spacing)):
+        with pytest.raises(UsageError):
+            aperture_transmissivity(field, circular_aperture(n, spacing, 8.0 * field.spacing))
 
 
 def test_downlink_transmissivity_matches_diffraction_oracle():
@@ -446,7 +459,7 @@ def test_downlink_transmissivity_matches_diffraction_oracle():
     )
     spread = vacuum_beam_radius(geom, geom.path_length)
     for radius in radii:
-        eta = aperture_transmissivity(field, radius)
+        eta = meter(field, radius)
         assert eta == pytest.approx(encircled_power(radius, spread), rel=0.01)
 
 
@@ -454,17 +467,21 @@ def test_downlink_transmissivity_matches_diffraction_oracle():
 # split-step pipeline
 
 
+def channel_of(geom, profile, plan, n: int):
+    """The channel of ``plan`` metered by a 0.5 m aperture."""
+    return build_channel(geom, profile, plan, n, (0.5,))
+
+
 def test_zero_turbulence_split_step_is_vacuum_diffraction():
     geom = make_geometry()
     profile = dead_profile()
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, profile, window / 512)
-    source = gaussian_source(geom, 512)
-    out = split_step(source, plan, profile, ScreenStreams(7, 0), window)
-    direct = propagate_vacuum(source, geom.path_length, target_spacing=window / 512)
+    out = split_step(channel_of(geom, profile, plan, 512), ScreenStreams(7, 0))
+    direct = propagate_vacuum(gaussian_source(geom, 512), geom.path_length, window / 512)
     assert relative_field_error(out, direct) < 1e-6
-    eta_split = aperture_transmissivity(out, 0.5)
-    eta_direct = aperture_transmissivity(direct, 0.5)
+    eta_split = meter(out, 0.5)
+    eta_direct = meter(direct, 0.5)
     # the edge absorber perturbs the far tail at the 1e-7 level, nothing more
     assert eta_split == pytest.approx(eta_direct, abs=1e-7)
     assert out.z == pytest.approx(geom.path_length)
@@ -491,17 +508,17 @@ def test_warm_split_step_peak_memory(baseline_profile):
     # Bound fixed from the arithmetic above, before the first run: the
     # workspace at grid 256 (2.75 MiB), plus one more tile budget (0.5 MiB)
     # for what else a realization allocates, all of it O(N) or O(1): the
-    # 7 x N subharmonic product, 3 x 3 draws and FFT line buffers.  Every
-    # cache is warm, so nothing N x N is built.
+    # 7 x N subharmonic product, 3 x 3 draws and FFT line buffers.  The
+    # channel holds every N x N array that the walk reads.
     geom = make_geometry(60.0)
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, baseline_profile, window / 256)
-    source = gaussian_source(geom, 256)
-    split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
+    channel = channel_of(geom, baseline_profile, plan, 256)
+    split_step(channel, ScreenStreams(19, 0))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        split_step(source, plan, baseline_profile, ScreenStreams(19, 1), window)
+        split_step(channel, ScreenStreams(19, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -512,63 +529,62 @@ def test_split_step_realization(baseline_profile):
     geom = make_geometry()
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, baseline_profile, window / 256)
-    source = gaussian_source(geom, 256)
-    out = split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
-    again = split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
+    channel = channel_of(geom, baseline_profile, plan, 256)
+    out = split_step(channel, ScreenStreams(19, 0))
+    again = split_step(channel, ScreenStreams(19, 0))
     # only losses: edge absorber and evanescent masking remove power
     assert field_power(out) <= 1.0 + 1e-6
-    eta = aperture_transmissivity(out, 0.5)
+    eta = meter(out, 0.5)
     assert 0.0 <= eta <= 1.0
     # same streams, same realization, bit for bit
     assert np.array_equal(out.grid, again.grid)
 
 
 @pytest.mark.parametrize("zenith, n", [(0.0, 128), (60.0, 256)])
-def test_shared_first_leg_gives_the_same_realizations(baseline_profile, zenith, n):
-    # an ensemble hops to the first screen once and starts every
-    # realization there; the walk from the source gives the same bits
+def test_split_step_matches_the_reference_walk(baseline_profile, zenith, n):
+    # the channel's shared entry field, schedule and arrays give the bits
+    # of the walk from the source that builds every array as it goes
     geom = make_geometry(zenith)
     window = choose_receiver_window(geom, (0.5,))
     for profile in (baseline_profile, dead_profile()):
         plan = plan_slabs(geom, profile, window / n)
-        source = gaussian_source(geom, n)
-        entry = first_leg(geom, n, plan, window)
-        assert not entry.grid.flags.writeable
+        channel = channel_of(geom, profile, plan, n)
         for realization in range(2):
-            streams = ScreenStreams(41, realization)
-            direct = split_step(source, plan, profile, streams, window)
-            shared = split_step(entry, plan, profile, streams, window)
-            assert np.array_equal(shared.grid, direct.grid)
-            assert shared.z == direct.z
+            streams = ScreenStreams(16041, realization)
+            source = gaussian_source(geom, n)
+            expected = reference_split_step(source, plan, profile, streams, window)
+            got = split_step(channel, streams)
+            assert np.array_equal(got.grid, expected.grid)
+            assert got.z == expected.z
             # the vacuum plan's entry stands at the ground: still a fresh grid
-            assert not np.shares_memory(shared.grid, entry.grid)
+            assert not np.shares_memory(got.grid, channel.entry.grid)
 
 
 def test_split_step_leaves_source_untouched(baseline_profile):
+    # the entry field is read-only, and the result is the realization's own
     geom = make_geometry()
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, baseline_profile, window / 128)
-    source = gaussian_source(geom, 128)
-    before = source.grid.copy()
-    split_step(source, plan, baseline_profile, ScreenStreams(19, 0), window)
-    assert np.array_equal(source.grid, before)
+    channel = channel_of(geom, baseline_profile, plan, 128)
+    before = channel.entry.grid.copy()
+    out = split_step(channel, ScreenStreams(19, 0))
+    assert np.array_equal(channel.entry.grid, before)
+    assert not channel.entry.grid.flags.writeable
+    assert out.grid.flags.writeable
 
 
 def test_interleaved_split_steps_on_two_threads_agree(baseline_profile):
     # each realization owns its workspace, so two of them running at once
-    # on the same shared source cannot disturb each other
+    # on the same shared channel cannot disturb each other
     geom = make_geometry()
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, baseline_profile, window / 128)
-    source = gaussian_source(geom, 128)
+    channel = channel_of(geom, baseline_profile, plan, 128)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            a, b = pool.map(
-                lambda _: split_step(source, plan, baseline_profile, ScreenStreams(19, 3), window),
-                range(2),
-            )
+            a, b = pool.map(lambda _: split_step(channel, ScreenStreams(19, 3)), range(2))
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(a.grid, b.grid)
@@ -589,13 +605,12 @@ def test_odd_screen_count_runs_and_reruns_identically(baseline_profile):
     geom = make_geometry()
     plan = three_screen_plan(geom, baseline_profile)
     assert sum(slab.has_screen for slab in plan.slabs) == 3
-    window = choose_receiver_window(geom, (0.5,))
-    source = gaussian_source(geom, 128)
-    out = split_step(source, plan, baseline_profile, ScreenStreams(31, 4), window)
-    again = split_step(source, plan, baseline_profile, ScreenStreams(31, 4), window)
+    channel = channel_of(geom, baseline_profile, plan, 128)
+    out = split_step(channel, ScreenStreams(31, 4))
+    again = split_step(channel, ScreenStreams(31, 4))
     assert np.array_equal(out.grid, again.grid)
     assert out.z == pytest.approx(geom.path_length)
-    assert 0.0 < aperture_transmissivity(out, 0.5) <= 1.0
+    assert 0.0 < meter(out, 0.5) <= 1.0
 
 
 def test_split_step_pairs_screens_on_the_upper_slab_stream(baseline_profile):
@@ -615,15 +630,14 @@ def test_split_step_pairs_screens_on_the_upper_slab_stream(baseline_profile):
         return propagate_vacuum(absorbed, dist, target)
 
     field = hop(source, gap.path_length + 0.5 * s2.path_length, window / n)
-    top, middle = generate_screen(
-        (s2, s1), n, field.spacing, streams.generator(2), baseline_profile
-    )
-    (bottom,) = generate_screen((s0,), n, field.spacing, streams.generator(0), baseline_profile)
+    spectrum = screen_spectrum(n, field.spacing, baseline_profile)
+    top, middle = generate_screen((s2, s1), spectrum, streams.generator(2))
+    (bottom,) = generate_screen((s0,), spectrum, streams.generator(0))
     field = apply_screen(field, top)
     field = apply_screen(hop(field, 0.5 * (s2.path_length + s1.path_length)), middle)
     field = apply_screen(hop(field, 0.5 * (s1.path_length + s0.path_length)), bottom)
     expected = hop(field, 0.5 * s0.path_length)
-    out = split_step(source, plan, baseline_profile, streams, window)
+    out = split_step(channel_of(geom, baseline_profile, plan, n), streams)
     assert np.array_equal(out.grid, expected.grid)
 
 
@@ -642,11 +656,11 @@ def test_single_screen_scattering_broadens_beam():
         )
     )
     window = choose_receiver_window(geom, (0.5,))
-    source = gaussian_source(geom, 256)
-    vacuum = propagate_vacuum(source, geom.path_length, target_spacing=window / 256)
+    vacuum = propagate_vacuum(gaussian_source(geom, 256), geom.path_length, window / 256)
     w_vac = second_moment_radius(vacuum)
+    channel = channel_of(geom, profile, plan, 256)
     for realization in range(3):
-        out = split_step(source, plan, profile, ScreenStreams(29, realization), window)
+        out = split_step(channel, ScreenStreams(29, realization))
         assert second_moment_radius(out) > 1.3 * w_vac
 
 
@@ -654,18 +668,16 @@ def test_turbulence_broadens_beam_and_drops_coupling(baseline_profile):
     geom = make_geometry()
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, baseline_profile, window / 512)
-    source = gaussian_source(geom, 512)
-    vacuum = propagate_vacuum(source, geom.path_length, target_spacing=window / 512)
+    vacuum = propagate_vacuum(gaussian_source(geom, 512), geom.path_length, window / 512)
     w_vac = second_moment_radius(vacuum)
-    eta_vac = aperture_transmissivity(vacuum, 0.5)
+    eta_vac = meter(vacuum, 0.5)
+    channel = channel_of(geom, baseline_profile, plan, 512)
     radii = []
     etas = []
     for realization in range(24):
-        out = split_step(
-            source, plan, baseline_profile, ScreenStreams(23, realization), window
-        )
+        out = split_step(channel, ScreenStreams(23, realization))
         radii.append(second_moment_radius(out))
-        etas.append(aperture_transmissivity(out, 0.5))
+        etas.append(meter(out, 0.5))
     # downlink broadening is faint (the screens sit at the very end of the
     # path) but systematic; mean coupling stays pinned near the diffraction
     # value while scintillation makes it fluctuate realization to realization

@@ -35,6 +35,7 @@ from duallink.screens import (
     generate_screen,
     mvk_psd,
     plan_slabs,
+    screen_spectrum,
 )
 
 from conftest import make_geometry
@@ -64,13 +65,19 @@ def plan_path_length(plan) -> float:
     return sum(s.path_length for s in plan.slabs)
 
 
+def draw(slabs, n, spacing, rng, profile):
+    """The screens of one draw, on screen factors built for it alone."""
+    return generate_screen(slabs, screen_spectrum(n, spacing, profile), rng)
+
+
 def make_screens(slab, n, spacing, profile, count, seed=11):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", duallink.screens.ScreenResolutionWarning)
-        return [
-            generate_screen((slab,), n, spacing, ScreenStreams(seed, i).generator(0), profile)[0]
-            for i in range(count)
-        ]
+        spectrum = screen_spectrum(n, spacing, profile)
+    return [
+        generate_screen((slab,), spectrum, ScreenStreams(seed, i).generator(0))[0]
+        for i in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +264,7 @@ def test_mvk_psd_rejects_negative_frequency():
 
 def test_vacuum_slab_yields_zero_screen(baseline_profile):
     vac = Slab(16e3, 500e3, 484e3, math.inf)
-    (screen,) = generate_screen(
+    (screen,) = draw(
         (vac,), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
     )
     assert np.all(screen.grid == 0.0)
@@ -265,29 +272,32 @@ def test_vacuum_slab_yields_zero_screen(baseline_profile):
 
 def test_screens_are_deterministic(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08)
-    a = generate_screen((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
-    b = generate_screen((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
+    a = draw((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
+    b = draw((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
     assert np.array_equal(a.grid, b.grid)
 
 
 def test_distinct_streams_give_distinct_screens(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08)
-    a = generate_screen((slab,), 64, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
-    b = generate_screen((slab,), 64, 0.05, ScreenStreams(42, 8).generator(3), baseline_profile)[0]
+    a = draw((slab,), 64, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
+    b = draw((slab,), 64, 0.05, ScreenStreams(42, 8).generator(3), baseline_profile)[0]
     assert not np.array_equal(a.grid, b.grid)
 
 
 def test_grid_size_must_be_power_of_two(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08)
     with pytest.raises(UsageError):
-        generate_screen((slab,), 100, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
+        draw((slab,), 100, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
 
 
 def test_under_resolved_outer_scale_warns():
     profile = kolmogorov_like_profile()
     slab = Slab(0.0, 100.0, 100.0, 0.1)
     with pytest.warns(duallink.screens.ScreenResolutionWarning):
-        generate_screen((slab,), 64, 0.01, ScreenStreams(1, 0).generator(0), profile)
+        spectrum = screen_spectrum(64, 0.01, profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", duallink.screens.ScreenResolutionWarning)
+        generate_screen((slab,), spectrum, ScreenStreams(1, 0).generator(0))
 
 
 def test_ensemble_pixel_means_near_zero():
@@ -424,7 +434,7 @@ def test_screen_matches_complex_phasor_reference(baseline_profile, n, spacing, s
     ref_rng = streams.generator(5)
     rng = streams.generator(5)
     (expected,) = reference_generate_screen((slab,), n, spacing, ref_rng, baseline_profile)
-    got = generate_screen((slab,), n, spacing, rng, baseline_profile)[0].grid
+    got = draw((slab,), n, spacing, rng, baseline_profile)[0].grid
     rms = float(np.sqrt(np.mean(expected**2)))
     assert np.max(np.abs(got - expected)) <= SCREEN_MATCH_TOLERANCE * rms
     # same draws, consumed in the same order
@@ -440,7 +450,7 @@ def test_screen_pair_matches_complex_phasor_reference(baseline_profile, n, spaci
     ref_rng = streams.generator(5)
     rng = streams.generator(5)
     expected = reference_generate_screen(slabs, n, spacing, ref_rng, baseline_profile)
-    got = generate_screen(slabs, n, spacing, rng, baseline_profile)
+    got = draw(slabs, n, spacing, rng, baseline_profile)
     assert len(got) == 2
     for screen, reference in zip(got, expected):
         rms = float(np.sqrt(np.mean(reference**2)))
@@ -458,7 +468,7 @@ def test_tiled_screens_equal_full_grid_reference(baseline_profile, n, spacing, c
     ref_rng = streams.generator(3)
     rng = streams.generator(3)
     expected = full_grid_generate_screen(slabs, n, spacing, ref_rng, baseline_profile)
-    got = generate_screen(slabs, n, spacing, rng, baseline_profile)
+    got = draw(slabs, n, spacing, rng, baseline_profile)
     assert len(got) == count
     for screen, reference in zip(got, expected):
         assert np.array_equal(screen.grid, reference)
@@ -475,15 +485,15 @@ def test_tiled_amplitude_factor_equals_full_grid(n):
 def test_pair_first_screen_is_the_one_slab_screen(baseline_profile):
     slabs = (Slab(0.0, 100.0, 100.0, 0.08), Slab(100.0, 400.0, 300.0, 0.2))
     streams = ScreenStreams(8, 2)
-    (alone,) = generate_screen(slabs[:1], 128, 0.05, streams.generator(4), baseline_profile)
-    first, _ = generate_screen(slabs, 128, 0.05, streams.generator(4), baseline_profile)
+    (alone,) = draw(slabs[:1], 128, 0.05, streams.generator(4), baseline_profile)
+    first, _ = draw(slabs, 128, 0.05, streams.generator(4), baseline_profile)
     assert np.array_equal(alone.grid, first.grid)
 
 
 def test_pair_with_vacuum_slab_gives_zero_screen(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08)
     vac = Slab(16e3, 500e3, 484e3, math.inf)
-    turbulent, flat = generate_screen(
+    turbulent, flat = draw(
         (slab, vac), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
     )
     assert np.all(flat.grid == 0.0)
@@ -494,7 +504,7 @@ def test_screen_call_takes_one_or_two_slabs(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08)
     for slabs in ((), (slab,) * 3):
         with pytest.raises(UsageError):
-            generate_screen(slabs, 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
+            draw(slabs, 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile)
 
 
 def test_screen_halves_are_uncorrelated(baseline_profile):
@@ -505,10 +515,9 @@ def test_screen_halves_are_uncorrelated(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.1)
     shift = 16  # 0.32 m at 0.02 m spacing
     values, increments = [], []
+    spectrum = screen_spectrum(256, 0.02, baseline_profile)
     for i in range(128):
-        a, b = generate_screen(
-            (slab, slab), 256, 0.02, ScreenStreams(77, i).generator(0), baseline_profile
-        )
+        a, b = generate_screen((slab, slab), spectrum, ScreenStreams(77, i).generator(0))
         values.append(np.corrcoef(a.grid.ravel(), b.grid.ravel())[0, 1])
         da = np.concatenate(
             [(a.grid[:, shift:] - a.grid[:, :-shift]).ravel(),
