@@ -26,7 +26,6 @@ from . import __version__
 from .config import RunConfig, _render_value, config_hash, load_config
 from .ensemble import (
     ChannelEnsemble,
-    FadingStats,
     coherence_step_series,
     fading_stats,
     load_ensemble,
@@ -168,7 +167,7 @@ def cmd_simulate_channel(config: RunConfig, args: argparse.Namespace) -> int:
         grid_size=config.grid_size,
         threads=_thread_count(args),
     )
-    stats = fading_stats(ens)
+    stats = fading_stats(ens.etas)
 
     ensemble_path = out / f"{config.scenario}.ensemble"
     save_ensemble(ens, ensemble_path)
@@ -197,7 +196,7 @@ def cmd_simulate_channel(config: RunConfig, args: argparse.Namespace) -> int:
         histogram_path,
         stamp,
         "bin_center_db,density",
-        loss_histogram(ens, config.histogram_bin_db),
+        loss_histogram(ens.etas, config.histogram_bin_db),
     )
 
     written = [ensemble_path, stats_path, histogram_path]
@@ -221,7 +220,7 @@ def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
     ens = load_ensemble(args.ensemble)
     _check_ensemble_matches_config(ens, config)
 
-    stats = fading_stats(ens)
+    stats = fading_stats(ens.etas)
     params = config.squeezing_params()
     fin = config.finite_size_params()
     rates = key_rate_summary(params, stats, config.detector, fin)
@@ -265,11 +264,11 @@ def _verify_predictions(params: SqueezingParams, etas, displacement: float):
         "xa_xa", "xb_xb", "xe_xe", "xa_xb", "xe_xb",
         "pa_pa", "pb_pb", "pe_pe", "pa_pb", "pe_pb",
     )}
-    bob = [covariance_matrix(params, FadingStats(eta, eta, 0.0, 0.0, 0.0)) for eta in etas]
+    bob = [covariance_matrix(params, eta, eta) for eta in etas]
     snrs = classical_snr(displacement, etas) / np.array([cm.b_q for cm in bob])
     ber = classical_ber(snrs).tolist()
     for eta, cm, snr, tail in zip(etas, bob, snrs.tolist(), ber):
-        eve = covariance_matrix(params, FadingStats(1.0 - eta, 1.0 - eta, 0.0, 0.0, 0.0))
+        eve = covariance_matrix(params, 1.0 - eta, 1.0 - eta)
         s = math.sqrt(snr)
         phi = math.exp(-s * s / 2.0) / math.sqrt(2.0 * math.pi)
         b_q = cm.b_q * (1.0 - 4.0 * s * phi + 4.0 * s * s * tail)
@@ -383,12 +382,12 @@ def cmd_link_budget(config: RunConfig, args: argparse.Namespace) -> int:
     ens = load_ensemble(args.ensemble)
     _check_ensemble_matches_config(ens, config)
 
-    snrs = classical_snr(config.classical.displacement, ens.eta_array)
+    snrs = classical_snr(config.classical.displacement, ens.etas)
     bers = classical_ber(snrs).tolist()
     mean_ber = sum(bers) / len(bers)
 
     csv_path = out / f"{config.scenario}_linkbudget.csv"
-    rows = zip(range(len(bers)), ens.etas, snrs.tolist(), bers)
+    rows = zip(range(len(bers)), ens.etas.tolist(), snrs.tolist(), bers)
     _write_csv(csv_path, stamp, "realization,eta,snr,ber", rows)
     with open(csv_path, "a", encoding="utf-8", newline="\n") as handle:
         handle.write(f"# ensemble_mean_ber = {_render_value(mean_ber)}\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,25 +45,25 @@ _GEOMETRY_FIELDS = (
 _PROFILE_FIELDS = ("ground_cn2", "ground_wind", "outer_scale", "inner_scale", "cn2_scale")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelEnsemble:
-    """Transmissivity samples in realization order, with their provenance."""
+    """Transmissivity samples in realization order, with their provenance.
 
-    etas: tuple[float, ...]
+    ``etas`` may be given as any sequence or array; the ensemble keeps its
+    own read-only float64 copy, validated once at construction.
+    """
+
+    etas: np.ndarray
     geometry: LinkGeometry
     profile: AtmosphereProfile
     grid_size: int
     master_seed: int
     coherence_time: float  # seconds; +inf when the channel never decorrelates
-    # the etas as a read-only float64 array, converted and validated once
-    eta_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.etas:
-            raise UsageError("an ensemble needs at least one realization")
-        values = _require_valid_etas(self.etas)
+        values = _require_valid_etas(np.array(self.etas, dtype=float))
         values.setflags(write=False)
-        object.__setattr__(self, "eta_array", values)
+        object.__setattr__(self, "etas", values)
 
     def __len__(self) -> int:
         return len(self.etas)
@@ -88,8 +88,8 @@ class FadingStats:
 
 def _require_valid_etas(etas) -> np.ndarray:
     values = np.asarray(etas, dtype=float)
-    if values.size == 0:
-        raise UsageError("at least one transmissivity sample is required")
+    if values.ndim != 1 or values.size == 0:
+        raise UsageError("transmissivities must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(values)) or np.any(values < 0.0) or np.any(values > 1.0):
         raise DataIntegrityError("transmissivities must be finite and within [0, 1]")
     return values
@@ -138,7 +138,7 @@ def run_ensembles(
 
     return tuple(
         ChannelEnsemble(
-            etas=tuple(row[j] for row in rows),
+            etas=[row[j] for row in rows],
             geometry=replace(geom, aperture_radius=radius),
             profile=profile,
             grid_size=grid_size,
@@ -164,9 +164,9 @@ def run_ensemble(
     return ens
 
 
-def fading_stats(ens) -> FadingStats:
-    """Exact sample moments; accepts an ensemble or any sequence of etas."""
-    etas = ens.eta_array if isinstance(ens, ChannelEnsemble) else _require_valid_etas(ens)
+def fading_stats(etas) -> FadingStats:
+    """Exact sample moments of transmissivities given as any sequence or array."""
+    etas = _require_valid_etas(etas)
     mean_eta = float(etas.mean())
     eta_f = float(np.sqrt(etas).mean()) ** 2
     # mathematically nonnegative; shave the last-ulp rounding
@@ -183,15 +183,16 @@ def fading_stats(ens) -> FadingStats:
     return FadingStats(mean_eta, eta_f, var_sqrt, mean_loss_db, std_loss_db)
 
 
-def loss_histogram(ens, bin_width_db: float):
+def loss_histogram(etas, bin_width_db: float):
     """Normalized histogram of per-realization loss in dB.
 
-    Bin edges sit on integer multiples of the bin width, so histograms of
-    different ensembles share a common grid.  Densities integrate to one.
+    ``etas`` is any sequence or array of transmissivities.  Bin edges sit
+    on integer multiples of the bin width, so histograms of different
+    ensembles share a common grid.  Densities integrate to one.
     """
     if bin_width_db <= 0.0:
         raise UsageError("bin width must be positive")
-    etas = ens.eta_array if isinstance(ens, ChannelEnsemble) else _require_valid_etas(ens)
+    etas = _require_valid_etas(etas)
     if np.any(etas == 0.0):
         raise UsageError("zero transmissivity has unbounded loss; cannot histogram")
     loss_db = -10.0 * np.log10(etas)
@@ -213,7 +214,7 @@ def coherence_step_series(ens: ChannelEnsemble):
     tau0 = ens.coherence_time
     if not math.isfinite(tau0) or tau0 <= 0.0:
         raise UsageError("the ensemble has no finite coherence time to step with")
-    return [(i * tau0, eta) for i, eta in enumerate(ens.etas)]
+    return [(i * tau0, eta) for i, eta in enumerate(ens.etas.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,7 @@ def _format_float(value: float) -> str:
 
 def save_ensemble(ens: ChannelEnsemble, path) -> None:
     """Write the text format: versioned header, checksum, one eta per line."""
-    data_lines = "".join(_format_float(eta) + "\n" for eta in ens.etas)
+    data_lines = "".join(_format_float(eta) + "\n" for eta in ens.etas.tolist())
     checksum = hashlib.sha256(data_lines.encode("ascii")).hexdigest()
     header = [f"{_FORMAT_NAME} {_FORMAT_VERSION}"]
     for name in _GEOMETRY_FIELDS:
@@ -304,7 +305,7 @@ def load_ensemble(path) -> ChannelEnsemble:
             f"{path}: header promises {count} realizations, found {len(values)}"
         )
     try:
-        etas = tuple(map(float, values))
+        etas = list(map(float, values))
     except ValueError as exc:
         raise DataIntegrityError(f"{path}: unparsable transmissivity ({exc})") from exc
     return ChannelEnsemble(etas, geometry, profile, grid_size, master_seed, coherence_time)

@@ -222,14 +222,7 @@ def _rate_at_loss_db(
     params: SqueezingParams,
 ) -> float:
     eta = 10.0 ** (-loss_db / 10.0)
-    stats = FadingStats(
-        mean_eta=eta,
-        eta_f=eta,
-        var_sqrt=0.0,
-        mean_loss_db=loss_db,
-        std_loss_db=0.0,
-    )
-    cm = covariance_matrix(params, stats)
+    cm = covariance_matrix(params, eta, eta)
     return finite_size_rate(p, mutual_information(cm, det))
 
 
@@ -264,7 +257,7 @@ def key_rate_summary(
     fin: FiniteSizeParams,
 ) -> dict[str, float]:
     """All rates for one channel: raw and clamped finite-size included."""
-    cm = covariance_matrix(params, stats)
+    cm = covariance_matrix(params, stats.mean_eta, stats.eta_f)
     info = mutual_information(cm, det)
     raw = finite_size_rate(fin, info)
     rates = (

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import FadingStats
 from .errors import PhysicalityError, UsageError
 
 # |eps*Va + (1-eps)*Vs - 1| below this counts as zero-leakage.
@@ -171,26 +170,32 @@ class CovarianceMatrix:
         return nu_plus, nu_minus
 
 
-def covariance_matrix(params: SqueezingParams, stats: FadingStats) -> CovarianceMatrix:
+def covariance_matrix(params: SqueezingParams, mean_eta: float, eta_f: float) -> CovarianceMatrix:
     """Alice-Bob covariance matrix over a fading channel.
 
-    Alice's block depends only on the source.  Bob's variances mix the
-    transmitted variance with vacuum using the full mean transmissivity,
-    while the correlations scale with <sqrt(eta)>, so fading (the gap
-    between the two averages) decorrelates the modes without changing
-    Bob's marginal.  With the tap set for zero leakage the transmitted
-    q-variance is 1 and b_q stays at the vacuum level for any fading
-    distribution.
+    The channel enters only through ``mean_eta`` = <eta> and ``eta_f`` =
+    <sqrt(eta)>^2, and 0 <= eta_f <= mean_eta <= 1 is required; a channel
+    frozen at eta passes eta twice.  Alice's block depends only on the
+    source.  Bob's variances mix the transmitted variance with vacuum
+    using the full mean transmissivity, while the correlations scale with
+    <sqrt(eta)>, so fading (the gap between the two averages) decorrelates
+    the modes without changing Bob's marginal.  With the tap set for zero
+    leakage the transmitted q-variance is 1 and b_q stays at the vacuum
+    level for any fading distribution.
     """
+    if not (0.0 <= eta_f <= mean_eta <= 1.0):
+        raise UsageError(
+            f"need 0 <= eta_f <= mean_eta <= 1, got eta_f {eta_f}, mean_eta {mean_eta}"
+        )
     eps = params.tap_transmissivity
     va = params.modulation_variance
     vs = params.squeezed_variance
 
     a_q = (1.0 - eps) * va + eps * vs
     a_p = (1.0 - eps) / va + eps / vs
-    b_q = 1.0 + stats.mean_eta * (params.transmitted_q_variance - 1.0)
-    b_p = 1.0 + stats.mean_eta * (params.transmitted_p_variance - 1.0)
-    root_eta_f = math.sqrt(stats.eta_f)
+    b_q = 1.0 + mean_eta * (params.transmitted_q_variance - 1.0)
+    b_p = 1.0 + mean_eta * (params.transmitted_p_variance - 1.0)
+    root_eta_f = math.sqrt(eta_f)
     cross = math.sqrt(eps * (1.0 - eps))
     c_q = root_eta_f * cross * (va - vs)
     c_p = root_eta_f * cross * (1.0 / va - 1.0 / vs)

@@ -31,7 +31,6 @@ from duallink.atmosphere import (
 from duallink.cli import main as cli_main
 from duallink.ensemble import (
     ChannelEnsemble,
-    FadingStats,
     fading_stats,
     run_ensembles,
 )
@@ -261,7 +260,7 @@ def test_imaginary_half_screens_pass_structure_function_oracle():
 
 def test_criterion_05_channel_statistics_trends(desk_ensembles):
     stats = {
-        zenith: [fading_stats(ens) for ens in ensembles]
+        zenith: [fading_stats(ens.etas) for ens in ensembles]
         for zenith, ensembles in desk_ensembles.items()
     }
     zenith_trend = all(
@@ -375,7 +374,8 @@ def test_criterion_06_zero_leakage_algebra():
         params = SqueezingParams.zero_leakage(vs, va)
         worst_tx = max(worst_tx, abs(params.transmitted_q_variance - 1.0))
         stats = fading_stats(rng.uniform(0.05, 0.95, 5))
-        worst_bq = max(worst_bq, abs(covariance_matrix(params, stats).b_q - 1.0))
+        cm = covariance_matrix(params, stats.mean_eta, stats.eta_f)
+        worst_bq = max(worst_bq, abs(cm.b_q - 1.0))
         worst_eve = max(worst_eve, abs(eve_bob_correlation(params, rng.uniform(0.05, 0.95))))
     ok = worst_tx <= 1e-12 and worst_bq <= 1e-12 and worst_eve == 0.0
     verdict(
@@ -398,7 +398,7 @@ def test_criterion_07_monte_carlo_vs_closed_form():
         master_seed=707,
         coherence_time=2.29e-3,
     )
-    stats = fading_stats(channel)
+    stats = fading_stats(channel.etas)
     params = SqueezingParams.zero_leakage(0.7)
     # Large displacement keeps the decided-bit subtraction unbiased, so
     # the post-subtraction moments sit on the closed-form matrix.
@@ -408,7 +408,7 @@ def test_criterion_07_monte_carlo_vs_closed_form():
     moments = mc_quadrature_sim(
         params, classical, channel.etas, 10_000, np.random.default_rng(77)
     )
-    cm = covariance_matrix(params, stats)
+    cm = covariance_matrix(params, stats.mean_eta, stats.eta_f)
     tol = 4.0 / math.sqrt(moments.n_shots)
     eve_q = 1.0 + (1.0 - stats.mean_eta) * (params.transmitted_q_variance - 1.0)
     eve_p = 1.0 + (1.0 - stats.mean_eta) * (params.transmitted_p_variance - 1.0)
@@ -488,8 +488,7 @@ def test_criterion_09_rate_ordering_chain():
     for vs in (0.1, 0.3, 0.5, 0.7, 0.9):
         params = SqueezingParams.zero_leakage(vs)
         for eta in np.linspace(1e-3, 0.999, 100):
-            stats = FadingStats(eta, eta, 0.0, -10.0 * math.log10(eta), 0.0)
-            info = mutual_information(covariance_matrix(params, stats), REFERENCE_DETECTOR)
+            info = mutual_information(covariance_matrix(params, eta, eta), REFERENCE_DETECTOR)
             asym = asymptotic_rate(fin.recon_efficiency, info)
             clamped = max(0.0, finite_size_rate(fin, info))
             chain = clamped <= asym <= ideal_rate(eta) + 1e-15
@@ -522,8 +521,9 @@ def test_criterion_11_end_to_end_positive_key(desk_ensembles, desk_thirty_degree
     fin = reference_finite_size(1e10)
     rates = {}
     for zenith, ens in ((0.0, desk_ensembles[0.0][2]), (30.0, desk_thirty_degrees)):
-        stats = fading_stats(ens)
-        info = mutual_information(covariance_matrix(params, stats), REFERENCE_DETECTOR)
+        stats = fading_stats(ens.etas)
+        cm = covariance_matrix(params, stats.mean_eta, stats.eta_f)
+        info = mutual_information(cm, REFERENCE_DETECTOR)
         rates[zenith] = finite_size_rate(fin, info)
     ok = all(rate > 0.0 for rate in rates.values())
     verdict(

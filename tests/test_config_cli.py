@@ -339,7 +339,7 @@ def test_simulate_channel_zero_turbulence_matches_diffraction(tmp_path):
     assert run_cli("simulate-channel", "--config", str(path)) == 0
     out = tmp_path / "out"
     ens = load_ensemble(out / "smoke.ensemble")
-    stats = fading_stats(ens)
+    stats = fading_stats(ens.etas)
     assert stats.var_sqrt <= 1e-15
     assert math.isinf(ens.coherence_time)
     # No coherence stepping without a finite coherence time.

@@ -17,7 +17,6 @@ from duallink.atmosphere import AtmosphereProfile
 from duallink.ensemble import (
     _FORMAT_VERSION,
     ChannelEnsemble,
-    FadingStats,
     coherence_step_series,
     fading_stats,
     load_ensemble,
@@ -47,7 +46,7 @@ def dead_profile() -> AtmosphereProfile:
 
 def synthetic_ensemble(etas, coherence_time=2.29e-3) -> ChannelEnsemble:
     return ChannelEnsemble(
-        etas=tuple(etas),
+        etas=etas,
         geometry=make_geometry(),
         profile=dead_profile(),
         grid_size=256,
@@ -80,7 +79,7 @@ def test_thread_count_does_not_change_results(baseline_profile):
     pooled = run_ensemble(
         geom, baseline_profile, 4, master_seed=9, grid_size=128, threads=3
     )
-    assert inline.etas == pooled.etas
+    assert np.array_equal(inline.etas, pooled.etas)
     assert inline.coherence_time == pooled.coherence_time
 
 
@@ -94,7 +93,7 @@ def test_multi_radius_run_shares_fields(baseline_profile):
     # a bigger telescope on the same fields always collects more
     assert all(a < b for a, b in zip(small.etas, large.etas))
     single = run_ensemble(geom, baseline_profile, 3, master_seed=2, grid_size=128)
-    assert single.etas == large.etas
+    assert np.array_equal(single.etas, large.etas)
 
 
 @pytest.mark.parametrize(
@@ -156,8 +155,10 @@ def test_one_config_builds_its_channel_once_at_any_thread_count(baseline_profile
         for threads in (1, 2, 4)
     ]
     assert optics.build_channel.cache_info().misses == 1
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+    for run in runs[1:]:
+        for ens, first in zip(run, runs[0]):
+            assert np.array_equal(ens.etas, first.etas)
+            assert (ens.geometry, ens.coherence_time) == (first.geometry, first.coherence_time)
 
 
 def test_rebuilt_channel_gives_the_memo_hit_etas(baseline_profile):
@@ -168,7 +169,7 @@ def test_rebuilt_channel_gives_the_memo_hit_etas(baseline_profile):
     assert optics.build_channel.cache_info().hits == hits + 1
     optics.build_channel.cache_clear()
     rebuilt = run_ensembles(*args)
-    assert rebuilt[0].etas == memo[0].etas
+    assert np.array_equal(rebuilt[0].etas, memo[0].etas)
 
 
 def arrays_of(value):
@@ -241,7 +242,7 @@ def test_aperture_must_span_receiver_cells(baseline_profile):
 
 
 def test_constant_ensemble_moments():
-    stats = fading_stats(synthetic_ensemble([0.25] * 8))
+    stats = fading_stats(synthetic_ensemble([0.25] * 8).etas)
     assert stats.mean_eta == 0.25
     assert stats.eta_f == 0.25
     assert stats.var_sqrt == 0.0
@@ -258,15 +259,34 @@ def test_two_point_ensemble_moments():
 
 def test_ensemble_statistics_read_its_validated_array():
     # the etas are converted and checked once, on construction; every
-    # statistic of the ensemble equals its value over the plain sequence
+    # statistic of the ensemble's array equals its value over the plain sequence
     etas = [0.31, 0.52, 0.77, 0.4, 0.66]
     ens = synthetic_ensemble(etas)
-    assert ens.eta_array.tolist() == etas
-    assert not ens.eta_array.flags.writeable
-    assert fading_stats(ens) == fading_stats(etas)
-    assert loss_histogram(ens, 0.5) == loss_histogram(etas, 0.5)
+    assert ens.etas.tolist() == etas
+    assert not ens.etas.flags.writeable
+    assert fading_stats(ens.etas) == fading_stats(etas)
+    assert loss_histogram(ens.etas, 0.5) == loss_histogram(etas, 0.5)
     with pytest.raises(DataIntegrityError):
         synthetic_ensemble([0.5, 1.2])
+
+
+def test_ensemble_holds_its_own_read_only_float64_copy():
+    values = np.random.default_rng(17001).uniform(0.05, 0.95, 7)
+    ensembles = [synthetic_ensemble(etas) for etas in (tuple(values), values.tolist(), values)]
+    for ens in ensembles:
+        assert ens.etas.dtype == np.float64
+        assert not ens.etas.flags.writeable
+        assert np.array_equal(ens.etas, values)
+    # the caller's array stays writable, and writing to it leaves the ensemble alone
+    assert values.flags.writeable
+    values[0] = 0.5
+    assert ensembles[2].etas[0] == ensembles[0].etas[0] != 0.5
+
+
+def test_ensemble_refuses_etas_that_are_not_one_row():
+    for bad in ([], 0.5, [[0.5, 0.6]]):
+        with pytest.raises(UsageError):
+            synthetic_ensemble(bad)
 
 
 def test_fading_stats_rejects_out_of_range():
@@ -296,7 +316,7 @@ def test_jensen_ordering_on_arbitrary_ensembles(etas):
 
 
 def test_constant_ensemble_occupies_one_bin():
-    rows = loss_histogram(synthetic_ensemble([0.25] * 10), bin_width_db=0.5)
+    rows = loss_histogram(synthetic_ensemble([0.25] * 10).etas, bin_width_db=0.5)
     occupied = [(c, d) for c, d in rows if d > 0]
     assert len(occupied) == 1
     assert occupied[0][1] == pytest.approx(1.0 / 0.5)
@@ -305,7 +325,7 @@ def test_constant_ensemble_occupies_one_bin():
 def test_histogram_normalizes(baseline_profile):
     rng = np.random.default_rng(8)
     etas = rng.uniform(0.05, 0.95, size=500)
-    rows = loss_histogram(synthetic_ensemble(etas), bin_width_db=0.25)
+    rows = loss_histogram(synthetic_ensemble(etas).etas, bin_width_db=0.25)
     total = sum(d for _, d in rows) * 0.25
     assert total == pytest.approx(1.0, abs=1e-9)
     assert all(d >= 0.0 for _, d in rows)
@@ -313,9 +333,9 @@ def test_histogram_normalizes(baseline_profile):
 
 def test_histogram_rejects_zero_eta():
     with pytest.raises(UsageError):
-        loss_histogram(synthetic_ensemble([0.0, 0.5]), bin_width_db=0.5)
+        loss_histogram([0.0, 0.5], bin_width_db=0.5)
     with pytest.raises(UsageError):
-        loss_histogram(synthetic_ensemble([0.5]), bin_width_db=0.0)
+        loss_histogram([0.5], bin_width_db=0.0)
 
 
 def test_aperture_averaging_tightens_loss_spread(baseline_profile):
@@ -329,7 +349,7 @@ def test_aperture_averaging_tightens_loss_spread(baseline_profile):
         aperture_radii=(0.15, 0.30, 0.50),
         grid_size=256,
     )
-    spreads = [fading_stats(e).std_loss_db for e in ensembles]
+    spreads = [fading_stats(e.etas).std_loss_db for e in ensembles]
     assert spreads[0] >= spreads[1] >= spreads[2]
 
 
@@ -343,12 +363,24 @@ def test_round_trip_preserves_everything(tmp_path, baseline_profile):
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)
     loaded = load_ensemble(path)
-    assert loaded.etas == ens.etas
+    assert np.array_equal(loaded.etas, ens.etas)
     assert loaded.geometry == ens.geometry
     assert loaded.profile == ens.profile
     assert loaded.grid_size == ens.grid_size
     assert loaded.master_seed == ens.master_seed
     assert loaded.coherence_time == ens.coherence_time
+
+
+def test_load_then_save_rewrites_a_large_file_byte_for_byte(tmp_path):
+    # gamma-distributed loss in dB, the shape of the benchmark's synthetic sweep
+    loss_db = np.random.default_rng(17002).gamma(6.0, 4.0 / 6.0, 10_000)
+    etas = 10.0 ** (-loss_db / 10.0)
+    first, again, floats = tmp_path / "first.ens", tmp_path / "again.ens", tmp_path / "floats.ens"
+    save_ensemble(synthetic_ensemble(etas), first)
+    save_ensemble(load_ensemble(first), again)
+    save_ensemble(synthetic_ensemble(tuple(etas.tolist())), floats)
+    assert again.read_bytes() == first.read_bytes()
+    assert floats.read_bytes() == first.read_bytes()
 
 
 def test_save_is_byte_stable(tmp_path):
@@ -421,6 +453,8 @@ def test_one_step_per_coherence_time():
     ens = synthetic_ensemble([0.4, 0.5, 0.6], coherence_time=2.0e-3)
     steps = coherence_step_series(ens)
     assert steps == [(0.0, 0.4), (2.0e-3, 0.5), (4.0e-3, 0.6)]
+    # Python floats, so a CSV row's %r prints 0.4 and not np.float64(0.4)
+    assert all(type(eta) is float for _, eta in steps)
 
 
 def test_step_series_bounds():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duallink.ensemble import FadingStats, fading_stats
+from duallink.ensemble import fading_stats
 from duallink.errors import PhysicalityError, UsageError
 from duallink.keyrate import (
     DetectorModel,
@@ -49,10 +49,6 @@ def reference_finite_size(
         discretisation=5,
         total_epsilon=1e-9,
     )
-
-
-def constant_stats(eta: float) -> FadingStats:
-    return fading_stats([eta])
 
 
 # ------------------------------------------------------------- components
@@ -105,7 +101,7 @@ def test_even_epsilon_split():
 
 def test_mutual_information_ideal_detector_hand_case():
     params = SqueezingParams(0.25, 4.0, 0.2)
-    cm = covariance_matrix(params, constant_stats(1.0))
+    cm = covariance_matrix(params, 1.0, 1.0)
     info = mutual_information(cm, IDEAL_DETECTOR)
     assert info == pytest.approx(0.5 * math.log2(3.25), rel=1e-12)
     assert info == pytest.approx(0.8502, abs=5e-5)
@@ -113,13 +109,13 @@ def test_mutual_information_ideal_detector_hand_case():
 
 def test_mutual_information_dead_channel_is_zero():
     params = SqueezingParams.zero_leakage(0.25)
-    cm = covariance_matrix(params, constant_stats(0.0))
+    cm = covariance_matrix(params, 0.0, 0.0)
     assert mutual_information(cm, IDEAL_DETECTOR) == 0.0
 
 
 def test_mutual_information_decreases_with_electronic_noise():
     params = SqueezingParams.zero_leakage(0.25)
-    cm = covariance_matrix(params, constant_stats(0.5))
+    cm = covariance_matrix(params, 0.5, 0.5)
     values = [
         mutual_information(cm, DetectorModel(0.61, v_b))
         for v_b in (0.0, 0.06, 0.12, 0.5, 2.0)
@@ -129,7 +125,7 @@ def test_mutual_information_decreases_with_electronic_noise():
 
 def test_mutual_information_continuous_at_unit_efficiency():
     params = SqueezingParams.zero_leakage(0.25)
-    cm = covariance_matrix(params, constant_stats(0.7))
+    cm = covariance_matrix(params, 0.7, 0.7)
     near = mutual_information(cm, DetectorModel(1.0 - 1e-9, 0.12))
     limit = mutual_information(cm, DetectorModel(1.0, 0.12))
     assert near == pytest.approx(limit, abs=1e-6)
@@ -251,14 +247,14 @@ def test_finite_size_rate_asymptotic_limit():
 
 def test_finite_size_rate_positive_at_reference_point():
     params = SqueezingParams.from_squeezing_db(10.0)
-    cm = covariance_matrix(params, constant_stats(0.3))
+    cm = covariance_matrix(params, 0.3, 0.3)
     info = mutual_information(cm, reference_detector())
     assert finite_size_rate(reference_finite_size(), info) > 0.0
 
 
 def test_finite_size_rate_monotonicities():
     params = SqueezingParams.from_squeezing_db(10.0)
-    cm = covariance_matrix(params, constant_stats(0.3))
+    cm = covariance_matrix(params, 0.3, 0.3)
     info = mutual_information(cm, reference_detector())
 
     # Longer kept block helps whenever the rate is in the positive regime.
@@ -292,13 +288,12 @@ def test_ordering_chain_over_parameter_sweep():
     for vs in (0.05, 0.1, 0.3, 0.6, 0.9):
         params = SqueezingParams.zero_leakage(vs)
         for eta in np.linspace(0.01, 0.99, 25):
-            stats = constant_stats(float(eta))
-            cm = covariance_matrix(params, stats)
-            info = mutual_information(cm, det)
+            eta = float(eta)
+            info = mutual_information(covariance_matrix(params, eta, eta), det)
             k_fin = max(finite_size_rate(fin, info), 0.0)
             k_asym = asymptotic_rate(fin.recon_efficiency, info)
-            k_ideal = ideal_rate(stats.eta_f)
-            k_plob = plob_bound(stats.eta_f)
+            k_ideal = ideal_rate(eta)
+            k_plob = plob_bound(eta)
             assert k_fin <= k_asym + 1e-15
             assert k_asym <= k_ideal + 1e-15
             assert k_ideal <= k_plob + 1e-15
@@ -331,7 +326,7 @@ def test_max_tolerable_loss_root_brackets_sign_change():
 
     def rate_at(db: float) -> float:
         eta = 10.0 ** (-db / 10.0)
-        cm = covariance_matrix(params, constant_stats(eta))
+        cm = covariance_matrix(params, eta, eta)
         return finite_size_rate(fin, mutual_information(cm, det))
 
     assert rate_at(loss - 0.02) > 0.0
@@ -356,7 +351,7 @@ def test_key_rate_summary_keys_and_clamping():
     params = SqueezingParams.from_squeezing_db(10.0)
     det = reference_detector()
     fin = reference_finite_size()
-    rates = key_rate_summary(params, constant_stats(1e-4), det, fin)
+    rates = key_rate_summary(params, fading_stats([1e-4]), det, fin)
     assert rates["finite_size_rate_raw"] < 0.0
     assert rates["finite_size_rate"] == 0.0
     assert rates["plob_bound"] == pytest.approx(2.0 * rates["ideal_rate"], rel=1e-12)
@@ -364,7 +359,7 @@ def test_key_rate_summary_keys_and_clamping():
 
 def test_render_key_rate_report_echoes_inputs():
     params = SqueezingParams.from_squeezing_db(10.0)
-    stats = constant_stats(0.3)
+    stats = fading_stats([0.3])
     det = reference_detector()
     fin = reference_finite_size()
     report = render_key_rate_report(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duallink.ensemble import FadingStats, fading_stats
+from duallink.ensemble import fading_stats
 from duallink.errors import PhysicalityError, UsageError
 from duallink.protocol import (
     ClassicalLayer,
@@ -97,13 +97,15 @@ def test_zero_leakage_identity_over_random_parameters(vs, va):
 # ------------------------------------------------------- covariance matrix
 
 
-def constant_stats(eta: float):
-    return fading_stats([eta])
+def fading_matrix(params: SqueezingParams, etas):
+    """The covariance matrix over the sample moments of etas."""
+    stats = fading_stats(etas)
+    return covariance_matrix(params, stats.mean_eta, stats.eta_f)
 
 
 def test_covariance_matrix_hand_case():
     params = SqueezingParams(0.25, 4.0, 0.2)
-    cm = covariance_matrix(params, constant_stats(1.0))
+    cm = covariance_matrix(params, 1.0, 1.0)
     assert cm.a_q == pytest.approx(3.25, rel=1e-14)
     assert cm.a_p == pytest.approx(1.0, rel=1e-14)
     assert cm.b_q == pytest.approx(1.0, abs=1e-14)
@@ -115,13 +117,13 @@ def test_covariance_matrix_hand_case():
 def test_quantum_noise_locked_b_q_for_any_fading():
     params = SqueezingParams.zero_leakage(0.25, 4.0)
     for etas in ([0.3], [0.1, 0.9], [0.0, 0.25, 0.5, 1.0], [1e-6] * 5 + [0.99]):
-        cm = covariance_matrix(params, fading_stats(etas))
+        cm = fading_matrix(params, etas)
         assert abs(cm.b_q - 1.0) < 1e-12
 
 
 def test_dead_channel_kills_correlations():
     params = SqueezingParams.zero_leakage(0.25)
-    cm = covariance_matrix(params, constant_stats(0.0))
+    cm = covariance_matrix(params, 0.0, 0.0)
     assert cm.c_q == 0.0
     assert cm.c_p == 0.0
     assert cm.b_q == pytest.approx(1.0, abs=1e-14)
@@ -132,8 +134,8 @@ def test_fading_decorrelates_without_changing_marginals():
     # Same mean transmissivity, different spread: b entries agree,
     # c entries shrink with the spread.
     params = SqueezingParams(0.3, 5.0, 0.4)
-    narrow = covariance_matrix(params, fading_stats([0.5, 0.5]))
-    wide = covariance_matrix(params, fading_stats([0.1, 0.9]))
+    narrow = fading_matrix(params, [0.5, 0.5])
+    wide = fading_matrix(params, [0.1, 0.9])
     assert wide.b_q == pytest.approx(narrow.b_q, rel=1e-12)
     assert wide.b_p == pytest.approx(narrow.b_p, rel=1e-12)
     assert abs(wide.c_q) < abs(narrow.c_q)
@@ -142,7 +144,7 @@ def test_fading_decorrelates_without_changing_marginals():
 
 def test_covariance_sign_structure():
     params = SqueezingParams.zero_leakage(0.25, 4.0)
-    cm = covariance_matrix(params, constant_stats(0.7))
+    cm = covariance_matrix(params, 0.7, 0.7)
     assert cm.c_q > 0.0 > cm.c_p
 
 
@@ -154,7 +156,7 @@ def test_physicality_sweep_over_parameter_grid():
                 # Construction itself certifies physicality at the
                 # 1e-9 level; the explicit eigenvalues are only good
                 # to ~1e-7 near degeneracy.
-                cm = covariance_matrix(params, fading_stats(etas))
+                cm = fading_matrix(params, etas)
                 nu_plus, nu_minus = cm.symplectic_eigenvalues()
                 assert nu_minus >= 1.0 - 1e-7
                 assert nu_plus >= nu_minus
@@ -168,8 +170,18 @@ def test_physicality_sweep_over_parameter_grid():
 @settings(max_examples=200, deadline=None)
 def test_physicality_over_random_fading(vs, va, etas):
     params = SqueezingParams.zero_leakage(vs, va)
-    cm = covariance_matrix(params, fading_stats(etas))
+    cm = fading_matrix(params, etas)
     assert cm.symplectic_eigenvalues()[1] >= 1.0 - 1e-7
+
+
+@pytest.mark.parametrize(
+    "mean_eta, eta_f",
+    [(0.4, 0.5), (1.2, 0.5), (0.5, -0.1), (math.nan, 0.3), (0.5, math.nan)],
+    ids=["eta_f-above-mean", "mean-above-1", "negative-eta_f", "nan-mean", "nan-eta_f"],
+)
+def test_covariance_matrix_refuses_inconsistent_moments(mean_eta, eta_f):
+    with pytest.raises(UsageError, match="0 <= eta_f <= mean_eta <= 1"):
+        covariance_matrix(SqueezingParams.zero_leakage(0.25, 4.0), mean_eta, eta_f)
 
 
 def test_unphysical_matrix_rejected():
@@ -187,7 +199,7 @@ def test_unphysical_matrix_rejected():
 
 def alice_bob_correlation(params: SqueezingParams, eta: float) -> float:
     """<X_A X_B> through a channel frozen at transmissivity eta."""
-    return covariance_matrix(params, FadingStats(eta, eta, 0.0, 0.0, 0.0)).c_q
+    return covariance_matrix(params, eta, eta).c_q
 
 
 def test_alice_bob_correlation_hand_case():
@@ -250,7 +262,7 @@ def test_mc_moments_match_covariance_matrix():
     assert n == 200_000
     tol = 4.0 / math.sqrt(n)
 
-    cm = covariance_matrix(params, fading_stats(etas))
+    cm = fading_matrix(params, etas)
     assert moments.xa_xa == pytest.approx(cm.a_q, abs=tol)
     assert moments.xb_xb == pytest.approx(cm.b_q, abs=tol)
     assert moments.xa_xb == pytest.approx(cm.c_q, abs=tol)
