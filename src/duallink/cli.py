@@ -39,8 +39,8 @@ from .protocol import (
     SqueezingParams,
     classical_ber,
     classical_snr,
-    covariance_matrix,
     mc_quadrature_sim,
+    verify_predictions,
 )
 
 # protocol-verify sampling plan: enough shots that 5 sigma separates
@@ -247,60 +247,6 @@ def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_predictions(params: SqueezingParams, etas, displacement: float):
-    """Pooled closed-form moments and their per-shot sampling variances.
-
-    Alice's and Bob's moments at each eta are the library's covariance
-    matrix of a channel frozen at that eta; Eve holds the lost light, so
-    her variances are Bob's at 1 - eta.  Bob subtracts his decided
-    symbol, so at separation s = 2 alpha sqrt(eta / b_q) a wrong
-    decision leaves twice the signal in his q: his variance becomes
-    b_q (1 - 4 s phi(s) + 4 s^2 Q(s)), and by Stein's lemma his q
-    correlations shrink by 1 - 2 s phi(s).
-    """
-    excess_q = params.transmitted_q_variance - 1.0
-    excess_p = params.transmitted_p_variance - 1.0
-    per_eta = {name: [] for name in (
-        "xa_xa", "xb_xb", "xe_xe", "xa_xb", "xe_xb",
-        "pa_pa", "pb_pb", "pe_pe", "pa_pb", "pe_pb",
-    )}
-    bob = [covariance_matrix(params, eta, eta) for eta in etas]
-    snrs = classical_snr(displacement, etas) / np.array([cm.b_q for cm in bob])
-    ber = classical_ber(snrs).tolist()
-    for eta, cm, snr, tail in zip(etas, bob, snrs.tolist(), ber):
-        eve = covariance_matrix(params, 1.0 - eta, 1.0 - eta)
-        s = math.sqrt(snr)
-        phi = math.exp(-s * s / 2.0) / math.sqrt(2.0 * math.pi)
-        b_q = cm.b_q * (1.0 - 4.0 * s * phi + 4.0 * s * s * tail)
-        shrink = 1.0 - 2.0 * s * phi
-        c_q = shrink * cm.c_q
-        # Not forced to an exact 0.0 under zero leakage: the report prints
-        # the rounding residue of the excess variance (e.g. -0.000000 at
-        # 7.5 dB).
-        mix = math.sqrt(eta * (1.0 - eta))
-        eb_q = shrink * mix * excess_q
-        eb_p = mix * excess_p
-        per_eta["xa_xa"].append((cm.a_q, 2.0 * cm.a_q**2))
-        per_eta["xb_xb"].append((b_q, 2.0 * b_q**2))
-        per_eta["xe_xe"].append((eve.b_q, 2.0 * eve.b_q**2))
-        per_eta["xa_xb"].append((c_q, cm.a_q * b_q + c_q**2))
-        per_eta["xe_xb"].append((eb_q, eve.b_q * b_q + eb_q**2))
-        per_eta["pa_pa"].append((cm.a_p, 2.0 * cm.a_p**2))
-        per_eta["pb_pb"].append((cm.b_p, 2.0 * cm.b_p**2))
-        per_eta["pe_pe"].append((eve.b_p, 2.0 * eve.b_p**2))
-        per_eta["pa_pb"].append((cm.c_p, cm.a_p * cm.b_p + cm.c_p**2))
-        per_eta["pe_pb"].append((eb_p, eve.b_p * cm.b_p + eb_p**2))
-
-    predictions = {
-        name: (
-            sum(v for v, _ in rows) / len(rows),
-            sum(var for _, var in rows) / len(rows),
-        )
-        for name, rows in per_eta.items()
-    }
-    return predictions, sum(ber) / len(ber), ber
-
-
 def cmd_protocol_verify(config: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(config)
     stamp = _stamp(config)
@@ -323,7 +269,7 @@ def cmd_protocol_verify(config: RunConfig, args: argparse.Namespace) -> int:
     # Predictions assume the zero-leakage tap (the protocol under
     # verification); under sabotage the simulation departs from them.
     reference = SqueezingParams.from_squeezing_db(config.squeezing_db)
-    predictions, ber_pred, ber_rows = _verify_predictions(
+    predictions, ber_pred, ber_rows = verify_predictions(
         reference, etas, config.classical.displacement
     )
 

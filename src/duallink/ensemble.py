@@ -80,9 +80,13 @@ class FadingStats:
     std_loss_db: float
 
     def __post_init__(self) -> None:
-        if self.eta_f > self.mean_eta + 1e-12:
-            raise DataIntegrityError("eta_f exceeds mean eta; moments are inconsistent")
-        if self.var_sqrt < 0.0:
+        # what covariance_matrix takes; a NaN fails every comparison
+        if not 0.0 <= self.eta_f <= self.mean_eta <= 1.0:
+            raise DataIntegrityError(
+                f"need 0 <= eta_f <= mean_eta <= 1, got eta_f {self.eta_f}, "
+                f"mean_eta {self.mean_eta}; moments are inconsistent"
+            )
+        if not self.var_sqrt >= 0.0:
             raise DataIntegrityError("negative Var(sqrt(eta))")
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from .atmosphere import AtmosphereProfile, LinkGeometry
 from .errors import NumericalError, UsageError
 from .screens import (
-    PhaseScreen,
     ScreenSpectrum,
     ScreenStreams,
     Slab,
@@ -63,7 +62,6 @@ class ComplexField:
     grid: np.ndarray
     spacing: float
     wavelength: float
-    z: float = 0.0
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -104,7 +102,7 @@ def gaussian_source(geom: LinkGeometry, grid_size: int = 1024) -> ComplexField:
     grid = (math.sqrt(2.0 / math.pi) / w0) * np.exp(-r2 / w0**2)
     grid = grid.astype(np.complex128)
     grid /= math.sqrt(np.sum(np.abs(grid) ** 2) * spacing**2)
-    return ComplexField(grid, spacing, geom.wavelength, 0.0)
+    return ComplexField(grid, spacing, geom.wavelength)
 
 
 def vacuum_beam_radius(geom: LinkGeometry, z: float) -> float:
@@ -235,7 +233,7 @@ def propagate_vacuum(
         np.fft.fftn(grid, out=grid)
         grid *= q2
         grid *= q2[:, None]
-    out = ComplexField(grid, spacing, field.wavelength, field.z + distance)
+    out = ComplexField(grid, spacing, field.wavelength)
     fraction = _edge_power_fraction(grid)
     if fraction > _EDGE_GUARD_FRACTION:
         raise NumericalError(
@@ -278,32 +276,27 @@ def _unit_phasor(phase: np.ndarray, phasor: np.ndarray, scratch: np.ndarray) -> 
 
 
 def apply_screen(
-    field: ComplexField, screen: PhaseScreen, workspace: Workspace | None = None
+    field: ComplexField, phase: np.ndarray, workspace: Workspace | None = None
 ) -> ComplexField:
-    """Imprint one phase screen; unit-modulus, so power is untouched.
+    """Imprint one phase screen, a phase map (radians) on the field's own grid;
+    unit-modulus, so power is untouched.
 
     The phasor's angle is float32-accurate (within 3e-7 rad of the phase)
     and its modulus float64-accurate (|p|^2 within 1e-13 of one).  It is
     built and multiplied in one row tile at a time, in the workspace's
-    ``phasor`` and ``scratch`` tiles, so the screen may be a half of the
+    ``phasor`` and ``scratch`` tiles, so the phase may be a half of the
     workspace's ``spectrum``.  The result is a new array, or a workspace's
     ``field``, which may be the input's own grid.
     """
-    if screen.grid.shape != field.grid.shape:
-        raise UsageError(
-            f"screen shape {screen.grid.shape} does not match field {field.grid.shape}"
-        )
-    if not math.isclose(screen.spacing, field.spacing, rel_tol=1e-9):
-        raise UsageError(
-            f"screen spacing {screen.spacing!r} does not match field {field.spacing!r}"
-        )
+    if phase.shape != field.grid.shape:
+        raise UsageError(f"screen shape {phase.shape} does not match field {field.grid.shape}")
     ws = Workspace(field.size) if workspace is None else workspace
     for tile in _row_tiles(field.size):
         rows = tile.stop - tile.start
         phasor = ws.phasor[:rows]
-        _unit_phasor(screen.grid[tile], phasor, ws.scratch[:rows])
+        _unit_phasor(phase[tile], phasor, ws.scratch[:rows])
         np.multiply(field.grid[tile], phasor, out=ws.field[tile])
-    return ComplexField(ws.field, field.spacing, field.wavelength, field.z)
+    return ComplexField(ws.field, field.spacing, field.wavelength)
 
 
 def _apodization_mask(n: int) -> np.ndarray:
@@ -322,7 +315,7 @@ def _hop(field: ComplexField, distance: float, target: float | None, mask, out) 
     if distance <= 0.0:
         return field
     np.multiply(field.grid, mask, out=out)
-    absorbed = ComplexField(out, field.spacing, field.wavelength, field.z)
+    absorbed = ComplexField(out, field.spacing, field.wavelength)
     return propagate_vacuum(absorbed, distance, target, out=out)
 
 
@@ -364,17 +357,19 @@ def build_channel(
     source = gaussian_source(geom, grid_size)
     entry = _hop(source, depths[0], window / grid_size, apodizer, source.grid)
     entry.grid.setflags(write=False)
-    # each hop of the walk, summed into z as propagate_vacuum sums it; its kernel is built here
-    hops, z = [], entry.z
+    # each hop runs from the sum of the hops before it, begun at the entry's depth,
+    # not from the previous depth: so every hop length, and every eta, keeps format
+    # 7's bits.  Its kernel is built here
+    hops, reached = [], depths[0]
     for depth in depths:
-        hops.append(depth - z)
+        hops.append(depth - reached)
         if hops[-1] > 0.0:
-            z += hops[-1]
+            reached += hops[-1]
             _angular_spectrum_kernel(grid_size, entry.spacing, entry.wavelength, hops[-1])
     draws = []
     for i in range(0, len(stops), 2):
         slabs = tuple(plan.slabs[idx] for idx, _ in stops[i : i + 2])
-        draws.append((stops[i][0], slabs, tuple(hops[i : i + 2])))
+        draws.append((stops[i][0], slabs, tuple(hops[i : i + len(slabs)])))
     spectrum = screen_spectrum(grid_size, entry.spacing, profile) if stops else None
     return Channel(entry, tuple(draws), hops[-1], spectrum, apodizer, apertures)
 

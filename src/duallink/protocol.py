@@ -14,7 +14,7 @@ units where vacuum has variance 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -370,6 +370,56 @@ def mc_quadrature_sim(
     n = shots_per_eta * len(etas)
     moments = sums / n
     return EmpiricalMoments(n, bit_errors, *moments)
+
+
+def verify_predictions(params: SqueezingParams, etas, displacement: float):
+    """Pooled closed-form moments of ``mc_quadrature_sim`` and their per-shot
+    sampling variances, keyed by the names of ``EmpiricalMoments``; then the
+    mean bit error rate and its value at each eta.
+
+    Alice's and Bob's moments at each eta are the covariance matrix of a
+    channel frozen at that eta; Eve holds the lost light, so her variances
+    are Bob's at 1 - eta.  Bob subtracts his decided symbol, so at
+    separation s = 2 alpha sqrt(eta / b_q) a wrong decision leaves twice the
+    signal in his q: his variance becomes b_q (1 - 4 s phi(s) + 4 s^2 Q(s)),
+    and by Stein's lemma his q correlations shrink by 1 - 2 s phi(s).  For
+    zero-mean Gaussian quadratures the per-shot variance of <xy> is
+    <xx><yy> + <xy>^2, which is 2 <xx>^2 on the diagonal.
+    """
+    names = [field.name for field in fields(EmpiricalMoments)][2:]  # past the counts
+    excess_q = params.transmitted_q_variance - 1.0
+    excess_p = params.transmitted_p_variance - 1.0
+    bob = [covariance_matrix(params, eta, eta) for eta in etas]
+    snrs = classical_snr(displacement, etas) / np.array([cm.b_q for cm in bob])
+    ber = classical_ber(snrs).tolist()
+    rows = []
+    for eta, cm, snr, tail in zip(etas, bob, snrs.tolist(), ber):
+        eve = covariance_matrix(params, 1.0 - eta, 1.0 - eta)
+        s = math.sqrt(snr)
+        phi = math.exp(-s * s / 2.0) / math.sqrt(2.0 * math.pi)
+        shrink = 1.0 - 2.0 * s * phi
+        # Not forced to an exact 0.0 under zero leakage: the report prints
+        # the rounding residue of the excess variance (e.g. -0.000000 at
+        # 7.5 dB).
+        mix = math.sqrt(eta * (1.0 - eta))
+        b_q = cm.b_q * (1.0 - 4.0 * s * phi + 4.0 * s * s * tail)
+        # per sector: Alice, Bob and Eve variances, Alice-Bob and Eve-Bob covariances
+        q = (cm.a_q, b_q, eve.b_q, shrink * cm.c_q, shrink * mix * excess_q)
+        p = (cm.a_p, cm.b_p, eve.b_p, cm.c_p, mix * excess_p)
+        row = []
+        for a, b, e, ab, eb in (q, p):
+            row += [(v, 2.0 * v**2) for v in (a, b, e)]
+            row += [(ab, a * b + ab**2), (eb, e * b + eb**2)]
+        rows.append(row)
+
+    predictions = {
+        name: (
+            sum(v for v, _ in column) / len(column),
+            sum(var for _, var in column) / len(column),
+        )
+        for name, column in zip(names, zip(*rows))
+    }
+    return predictions, sum(ber) / len(ber), ber
 
 
 def classical_snr(displacement: float, eta):

@@ -85,14 +85,6 @@ class SlabPlan:
                 raise UsageError("slabs must be contiguous and non-overlapping")
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseScreen:
-    """One random phase realization on a square grid (radians)."""
-
-    grid: np.ndarray
-    spacing: float
-
-
 # Row tiles hold at most this many bytes of complex128: 64 rows at grid 512,
 # 32 at 1024, the whole grid at 128 and below.
 _TILE_BYTES = 1 << 19
@@ -341,7 +333,6 @@ class ScreenSpectrum:
     """The read-only, r0-independent factors of the screens on one N x N grid: the
     spectral amplitude factor, and the subharmonic weights, axis basis and its means."""
 
-    spacing: float
     amplitude: np.ndarray
     weights: tuple[np.ndarray, ...]
     basis: np.ndarray
@@ -365,7 +356,7 @@ def screen_spectrum(grid_size: int, spacing: float, profile: AtmosphereProfile) 
             stacklevel=2,
         )
     amplitude = _fft_amplitude_factor(n, spacing, l_out, l_in)
-    return ScreenSpectrum(spacing, amplitude, *_subharmonic_factors(n, spacing, l_out, l_in))
+    return ScreenSpectrum(amplitude, *_subharmonic_factors(n, spacing, l_out, l_in))
 
 
 def generate_screen(
@@ -373,7 +364,7 @@ def generate_screen(
     spectrum: ScreenSpectrum,
     rng: np.random.Generator,
     workspace: Workspace | None = None,
-) -> tuple[PhaseScreen, ...]:
+) -> tuple[np.ndarray, ...]:
     """Draw the phase screens of one or two slabs on the spectrum's N x N grid.
 
     Spectral synthesis: circular-Gaussian amplitudes, each a Rayleigh modulus
@@ -384,9 +375,9 @@ def generate_screen(
     the first slab and the imaginary part to the second, each with its own
     subharmonic draws taken in slab order after the spectral draw.  A one-slab
     call makes only the first slab's draws.  A vacuum slab (r0 = inf) gets a
-    zero screen, since its r0^(-5/6) scale is exactly zero.  The screens are
-    the real and imaginary halves of the workspace's ``spectrum`` (strided
-    views), so they last until its next draw.
+    zero screen, since its r0^(-5/6) scale is exactly zero.  The screens, in
+    radians, are the real and imaginary halves of the workspace's ``spectrum``
+    (strided float64 views), so they last until its next draw.
     """
     if not 1 <= len(slabs) <= 2:
         raise UsageError(f"one or two slabs per spectral draw, got {len(slabs)}")
@@ -403,8 +394,8 @@ def generate_screen(
     np.fft.ifftn(draw, norm="forward", out=draw)
 
     basis, means = spectrum.basis, spectrum.means
-    screens = []
-    for slab, half in zip(slabs, (draw.real, draw.imag)):
+    halves = (draw.real, draw.imag)[: len(slabs)]
+    for slab, half in zip(slabs, halves):
         coeff = np.zeros((len(basis), len(basis)))
         for sqrt_w, rows in zip(spectrum.weights, _LEVEL_ROWS):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -423,5 +414,4 @@ def generate_screen(
             screen += half[tile]
             screen *= scale
             half[tile] = screen
-        screens.append(PhaseScreen(half, spectrum.spacing))
-    return tuple(screens)
+    return halves

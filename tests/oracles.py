@@ -37,7 +37,6 @@ from duallink.protocol import ClassicalLayer, EmpiricalMoments, SqueezingParams
 from duallink.screens import (
     _LEVEL_ROWS,
     _PHASOR_FROM_REAL,
-    PhaseScreen,
     Workspace,
     _centered_coords,
     _subharmonic_factors,
@@ -63,19 +62,18 @@ def second_moment_radius(field: ComplexField) -> float:
     return math.sqrt(2.0 * float((intensity * r2).sum()) / total)
 
 
-def screen_structure_function(screens: list[PhaseScreen], separations) -> list[float]:
+def screen_structure_function(screens: list[np.ndarray], spacing: float, separations):
     """Empirical phase structure function, averaged over pixels and screens.
 
-    D(r) = <(phi(x + r) - phi(x))^2> along both grid axes; separations must
-    be grid-aligned (integer multiples of the common spacing).
+    D(r) = <(phi(x + r) - phi(x))^2> along both grid axes, for square screens
+    sampled at ``spacing``; separations must be grid-aligned (integer
+    multiples of the spacing).
     """
     if len(screens) < 50:
         raise UsageError(f"need at least 50 screens for a stable estimate, got {len(screens)}")
-    spacing = screens[0].spacing
-    n = screens[0].grid.shape[0]
-    for s in screens:
-        if s.spacing != spacing or s.grid.shape != (n, n):
-            raise UsageError("screens must share grid geometry")
+    n = screens[0].shape[0]
+    if any(g.shape != (n, n) for g in screens):
+        raise UsageError("screens must share one square grid")
 
     shifts = []
     for r in separations:
@@ -88,8 +86,7 @@ def screen_structure_function(screens: list[PhaseScreen], separations) -> list[f
 
     totals = np.zeros(len(shifts))
     counts = np.zeros(len(shifts))
-    for s in screens:
-        g = s.grid
+    for g in screens:
         for idx, m in enumerate(shifts):
             dx = g[:, m:] - g[:, :-m]
             dy = g[m:, :] - g[:-m, :]
@@ -356,7 +353,7 @@ def reference_split_step(source, plan, profile, streams, receiver_window) -> Com
     It hops from screen to screen, then to the ground, the first hop
     rescaling the grid to the receiver window.  Screens are paired in walk
     order: one spectral draw from the stream of the pair's first slab serves
-    both.  The field's ``z`` is its slant distance below the top of the plan.
+    both.  ``depth`` is the field's slant distance below the top of the plan.
     """
     n = source.size
     target = receiver_window / n
@@ -367,19 +364,22 @@ def reference_split_step(source, plan, profile, streams, receiver_window) -> Com
         above += slab.path_length
     partner = {upper[0]: lower[0] for upper, lower in zip(stops[0::2], stops[1::2])}
     workspace = Workspace(n)
+    depth = 0.0
 
     def hop(field, distance):
+        nonlocal depth
         if distance <= 0.0:
             return field
+        depth += distance
         out = workspace.field
         np.multiply(field.grid, _apodization_mask(n), out=out)
-        absorbed = ComplexField(out, field.spacing, field.wavelength, field.z)
+        absorbed = ComplexField(out, field.spacing, field.wavelength)
         return propagate_vacuum(absorbed, distance, target, out=out)
 
     field = source
-    held: list[PhaseScreen] = []
+    held: list[np.ndarray] = []
     for idx, stop in stops:
-        field = hop(field, stop - field.z)
+        field = hop(field, stop - depth)
         if held:
             screen = held.pop()
         else:
@@ -388,7 +388,7 @@ def reference_split_step(source, plan, profile, streams, receiver_window) -> Com
             spectrum = screen_spectrum(n, field.spacing, profile)
             screen, *held = generate_screen(pair, spectrum, streams.generator(idx), workspace)
         field = apply_screen(field, screen, workspace=workspace)
-    field = hop(field, above - field.z)
+    field = hop(field, above - depth)
     return replace(field, grid=field.grid.copy()) if field is source else field
 
 

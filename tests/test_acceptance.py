@@ -57,7 +57,6 @@ from duallink.protocol import (
     mc_quadrature_sim,
 )
 from duallink.screens import (
-    PhaseScreen,
     ScreenResolutionWarning,
     ScreenStreams,
     Slab,
@@ -209,9 +208,10 @@ def structure_function_errors() -> np.ndarray:
             for i in range(256):
                 pair = generate_screen((slab, slab), spectrum, ScreenStreams(seed, i).generator(0))
                 for screens, screen in zip(halves, pair):
-                    screens.append(PhaseScreen(screen.grid.copy(), screen.spacing))
+                    screens.append(screen.copy())
             measured = [
-                screen_structure_function(screens, STRUCTURE_SEPARATIONS) for screens in halves
+                screen_structure_function(screens, 0.02, STRUCTURE_SEPARATIONS)
+                for screens in halves
             ]
             errors.append(np.array(measured) / reference - 1.0)
     return np.array(errors)

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import duallink
-from duallink.cli import _thread_count, _verify_predictions, main
+from duallink.cli import _thread_count, main
 from duallink.atmosphere import greenwood_and_coherence
 from duallink.config import _SCHEMA, config_hash, load_config, parse_config, render_config
 from duallink.ensemble import ChannelEnsemble, fading_stats, load_ensemble, save_ensemble
 from duallink.errors import UsageError
 from duallink.optics import vacuum_beam_radius
-from duallink.protocol import SqueezingParams, classical_ber
+from duallink.protocol import SqueezingParams, classical_ber, verify_predictions
 
 from oracles import per_eta_link_budget_rows
 from test_protocol import extraction_second_moment
@@ -595,7 +595,8 @@ def test_faint_grazing_path_is_simulated_with_its_screen(tmp_path):
 
 def reference_verify_predictions(params: SqueezingParams, etas, displacement: float):
     """The verify gate's closed forms written out by hand, as the reference
-    for the predictions the CLI builds from ``covariance_matrix``."""
+    for the predictions that ``protocol.verify_predictions`` builds from
+    ``covariance_matrix``."""
     eps = params.tap_transmissivity
     va = params.modulation_variance
     vs = params.squeezed_variance
@@ -655,7 +656,7 @@ def test_verify_predictions_equal_hand_written_reference(squeezing_db):
     params = SqueezingParams.from_squeezing_db(squeezing_db)
     for seed, displacement in itertools.product(range(1, 11), (10.0, 2.0)):
         etas = np.sort(np.random.default_rng(seed).uniform(0.15, 0.85, 25))
-        predictions, ber_mean, ber_rows = _verify_predictions(params, etas, displacement)
+        predictions, ber_mean, ber_rows = verify_predictions(params, etas, displacement)
         expected, expected_mean, expected_rows = reference_verify_predictions(
             params, etas, displacement
         )

@@ -17,6 +17,7 @@ from duallink.atmosphere import AtmosphereProfile
 from duallink.ensemble import (
     _FORMAT_VERSION,
     ChannelEnsemble,
+    FadingStats,
     coherence_step_series,
     fading_stats,
     load_ensemble,
@@ -296,6 +297,16 @@ def test_fading_stats_rejects_out_of_range():
         fading_stats([-0.1])
     with pytest.raises(UsageError):
         fading_stats([])
+
+
+@pytest.mark.parametrize(
+    "mean_eta, eta_f, var_sqrt",
+    [(0.5, 0.5 + 1e-13, 0.0), (1.5, 1.5, 0.0), (math.nan, 0.2, 0.0), (0.5, -0.1, 0.6)],
+)
+def test_fading_stats_refuses_what_the_covariance_matrix_refuses(mean_eta, eta_f, var_sqrt):
+    # 0 <= eta_f <= mean_eta <= 1, as covariance_matrix requires
+    with pytest.raises(DataIntegrityError):
+        FadingStats(mean_eta, eta_f, var_sqrt, 3.0, 0.0)
 
 
 @settings(max_examples=50, deadline=None)

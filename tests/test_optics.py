@@ -30,7 +30,6 @@ from duallink.optics import (
 )
 from duallink.screens import (
     _TILE_BYTES,
-    PhaseScreen,
     ScreenStreams,
     Slab,
     SlabPlan,
@@ -77,7 +76,6 @@ def encircled_power(radius: float, beam_radius: float) -> float:
 def test_source_has_unit_power():
     field = gaussian_source(make_geometry(), 256)
     assert field_power(field) == pytest.approx(1.0, abs=1e-12)
-    assert field.z == 0.0
     assert field.window == pytest.approx(8.0 * 0.15)
 
 
@@ -133,7 +131,6 @@ def test_angular_spectrum_conserves_power():
     field = gaussian_source(make_geometry(), 256)
     out = propagate_vacuum(field, 1000.0)
     assert out.spacing == field.spacing
-    assert out.z == pytest.approx(1000.0)
     assert field_power(out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -285,20 +282,16 @@ def test_hop_caches_hold_axis_factors():
 # screen application
 
 
-def screen_like(field: ComplexField, phase: np.ndarray) -> PhaseScreen:
-    return PhaseScreen(phase, field.spacing)
-
-
 def test_zero_screen_is_identity():
     field = gaussian_source(make_geometry(), 128)
-    out = apply_screen(field, screen_like(field, np.zeros((128, 128))))
+    out = apply_screen(field, np.zeros((128, 128)))
     assert np.array_equal(out.grid, field.grid)
 
 
 def test_screen_preserves_power():
     field = gaussian_source(make_geometry(), 128)
     rng = np.random.default_rng(3)
-    out = apply_screen(field, screen_like(field, rng.normal(size=(128, 128))))
+    out = apply_screen(field, rng.normal(size=(128, 128)))
     assert field_power(out) == pytest.approx(field_power(field), rel=1e-13)
 
 
@@ -314,8 +307,8 @@ def test_screen_phases_add():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(128, 128))
     b = rng.normal(size=(128, 128))
-    twice = apply_screen(apply_screen(field, screen_like(field, a)), screen_like(field, b))
-    once = apply_screen(field, screen_like(field, a + b))
+    twice = apply_screen(apply_screen(field, a), b)
+    once = apply_screen(field, a + b)
     # three imprints, each within the bound of the exact phasor
     assert relative_field_error(twice, once) < 3.0 * IMPRINT_BOUND
 
@@ -324,7 +317,7 @@ def test_screen_imprint_matches_complex_exponential():
     field = gaussian_source(make_geometry(), 128)
     phase = 30.0 * np.random.default_rng(5).normal(size=(128, 128))
     expected = field.grid * np.exp(1j * phase)
-    out = apply_screen(field, screen_like(field, phase))
+    out = apply_screen(field, phase)
     assert np.max(np.abs(out.grid - expected)) <= IMPRINT_BOUND * np.max(np.abs(field.grid))
 
 
@@ -333,7 +326,7 @@ def test_screen_phasor_has_unit_modulus():
     n = 128
     field = ComplexField(np.ones((n, n), dtype=complex), 0.01, 1e-6)
     phase = 30.0 * np.random.default_rng(6).normal(size=(n, n))
-    out = apply_screen(field, screen_like(field, phase))
+    out = apply_screen(field, phase)
     assert np.max(np.abs(np.abs(out.grid) ** 2 - 1.0)) <= 1e-13
 
 
@@ -348,14 +341,12 @@ def test_tiled_imprint_equals_full_grid_reference(n):
     field = ComplexField(grid, 0.01, 1e-6)
     phase = 30.0 * rng.normal(size=(n, n))
     expected = full_grid_apply_screen(field, phase)
-    assert np.array_equal(apply_screen(field, screen_like(field, phase)).grid, expected)
+    assert np.array_equal(apply_screen(field, phase).grid, expected)
     # in place on a workspace field, with the phase in a half of its spectrum
     ws = Workspace(n)
     ws.field[...] = grid
     ws.spectrum.imag = phase
-    out = apply_screen(
-        ComplexField(ws.field, 0.01, 1e-6), PhaseScreen(ws.spectrum.imag, 0.01), workspace=ws
-    )
+    out = apply_screen(ComplexField(ws.field, 0.01, 1e-6), ws.spectrum.imag, workspace=ws)
     assert out.grid is ws.field
     assert np.array_equal(out.grid, expected)
     assert np.array_equal(ws.spectrum.imag, phase)
@@ -369,7 +360,7 @@ def test_public_hops_and_imprint_leave_input_untouched():
     outputs = [
         propagate_vacuum(field, 1000.0),
         propagate_vacuum(field, 50e3, target_spacing=2.0 * field.spacing),
-        apply_screen(field, screen_like(field, phase)),
+        apply_screen(field, phase),
     ]
     assert np.array_equal(field.grid, before)
     assert all(out.grid is not field.grid for out in outputs)
@@ -378,9 +369,7 @@ def test_public_hops_and_imprint_leave_input_untouched():
 def test_screen_geometry_must_match():
     field = gaussian_source(make_geometry(), 128)
     with pytest.raises(UsageError):
-        apply_screen(field, PhaseScreen(np.zeros((64, 64)), field.spacing))
-    with pytest.raises(UsageError):
-        apply_screen(field, PhaseScreen(np.zeros((128, 128)), 2.0 * field.spacing))
+        apply_screen(field, np.zeros((64, 64)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +473,6 @@ def test_zero_turbulence_split_step_is_vacuum_diffraction():
     eta_direct = meter(direct, 0.5)
     # the edge absorber perturbs the far tail at the 1e-7 level, nothing more
     assert eta_split == pytest.approx(eta_direct, abs=1e-7)
-    assert out.z == pytest.approx(geom.path_length)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -555,9 +543,28 @@ def test_split_step_matches_the_reference_walk(baseline_profile, zenith, n):
             expected = reference_split_step(source, plan, profile, streams, window)
             got = split_step(channel, streams)
             assert np.array_equal(got.grid, expected.grid)
-            assert got.z == expected.z
             # the vacuum plan's entry stands at the ground: still a fresh grid
             assert not np.shares_memory(got.grid, channel.entry.grid)
+
+
+@pytest.mark.parametrize("zenith", [0.0, 60.0])
+def test_channel_walk_spans_the_slant_path(baseline_profile, zenith):
+    # the entry's depth (its first screen's, or the ground's), every hop of
+    # the draws and the last hop add up to the plan's whole slant path
+    geom = make_geometry(zenith)
+    window = choose_receiver_window(geom, (0.5,))
+    for profile in (baseline_profile, dead_profile()):
+        plan = plan_slabs(geom, profile, window / 256)
+        channel = channel_of(geom, profile, plan, 256)
+        depth = 0.0
+        for slab in reversed(plan.slabs):
+            if slab.has_screen:
+                depth += slab.screen_depth
+                break
+            depth += slab.path_length
+        hops = [hop for _, _, pair in channel.draws for hop in pair] + [channel.last_hop]
+        slant = sum(slab.path_length for slab in plan.slabs)
+        assert sum(hops, depth) == pytest.approx(slant, rel=1e-12, abs=0.0)
 
 
 def test_split_step_leaves_source_untouched(baseline_profile):
@@ -609,7 +616,6 @@ def test_odd_screen_count_runs_and_reruns_identically(baseline_profile):
     out = split_step(channel, ScreenStreams(31, 4))
     again = split_step(channel, ScreenStreams(31, 4))
     assert np.array_equal(out.grid, again.grid)
-    assert out.z == pytest.approx(geom.path_length)
     assert 0.0 < meter(out, 0.5) <= 1.0
 
 
@@ -626,7 +632,7 @@ def test_split_step_pairs_screens_on_the_upper_slab_stream(baseline_profile):
     mask = _apodization_mask(n)
 
     def hop(field, dist, target=None):
-        absorbed = ComplexField(field.grid * mask, field.spacing, field.wavelength, field.z)
+        absorbed = ComplexField(field.grid * mask, field.spacing, field.wavelength)
         return propagate_vacuum(absorbed, dist, target)
 
     field = hop(source, gap.path_length + 0.5 * s2.path_length, window / n)

@@ -23,7 +23,6 @@ from duallink.screens import (
     _SCREEN_R0_CELLS,
     _SCREEN_RYTOV_CAP,
     _SUBHARMONIC_LEVELS,
-    PhaseScreen,
     ScreenStreams,
     Slab,
     SlabPlan,
@@ -267,21 +266,21 @@ def test_vacuum_slab_yields_zero_screen(baseline_profile):
     (screen,) = draw(
         (vac,), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
     )
-    assert np.all(screen.grid == 0.0)
+    assert np.all(screen == 0.0)
 
 
 def test_screens_are_deterministic(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08)
     a = draw((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
     b = draw((slab,), 128, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
-    assert np.array_equal(a.grid, b.grid)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_streams_give_distinct_screens(baseline_profile):
     slab = Slab(0.0, 100.0, 100.0, 0.08)
     a = draw((slab,), 64, 0.05, ScreenStreams(42, 7).generator(3), baseline_profile)[0]
     b = draw((slab,), 64, 0.05, ScreenStreams(42, 8).generator(3), baseline_profile)[0]
-    assert not np.array_equal(a.grid, b.grid)
+    assert not np.array_equal(a, b)
 
 
 def test_grid_size_must_be_power_of_two(baseline_profile):
@@ -304,7 +303,7 @@ def test_ensemble_pixel_means_near_zero():
     profile = kolmogorov_like_profile()
     slab = Slab(0.0, 100.0, 100.0, 0.1)
     screens = make_screens(slab, 64, 0.01, profile, 200, seed=5)
-    stack = np.stack([s.grid for s in screens])
+    stack = np.stack(screens)
     mean = stack.mean(axis=0)
     sigma = stack.std(axis=0, ddof=1) / math.sqrt(len(screens))
     assert np.all(np.abs(mean) < 5.0 * sigma)
@@ -319,8 +318,8 @@ def test_screen_variance_scales_with_integrated_turbulence():
     doubled = Slab(0.0, 100.0, 100.0, 0.1 * 2 ** (-3.0 / 5.0))
     base_screens = make_screens(base, 128, 0.01, profile, 200, seed=5)
     doubled_screens = make_screens(doubled, 128, 0.01, profile, 200, seed=5)
-    v1 = np.mean([np.var(s.grid) for s in base_screens])
-    v2 = np.mean([np.var(s.grid) for s in doubled_screens])
+    v1 = np.mean([np.var(s) for s in base_screens])
+    v2 = np.mean([np.var(s) for s in doubled_screens])
     assert v2 / v1 == pytest.approx(2.0, rel=1e-12)
 
 
@@ -434,7 +433,7 @@ def test_screen_matches_complex_phasor_reference(baseline_profile, n, spacing, s
     ref_rng = streams.generator(5)
     rng = streams.generator(5)
     (expected,) = reference_generate_screen((slab,), n, spacing, ref_rng, baseline_profile)
-    got = draw((slab,), n, spacing, rng, baseline_profile)[0].grid
+    got = draw((slab,), n, spacing, rng, baseline_profile)[0]
     rms = float(np.sqrt(np.mean(expected**2)))
     assert np.max(np.abs(got - expected)) <= SCREEN_MATCH_TOLERANCE * rms
     # same draws, consumed in the same order
@@ -454,7 +453,7 @@ def test_screen_pair_matches_complex_phasor_reference(baseline_profile, n, spaci
     assert len(got) == 2
     for screen, reference in zip(got, expected):
         rms = float(np.sqrt(np.mean(reference**2)))
-        assert np.max(np.abs(screen.grid - reference)) <= SCREEN_MATCH_TOLERANCE * rms
+        assert np.max(np.abs(screen - reference)) <= SCREEN_MATCH_TOLERANCE * rms
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
@@ -471,7 +470,7 @@ def test_tiled_screens_equal_full_grid_reference(baseline_profile, n, spacing, c
     got = draw(slabs, n, spacing, rng, baseline_profile)
     assert len(got) == count
     for screen, reference in zip(got, expected):
-        assert np.array_equal(screen.grid, reference)
+        assert np.array_equal(screen, reference)
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
@@ -487,7 +486,7 @@ def test_pair_first_screen_is_the_one_slab_screen(baseline_profile):
     streams = ScreenStreams(8, 2)
     (alone,) = draw(slabs[:1], 128, 0.05, streams.generator(4), baseline_profile)
     first, _ = draw(slabs, 128, 0.05, streams.generator(4), baseline_profile)
-    assert np.array_equal(alone.grid, first.grid)
+    assert np.array_equal(alone, first)
 
 
 def test_pair_with_vacuum_slab_gives_zero_screen(baseline_profile):
@@ -496,8 +495,8 @@ def test_pair_with_vacuum_slab_gives_zero_screen(baseline_profile):
     turbulent, flat = draw(
         (slab, vac), 64, 0.05, ScreenStreams(1, 0).generator(0), baseline_profile
     )
-    assert np.all(flat.grid == 0.0)
-    assert np.std(turbulent.grid) > 0.0
+    assert np.all(flat == 0.0)
+    assert np.std(turbulent) > 0.0
 
 
 def test_screen_call_takes_one_or_two_slabs(baseline_profile):
@@ -518,14 +517,14 @@ def test_screen_halves_are_uncorrelated(baseline_profile):
     spectrum = screen_spectrum(256, 0.02, baseline_profile)
     for i in range(128):
         a, b = generate_screen((slab, slab), spectrum, ScreenStreams(77, i).generator(0))
-        values.append(np.corrcoef(a.grid.ravel(), b.grid.ravel())[0, 1])
+        values.append(np.corrcoef(a.ravel(), b.ravel())[0, 1])
         da = np.concatenate(
-            [(a.grid[:, shift:] - a.grid[:, :-shift]).ravel(),
-             (a.grid[shift:] - a.grid[:-shift]).ravel()]
+            [(a[:, shift:] - a[:, :-shift]).ravel(),
+             (a[shift:] - a[:-shift]).ravel()]
         )
         db = np.concatenate(
-            [(b.grid[:, shift:] - b.grid[:, :-shift]).ravel(),
-             (b.grid[shift:] - b.grid[:-shift]).ravel()]
+            [(b[:, shift:] - b[:, :-shift]).ravel(),
+             (b[shift:] - b[:-shift]).ravel()]
         )
         increments.append(np.corrcoef(da, db)[0, 1])
     for corr in (np.array(values), np.array(increments)):
@@ -550,23 +549,23 @@ def exact_mvk_structure_function(r, fried, outer_scale, inner_scale):
 
 
 def test_structure_function_zero_for_zero_screens(baseline_profile):
-    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1) for _ in range(50)]
-    values = screen_structure_function(zeros, [0.1, 0.5, 1.0])
+    zeros = [np.zeros((32, 32))] * 50
+    values = screen_structure_function(zeros, 0.1, [0.1, 0.5, 1.0])
     assert values == [0.0, 0.0, 0.0]
 
 
 def test_structure_function_requires_enough_screens(baseline_profile):
-    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1) for _ in range(10)]
+    zeros = [np.zeros((32, 32))] * 10
     with pytest.raises(UsageError):
-        screen_structure_function(zeros, [0.1])
+        screen_structure_function(zeros, 0.1, [0.1])
 
 
 def test_structure_function_rejects_off_grid_separation():
-    zeros = [PhaseScreen(np.zeros((32, 32)), 0.1) for _ in range(50)]
+    zeros = [np.zeros((32, 32))] * 50
     with pytest.raises(UsageError):
-        screen_structure_function(zeros, [0.15])
+        screen_structure_function(zeros, 0.1, [0.15])
     with pytest.raises(UsageError):
-        screen_structure_function(zeros, [3.3])
+        screen_structure_function(zeros, 0.1, [3.3])
 
 
 def test_structure_function_nondecreasing():
@@ -574,7 +573,7 @@ def test_structure_function_nondecreasing():
     slab = Slab(0.0, 100.0, 100.0, 0.1)
     screens = make_screens(slab, 128, 0.01, profile, 60, seed=9)
     rs = [0.02, 0.04, 0.08, 0.16, 0.32]
-    d = screen_structure_function(screens, rs)
+    d = screen_structure_function(screens, 0.01, rs)
     assert all(b > a for a, b in zip(d[:-1], d[1:]))
 
 
@@ -588,7 +587,7 @@ def test_structure_function_matches_exact_spectrum_with_table_scales():
     slab = Slab(0.0, 100.0, 100.0, 0.25)
     screens = make_screens(slab, 256, 0.02, profile, 120, seed=13)
     rs = [0.08, 0.32, 1.28]
-    measured = screen_structure_function(screens, rs)
+    measured = screen_structure_function(screens, 0.02, rs)
     for r, d in zip(rs, measured):
         exact = exact_mvk_structure_function(r, 0.25, 5.0, 0.01)
         assert d == pytest.approx(exact, rel=0.10)
@@ -603,6 +602,6 @@ def test_structure_function_matches_kolmogorov_power_law():
     slab = Slab(0.0, 100.0, 100.0, r0)
     screens = make_screens(slab, 256, 0.01, profile, 200, seed=17)
     rs = [0.08, 0.16, 0.32, 0.64]
-    measured = screen_structure_function(screens, rs)
+    measured = screen_structure_function(screens, 0.01, rs)
     for r, d in zip(rs, measured):
         assert d == pytest.approx(6.88 * (r / r0) ** (5.0 / 3.0), rel=0.10)
