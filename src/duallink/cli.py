@@ -310,7 +310,8 @@ def cmd_protocol_verify(config: RunConfig, args: argparse.Namespace) -> int:
         f"verdict {verdict} (threshold {_VERIFY_THRESHOLD_SIGMA:g} sigma)",
     ]
 
-    report_path = out / f"{config.scenario}_verify.txt"
+    suffix = "_sabotage" if args.sabotage else ""  # never over the real check's report
+    report_path = out / f"{config.scenario}_verify{suffix}.txt"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     print(f"max deviation {max_z:.2f} sigma -> {verdict}")
     print(f"wrote {report_path}")

@@ -31,7 +31,9 @@ _FORMAT_NAME = "duallink-ensemble"
 # 6: SFC64 screen streams, and each spectral amplitude a Rayleigh modulus
 #    times a uniform phase, which draws new turbulence
 # 7: fewer screens, each where the grid's weak-theory kernel keeps its band
-_FORMAT_VERSION = 7
+# 8: fixed-grid hops as two row passes around an in-place transpose, which
+#    move every eta at rounding level
+_FORMAT_VERSION = 8
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (

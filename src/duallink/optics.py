@@ -54,14 +54,18 @@ _APODIZATION_ORDER = 128
 
 _TURN = 2.0 * math.pi
 
+# Edge of the blocks _transpose_in_place swaps: the fastest size tried at grids 512 and 1024.
+_TRANSPOSE_BLOCK = 64
+
 
 @dataclass(frozen=True, eq=False)
 class ComplexField:
-    """Square sampled complex amplitude at one plane along the path."""
+    """Square sampled complex amplitude at one plane, held as its transpose if ``transposed``."""
 
     grid: np.ndarray
     spacing: float
     wavelength: float
+    transposed: bool = False
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -182,6 +186,23 @@ def _edge_power_fraction(grid: np.ndarray) -> float:
     return frame / total
 
 
+def _transpose_in_place(grid: np.ndarray) -> None:
+    """grid[...] = grid.T, each block swapped with its mirror through one staging block: no N x N
+    temporary.  ``grid`` may be strided, such as one float64 half of a complex grid."""
+    n = grid.shape[0]
+    edge = min(_TRANSPOSE_BLOCK, n)
+    stage = np.empty((edge, edge), dtype=grid.dtype)
+    for i in range(0, n, edge):
+        for j in range(i, n, edge):
+            upper = grid[i : i + edge, j : j + edge]
+            lower = grid[j : j + edge, i : i + edge]
+            held = stage[: upper.shape[0], : upper.shape[1]]
+            np.copyto(held, upper)
+            if j > i:
+                np.copyto(upper, lower.T)
+            np.copyto(lower, held.T)
+
+
 def propagate_vacuum(
     field: ComplexField,
     distance: float,
@@ -192,14 +213,15 @@ def propagate_vacuum(
 
     With no rescaling and a kernel that stays Nyquist-sampled
     (dx * N dx >= lambda d) the paraxial transfer function
-    exp(-i pi lambda d f^2) is applied on the fixed grid, one axis at a time;
-    otherwise the hop runs as two Fresnel steps whose intermediate plane
-    magnifies the window from the current spacing to target_spacing.
-    The paraxial phase is off the exact (kz - k) d by pi d lambda^3 f^4 / 4
-    to leading order: pi d lambda^3 / (16 dx^4) at the Nyquist corner, at
-    most pi N lambda^2 / (16 dx^2) under the sampling condition.  While
-    dx >= lambda no component is evanescent.  The result is a new array, or
-    ``out``, which may be the input's own grid.
+    exp(-i pi lambda d f^2) is applied on the fixed grid as two row passes
+    (FFT, axis factor, inverse FFT) around one in-place transpose, which
+    flips the field's ``transposed``; otherwise the hop runs as two Fresnel
+    steps whose intermediate plane magnifies the window from the current
+    spacing to target_spacing.  The paraxial phase is off the exact
+    (kz - k) d by pi d lambda^3 f^4 / 4 to leading order: pi d lambda^3 /
+    (16 dx^4) at the Nyquist corner, at most pi N lambda^2 / (16 dx^2) under
+    the sampling condition.  While dx >= lambda no component is evanescent.
+    The result is a new array, or ``out``, which may be the input's own grid.
     """
     if distance < 0.0:
         raise UsageError("propagation distance must be nonnegative")
@@ -214,16 +236,23 @@ def propagate_vacuum(
         return field
     n = field.size
     grid = np.empty_like(field.grid) if out is None else out
-    # fftn and ifftn rather than fft2 and ifft2, which ignore out=
-    if not resize and field.spacing * field.window >= field.wavelength * distance:
+    spacing = target_spacing if resize else field.spacing
+    fixed = not resize and field.spacing * field.window >= field.wavelength * distance
+    if fixed:
+        # one kernel serves both axes: the grid is square with one spacing
         h = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
-        np.fft.fftn(field.grid, out=grid)
+        np.fft.fft(field.grid, out=grid)
         grid *= h
-        grid *= h[:, None]
-        np.fft.ifftn(grid, out=grid)
-        spacing = field.spacing
+        np.fft.ifft(grid, out=grid)
+        _transpose_in_place(grid)
+        np.fft.fft(grid, out=grid)
+        grid *= h
+        np.fft.ifft(grid, out=grid)
     else:
-        spacing = target_spacing if resize else field.spacing
+        # both axes take the same factors, so a hop that does not rescale keeps the orientation
+        if resize and field.transposed:
+            raise UsageError("a rescaling hop needs an upright field")
+        # fftn rather than fft2, which ignores out=
         q1, qi, q2 = _fresnel_factors(n, field.spacing, field.wavelength, distance, spacing)
         np.multiply(field.grid, q1, out=grid)
         grid *= q1[:, None]
@@ -233,7 +262,7 @@ def propagate_vacuum(
         np.fft.fftn(grid, out=grid)
         grid *= q2
         grid *= q2[:, None]
-    out = ComplexField(grid, spacing, field.wavelength)
+    out = ComplexField(grid, spacing, field.wavelength, field.transposed != fixed)
     fraction = _edge_power_fraction(grid)
     if fraction > _EDGE_GUARD_FRACTION:
         raise NumericalError(
@@ -296,11 +325,11 @@ def apply_screen(
         phasor = ws.phasor[:rows]
         _unit_phasor(phase[tile], phasor, ws.scratch[:rows])
         np.multiply(field.grid[tile], phasor, out=ws.field[tile])
-    return ComplexField(ws.field, field.spacing, field.wavelength)
+    return replace(field, grid=ws.field)
 
 
 def _apodization_mask(n: int) -> np.ndarray:
-    """Super-Gaussian absorber on the N x N grid, built by row tiles."""
+    """Super-Gaussian absorber on the N x N grid by row tiles, symmetric bit for bit."""
     v = (np.arange(n) - n // 2) / (n / 2.0)
     mask = np.empty((n, n))
     for tile in _row_tiles(n):
@@ -315,7 +344,7 @@ def _hop(field: ComplexField, distance: float, target: float | None, mask, out) 
     if distance <= 0.0:
         return field
     np.multiply(field.grid, mask, out=out)
-    absorbed = ComplexField(out, field.spacing, field.wavelength)
+    absorbed = replace(field, grid=out)
     return propagate_vacuum(absorbed, distance, target, out=out)
 
 
@@ -378,8 +407,9 @@ def split_step(channel: Channel, streams: ScreenStreams) -> ComplexField:
     """One channel realization: the channel's entry field to the receiver plane.
 
     Screens are drawn in pairs: one spectral draw from the stream of the
-    pair's upper slab serves both.  Everything runs in one workspace; the
-    result never shares the entry's grid.
+    pair's upper slab serves both, each imprinted in the field's orientation.
+    Everything runs in one workspace; the result is upright and never shares
+    the entry's grid.
     """
     workspace = Workspace(channel.entry.size)
     field = channel.entry
@@ -387,8 +417,13 @@ def split_step(channel: Channel, streams: ScreenStreams) -> ComplexField:
         pair = generate_screen(slabs, channel.screens, streams.generator(index), workspace)
         for screen, distance in zip(pair, hops):
             field = _hop(field, distance, None, channel.apodizer, workspace.field)
+            if field.transposed:
+                _transpose_in_place(screen)
             field = apply_screen(field, screen, workspace=workspace)
     field = _hop(field, channel.last_hop, None, channel.apodizer, workspace.field)
+    if field.transposed:  # never the entry, which a rescaling hop made
+        _transpose_in_place(field.grid)
+        return replace(field, transposed=False)
     return replace(field, grid=field.grid.copy()) if field is channel.entry else field
 
 
@@ -455,6 +490,8 @@ def aperture_transmissivity(field: ComplexField, aperture: Aperture) -> float:
     """Power collected by a centered circular aperture, per unit source power."""
     if (field.size, field.spacing) != (aperture.size, aperture.spacing):
         raise UsageError("the aperture was built for another grid")
+    if field.transposed:
+        raise UsageError("an aperture meters an upright field")
     block = field.grid[aperture.span, aperture.span]
     weights = aperture.weights
     power = np.einsum("ij,ij,ij->", weights, block.real, block.real) + np.einsum(

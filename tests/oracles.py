@@ -3,8 +3,9 @@ structure function, the Eve-Bob correlation, the plane-wave
 scintillation index from the Rytov variance and the weak-fluctuation
 scintillation index of the downlink; full-grid references
 for the separable hop factors, the block-metered aperture, and the
-row-tiled screen synthesis, imprint and channel grids, and the realization
-walked from the source with every array built per call; per-eta
+row-tiled screen synthesis, imprint and channel grids, format 7's one-fftn
+hop, and the realization walked from the source with every array built per
+call; per-eta
 references for the array-native link budget and quadrature Monte Carlo;
 and the finite-size penalty over four separately stored epsilons."""
 
@@ -28,6 +29,7 @@ from duallink.optics import (
     _APODIZATION_STRENGTH,
     _TURN,
     ComplexField,
+    _angular_spectrum_kernel,
     _apodization_mask,
     _signed_corner_area,
     apply_screen,
@@ -346,14 +348,43 @@ def full_grid_apply_screen(field: ComplexField, phase: np.ndarray) -> np.ndarray
     return field.grid * phasor
 
 
-def reference_split_step(source, plan, profile, streams, receiver_window) -> ComplexField:
+def upright(field: ComplexField) -> ComplexField:
+    """The field with its grid in the upright orientation, copied if it was transposed."""
+    if not field.transposed:
+        return field
+    return replace(field, grid=field.grid.T.copy(), transposed=False)
+
+
+def fftn_hop(field: ComplexField, distance: float, target_spacing=None, out=None):
+    """Format 7's fixed-grid hop: one fftn, both axis factors, one ifftn, on an
+    upright field and leaving it upright.  Any other hop (a rescaling one, or
+    one whose kernel would alias) is ``propagate_vacuum``'s."""
+    fixed = target_spacing is None or math.isclose(target_spacing, field.spacing, rel_tol=1e-12)
+    if distance == 0.0 or not fixed or field.spacing * field.window < field.wavelength * distance:
+        return propagate_vacuum(field, distance, target_spacing, out=out)
+    if field.transposed:
+        raise UsageError("format 7's hop needs an upright field")
+    h = _angular_spectrum_kernel(field.size, field.spacing, field.wavelength, distance)
+    grid = np.empty_like(field.grid) if out is None else out
+    np.fft.fftn(field.grid, out=grid)
+    grid *= h
+    grid *= h[:, None]
+    np.fft.ifftn(grid, out=grid)
+    return ComplexField(grid, field.spacing, field.wavelength)
+
+
+def reference_split_step(
+    source, plan, profile, streams, receiver_window, propagate=propagate_vacuum
+) -> ComplexField:
     """One realization walked from the source plane, building every array per
     call: the apodizer before each hop, the screen factors before each draw.
 
-    It hops from screen to screen, then to the ground, the first hop
-    rescaling the grid to the receiver window.  Screens are paired in walk
-    order: one spectral draw from the stream of the pair's first slab serves
-    both.  ``depth`` is the field's slant distance below the top of the plan.
+    It hops from screen to screen by ``propagate``, then to the ground, the
+    first hop rescaling the grid to the receiver window.  Screens are paired
+    in walk order: one spectral draw from the stream of the pair's first slab
+    serves both.  A screen due on a transposed field is imprinted as its
+    transposed view, and the result is returned upright.  ``depth`` is the
+    field's slant distance below the top of the plan.
     """
     n = source.size
     target = receiver_window / n
@@ -373,8 +404,8 @@ def reference_split_step(source, plan, profile, streams, receiver_window) -> Com
         depth += distance
         out = workspace.field
         np.multiply(field.grid, _apodization_mask(n), out=out)
-        absorbed = ComplexField(out, field.spacing, field.wavelength)
-        return propagate_vacuum(absorbed, distance, target, out=out)
+        absorbed = replace(field, grid=out)
+        return propagate(absorbed, distance, target, out=out)
 
     field = source
     held: list[np.ndarray] = []
@@ -387,9 +418,9 @@ def reference_split_step(source, plan, profile, streams, receiver_window) -> Com
             pair = (slab, plan.slabs[partner[idx]]) if idx in partner else (slab,)
             spectrum = screen_spectrum(n, field.spacing, profile)
             screen, *held = generate_screen(pair, spectrum, streams.generator(idx), workspace)
-        field = apply_screen(field, screen, workspace=workspace)
+        field = apply_screen(field, screen.T if field.transposed else screen, workspace=workspace)
     field = hop(field, above - depth)
-    return replace(field, grid=field.grid.copy()) if field is source else field
+    return replace(field, grid=field.grid.copy()) if field is source else upright(field)
 
 
 def per_eta_link_budget_rows(displacement: float, etas) -> str:

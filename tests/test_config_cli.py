@@ -473,10 +473,21 @@ def test_protocol_verify_passes_and_is_deterministic(tmp_path, capsys):
 def test_protocol_verify_sabotage_is_detected(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run_cli("protocol-verify", "--config", config, "--sabotage") == 3
-    report = (tmp_path / "out" / "smoke_verify.txt").read_text()
+    report = (tmp_path / "out" / "smoke_verify_sabotage.txt").read_text()
     assert "verdict FAIL" in report
     assert "zero_leakage no" in report
     assert "deviates from closed forms" in capsys.readouterr().err
+
+
+def test_sabotaged_verify_leaves_the_passing_report(tmp_path):
+    config = write_config(tmp_path)
+    assert run_cli("protocol-verify", "--config", config) == 0
+    passing = tmp_path / "out" / "smoke_verify.txt"
+    before = passing.read_bytes()
+    assert b"\nverdict PASS " in before
+    assert run_cli("protocol-verify", "--config", config, "--sabotage") == 3
+    assert passing.read_bytes() == before
+    assert b"\nverdict FAIL " in (tmp_path / "out" / "smoke_verify_sabotage.txt").read_bytes()
 
 
 def test_protocol_verify_without_classical_layer(tmp_path):

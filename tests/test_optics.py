@@ -18,6 +18,7 @@ from duallink.optics import (
     _apodization_mask,
     _edge_power_fraction,
     _fresnel_factors,
+    _transpose_in_place,
     aperture_transmissivity,
     apply_screen,
     build_channel,
@@ -43,6 +44,7 @@ from duallink.screens import (
 from conftest import make_geometry
 from oracles import (
     exact_transfer_function,
+    fftn_hop,
     field_power,
     full_grid_aperture_weights,
     full_grid_apodization_mask,
@@ -51,6 +53,7 @@ from oracles import (
     full_grid_transmissivity,
     reference_split_step,
     second_moment_radius,
+    upright,
 )
 
 
@@ -150,7 +153,7 @@ def test_hops_compose_to_single_hop():
     field = gaussian_source(make_geometry(), 256)
     total = 4000.0
     hopped = propagate_vacuum(propagate_vacuum(field, 1500.0), total - 1500.0)
-    direct = propagate_vacuum(field, total)
+    direct = upright(propagate_vacuum(field, total))
     assert relative_field_error(hopped, direct) < 1e-8
 
 
@@ -159,6 +162,86 @@ def test_aliasing_guard_trips_when_window_overflows():
     field = gaussian_source(make_geometry(), 512)
     with pytest.raises(NumericalError):
         propagate_vacuum(field, 500e3)
+
+
+# ---------------------------------------------------------------------------
+# orientation: fixed-grid hops leave the field transposed
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 100, 128, 512, 1024])
+def test_transpose_in_place_equals_transpose(n):
+    # under, at and over the 64-cell block edge, with ragged last blocks
+    rng = np.random.default_rng(20041)
+    grid = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    expected = grid.T.copy()
+    _transpose_in_place(grid)
+    assert np.array_equal(grid, expected)
+    for half in ("real", "imag"):
+        other = "imag" if half == "real" else "real"
+        before = getattr(grid, other).copy()
+        expected = getattr(grid, half).T.copy()
+        _transpose_in_place(getattr(grid, half))
+        assert np.array_equal(getattr(grid, half), expected)
+        assert np.array_equal(getattr(grid, other), before)
+
+
+def test_transpose_in_place_allocates_no_grid():
+    # a 1024 complex grid is 16.8 MB; one staging block is 64 KiB
+    grid = np.zeros((1024, 1024), dtype=complex)
+    tracemalloc.start()
+    try:
+        _transpose_in_place(grid)
+        _transpose_in_place(grid.imag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_fixed_grid_hop_flips_orientation():
+    field = gaussian_source(make_geometry(), 256)
+    field = apply_screen(field, np.random.default_rng(20042).normal(size=(256, 256)))
+    once = propagate_vacuum(field, 1000.0)
+    twice = propagate_vacuum(once, 1000.0)
+    assert once.transposed and not twice.transposed
+    assert not field.transposed
+    # the transposed result holds format 7's hop, mirrored
+    reference = fftn_hop(field, 1000.0)
+    assert not reference.transposed
+    assert relative_field_error(upright(once), reference) < 1e-14
+    assert propagate_vacuum(once, 0.0) is once
+
+
+def test_rescaling_hop_and_aperture_refuse_a_transposed_field():
+    geom = make_geometry()
+    flipped = propagate_vacuum(gaussian_source(geom, 128), 1000.0)
+    assert flipped.transposed
+    with pytest.raises(UsageError):
+        propagate_vacuum(flipped, 50e3, target_spacing=2.0 * flipped.spacing)
+    with pytest.raises(UsageError):
+        aperture_transmissivity(flipped, circular_aperture(128, flipped.spacing, 0.1))
+    assert aperture_transmissivity(upright(flipped), circular_aperture(128, flipped.spacing, 0.1))
+
+
+def test_unsampled_hop_keeps_a_transposed_field_transposed():
+    # past dx * N dx / lambda (10.6 km here) a hop that does not rescale runs
+    # the two Fresnel steps, whose factors are the same on both axes; a tilt
+    # along one axis makes the beam differ from its transpose
+    field = gaussian_source(make_geometry(), 128)
+    field = apply_screen(field, np.broadcast_to(0.2 * np.arange(128.0), (128, 128)))
+    flipped = propagate_vacuum(field, 1000.0)
+    assert flipped.spacing * flipped.window < flipped.wavelength * 20e3
+    out = propagate_vacuum(flipped, 20e3)
+    expected = propagate_vacuum(upright(flipped), 20e3)
+    assert out.transposed and not expected.transposed
+    assert not np.allclose(expected.grid, expected.grid.T)
+    assert relative_field_error(upright(out), expected) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 100, 512])
+def test_apodization_mask_is_its_own_transpose(n):
+    mask = _apodization_mask(n)
+    assert np.array_equal(mask, mask.T)
 
 
 def full_grid_edge_fraction(grid: np.ndarray) -> float:
@@ -247,7 +330,7 @@ def test_paraxial_hop_within_bound_of_exact_hop():
         np.fft.fft2(field.grid)
         * exact_transfer_function(256, field.spacing, field.wavelength, 4000.0)
     )
-    out = propagate_vacuum(field, 4000.0)
+    out = upright(propagate_vacuum(field, 4000.0))
     error = np.linalg.norm(out.grid - exact) / np.linalg.norm(exact)
     assert error <= paraxial_phase_bound(field.spacing, field.wavelength, 4000.0)
 
@@ -547,6 +630,40 @@ def test_split_step_matches_the_reference_walk(baseline_profile, zenith, n):
             assert not np.shares_memory(got.grid, channel.entry.grid)
 
 
+@pytest.mark.parametrize("zenith, n", [(0.0, 128), (0.0, 256), (60.0, 128), (60.0, 256)])
+def test_split_step_etas_within_rounding_of_the_fftn_walk(baseline_profile, zenith, n):
+    # row passes around a transpose reorder format 7's one-fftn hop: the same
+    # sums in another order, so every eta moves at rounding level only
+    geom = make_geometry(zenith)
+    window = choose_receiver_window(geom, (0.3, 0.5))
+    plan = plan_slabs(geom, baseline_profile, window / n)
+    channel = build_channel(geom, baseline_profile, plan, n, (0.3, 0.5))
+    for realization in range(2):
+        streams = ScreenStreams(20043, realization)
+        source = gaussian_source(geom, n)
+        expected = reference_split_step(source, plan, baseline_profile, streams, window, fftn_hop)
+        got = split_step(channel, streams)
+        for aperture in channel.apertures:
+            eta = aperture_transmissivity(expected, aperture)
+            assert aperture_transmissivity(got, aperture) == pytest.approx(eta, rel=1e-12, abs=0.0)
+
+
+def test_split_step_returns_upright_fields(baseline_profile):
+    # three screens end on an odd number of fixed-grid hops, zenith 0's four
+    # screens on an even one; either way the receiver gets an upright field
+    geom = make_geometry()
+    window = choose_receiver_window(geom, (0.5,))
+    n = 128
+    three = three_screen_plan(geom, baseline_profile)
+    for plan in (three, plan_slabs(geom, baseline_profile, window / n)):
+        streams = ScreenStreams(20044, 0)
+        out = split_step(channel_of(geom, baseline_profile, plan, n), streams)
+        source = gaussian_source(geom, n)
+        expected = reference_split_step(source, plan, baseline_profile, streams, window, fftn_hop)
+        assert not out.transposed
+        assert relative_field_error(out, expected) < 1e-12
+
+
 @pytest.mark.parametrize("zenith", [0.0, 60.0])
 def test_channel_walk_spans_the_slant_path(baseline_profile, zenith):
     # the entry's depth (its first screen's, or the ground's), every hop of
@@ -632,18 +749,20 @@ def test_split_step_pairs_screens_on_the_upper_slab_stream(baseline_profile):
     mask = _apodization_mask(n)
 
     def hop(field, dist, target=None):
-        absorbed = ComplexField(field.grid * mask, field.spacing, field.wavelength)
+        absorbed = ComplexField(field.grid * mask, field.spacing, field.wavelength, field.transposed)
         return propagate_vacuum(absorbed, dist, target)
 
     field = hop(source, gap.path_length + 0.5 * s2.path_length, window / n)
     spectrum = screen_spectrum(n, field.spacing, baseline_profile)
     top, middle = generate_screen((s2, s1), spectrum, streams.generator(2))
     (bottom,) = generate_screen((s0,), spectrum, streams.generator(0))
+    # each fixed-grid hop flips the field, so the middle screen goes on transposed
     field = apply_screen(field, top)
-    field = apply_screen(hop(field, 0.5 * (s2.path_length + s1.path_length)), middle)
+    field = apply_screen(hop(field, 0.5 * (s2.path_length + s1.path_length)), middle.T)
     field = apply_screen(hop(field, 0.5 * (s1.path_length + s0.path_length)), bottom)
-    expected = hop(field, 0.5 * s0.path_length)
+    expected = upright(hop(field, 0.5 * s0.path_length))
     out = split_step(channel_of(geom, baseline_profile, plan, n), streams)
+    assert not out.transposed
     assert np.array_equal(out.grid, expected.grid)
 
 
