@@ -1,15 +1,16 @@
 """Complex-field beam propagation from satellite to ground.
 
-A realization of the channel is one pass of a sampled Gaussian beam through
-the slab plan: vacuum transfer-function hops alternate with the slabs' phase
-screens, and the received power inside the telescope aperture, relative to
-the unit-power source, is the transmissivity of that realization.  What all
-realizations read is built once, into a read-only ``Channel``.
+A realization of the channel is one pass of the Gaussian beam through the
+slab plan: it enters at the first screen in closed form, then vacuum
+transfer-function hops alternate with the slabs' phase screens, and the
+received power inside the telescope aperture, relative to the unit-power
+beam, is the transmissivity of that realization.  What all realizations
+read is built once, into a read-only ``Channel``.
 
-Vacuum hops are paraxial, within pi N lambda^2 / (16 dx^2) rad of the exact
-angular spectrum (see ``propagate_vacuum``), and separable: every transfer
-function and chirp exp(ia(x^2 + y^2)) is built as its length-N axis factor
-exp(iax^2) and applied along each axis in turn.  Kernels are referenced to
+Vacuum hops are paraxial, within pi N lambda^2 / (16 dx^2) rad per step of
+the exact angular spectrum (see ``propagate_vacuum``), and separable: every
+transfer function exp(ia(fx^2 + fy^2)) is built as its length-N axis factor
+exp(ia fx^2) and applied along each axis in turn.  Kernels are referenced to
 the on-axis plane wave (the carrier phase exp(ikz) is dropped), so composing
 many short hops agrees with one long hop to machine precision.
 
@@ -85,27 +86,16 @@ class ComplexField:
         return self.size * self.spacing
 
 
-def gaussian_source(geom: LinkGeometry, grid_size: int = 1024) -> ComplexField:
-    """Unit-power fundamental Gaussian at its waist, on an 8*w0 window.
+def gaussian_beam(geom: LinkGeometry, grid_size: int, spacing: float, z: float) -> ComplexField:
+    """The unit-power Gaussian beam a distance z past its waist, sampled on an N x N grid.
 
-    The discrete power is renormalized to exactly one so that every
-    downstream loss (clipping, apodization, aperture) is charged against
-    a clean unit budget.
+    E = (sqrt(2 / pi) / w0) (q0 / q) a(x) a(y) with a(x) = exp(i k x^2 / 2q), the
+    complex beam parameter q = z - i z_R and q0 = -i z_R (Schmidt 2010, ch. 8).
     """
-    n = grid_size
-    if n <= 0 or n & (n - 1):
-        raise UsageError(f"grid size must be a power of two, got {n}")
-    w0 = geom.beam_waist
-    spacing = 8.0 * w0 / n
-    if spacing > w0 / 8.0:
-        raise UsageError(
-            f"grid size {n} leaves fewer than 8 samples across the beam waist"
-        )
-    x = _centered_coords(n, spacing)
-    r2 = x[:, None] ** 2 + x[None, :] ** 2
-    grid = (math.sqrt(2.0 / math.pi) / w0) * np.exp(-r2 / w0**2)
-    grid = grid.astype(np.complex128)
-    grid /= math.sqrt(np.sum(np.abs(grid) ** 2) * spacing**2)
+    q = complex(z, -geom.rayleigh_range)
+    a = np.exp((0.5j * geom.wavenumber / q) * _centered_coords(grid_size, spacing) ** 2)
+    grid = np.outer(a, a)
+    grid *= (math.sqrt(2.0 / math.pi) / geom.beam_waist) * (-1j * geom.rayleigh_range / q)
     return ComplexField(grid, spacing, geom.wavelength)
 
 
@@ -131,37 +121,13 @@ def _angular_spectrum_kernel(
     return kernel
 
 
-def _fresnel_factors(n: int, d1: float, wavelength: float, distance: float, d2: float):
-    """Axis factors of the chirps of the two-step transform d1 -> d2 over distance.
-
-    Each step is a centered FFT, fftshift(fft2(ifftshift(x))).  On an even
-    grid that equals s * fft2(s * x) with the checkerboard s = (-1)^(i+j),
-    so s is folded into the input and output chirps (s * s = 1 between the
-    steps) and the hop needs no shifted copies; a sign flip is exact.  The
-    output chirp also carries the scale, as its square root on each axis.
-    """
-    if n % 2:
-        raise UsageError(f"a rescaling hop needs an even grid size, got {n}")
-    m = d2 / d1
-    dz1 = distance / (1.0 + m)
-    dz2 = distance - dz1
-    di = wavelength * dz1 / (n * d1)
-    k = 2.0 * math.pi / wavelength
-
-    def chirp(spacing: float, curvature: float) -> np.ndarray:
-        x = _centered_coords(n, spacing)
-        return np.exp(1j * (0.5 * k * curvature) * (x * x))
-
-    sign = 1 - 2 * (np.arange(n) % 2)
-    q1 = chirp(d1, 1.0 / dz1) * sign
-    # outgoing chirp of the first step and incoming chirp of the second
-    qi = chirp(di, 1.0 / dz1 + 1.0 / dz2)
-    # the scale is -(d1 di)^2 / (lambda^2 dz1 dz2); its square root is imaginary
-    root = 1j * d1 * di / (wavelength * math.sqrt(dz1 * dz2))
-    q2 = chirp(d2, 1.0 / dz2) * (root * sign)
-    for factor in (q1, qi, q2):
-        factor.setflags(write=False)
-    return q1, qi, q2
+def _hop_kernel(
+    n: int, spacing: float, wavelength: float, distance: float
+) -> tuple[int, np.ndarray]:
+    """The fewest equal steps that take a hop of ``distance`` with a Nyquist-sampled
+    kernel (dx * N dx >= lambda d each), and that kernel."""
+    steps = math.ceil(wavelength * distance / (n * spacing * spacing))
+    return steps, _angular_spectrum_kernel(n, spacing, wavelength, distance / steps)
 
 
 def _power_sum(grid: np.ndarray) -> float:
@@ -204,72 +170,47 @@ def _transpose_in_place(grid: np.ndarray) -> None:
 
 
 def propagate_vacuum(
-    field: ComplexField,
-    distance: float,
-    target_spacing: float | None = None,
-    out: np.ndarray | None = None,
+    field: ComplexField, distance: float, out: np.ndarray | None = None
 ) -> ComplexField:
-    """Diffract the field forward through vacuum.
+    """Diffract the field forward through vacuum on its own grid.
 
-    With no rescaling and a kernel that stays Nyquist-sampled
-    (dx * N dx >= lambda d) the paraxial transfer function
-    exp(-i pi lambda d f^2) is applied on the fixed grid as two row passes
-    (FFT, axis factor, inverse FFT) around one in-place transpose, which
-    flips the field's ``transposed``; otherwise the hop runs as two Fresnel
-    steps whose intermediate plane magnifies the window from the current
-    spacing to target_spacing.  The paraxial phase is off the exact
-    (kz - k) d by pi d lambda^3 f^4 / 4 to leading order: pi d lambda^3 /
-    (16 dx^4) at the Nyquist corner, at most pi N lambda^2 / (16 dx^2) under
-    the sampling condition.  While dx >= lambda no component is evanescent.
-    The result is a new array, or ``out``, which may be the input's own grid.
+    The paraxial transfer function exp(-i pi lambda d f^2) is applied as two
+    row passes (FFT, axis factor, inverse FFT) around one in-place transpose,
+    which flips the field's ``transposed``.  A hop too long for its kernel to
+    be Nyquist-sampled (dx * N dx < lambda d) runs as the fewest equal steps
+    that are, each one such a pass that flips the orientation.  The paraxial
+    phase is off the exact (kz - k) d by pi d lambda^3 f^4 / 4 to leading
+    order: pi d lambda^3 / (16 dx^4) at the Nyquist corner, at most
+    pi N lambda^2 / (16 dx^2) per sampled step.  While dx >= lambda no
+    component is evanescent.  The result is a new array, or ``out``, which may
+    be the input's own grid.
     """
     if distance < 0.0:
         raise UsageError("propagation distance must be nonnegative")
-    if target_spacing is not None and target_spacing <= 0.0:
-        raise UsageError("target spacing must be positive")
-    resize = target_spacing is not None and not math.isclose(
-        target_spacing, field.spacing, rel_tol=1e-12
-    )
     if distance == 0.0:
-        if resize:
-            raise UsageError("cannot rescale the grid over a zero-length hop")
         return field
     n = field.size
+    # one kernel serves both axes: the grid is square with one spacing
+    steps, h = _hop_kernel(n, field.spacing, field.wavelength, distance)
     grid = np.empty_like(field.grid) if out is None else out
-    spacing = target_spacing if resize else field.spacing
-    fixed = not resize and field.spacing * field.window >= field.wavelength * distance
-    if fixed:
-        # one kernel serves both axes: the grid is square with one spacing
-        h = _angular_spectrum_kernel(n, field.spacing, field.wavelength, distance)
-        np.fft.fft(field.grid, out=grid)
+    source = field.grid
+    for _ in range(steps):
+        np.fft.fft(source, out=grid)
         grid *= h
         np.fft.ifft(grid, out=grid)
         _transpose_in_place(grid)
         np.fft.fft(grid, out=grid)
         grid *= h
         np.fft.ifft(grid, out=grid)
-    else:
-        # both axes take the same factors, so a hop that does not rescale keeps the orientation
-        if resize and field.transposed:
-            raise UsageError("a rescaling hop needs an upright field")
-        # fftn rather than fft2, which ignores out=
-        q1, qi, q2 = _fresnel_factors(n, field.spacing, field.wavelength, distance, spacing)
-        np.multiply(field.grid, q1, out=grid)
-        grid *= q1[:, None]
-        np.fft.fftn(grid, out=grid)
-        grid *= qi
-        grid *= qi[:, None]
-        np.fft.fftn(grid, out=grid)
-        grid *= q2
-        grid *= q2[:, None]
-    out = ComplexField(grid, spacing, field.wavelength, field.transposed != fixed)
+        source = grid
+    out = ComplexField(grid, field.spacing, field.wavelength, field.transposed != (steps % 2 == 1))
     fraction = _edge_power_fraction(grid)
     if fraction > _EDGE_GUARD_FRACTION:
         raise NumericalError(
             f"{fraction:.3e} of the power sits within {_EDGE_GUARD_CELLS} cells of "
             f"the grid edge after a {distance:.6g} m hop "
             f"(n={n}, spacing={out.spacing:.6g} m, window={out.window:.6g} m); "
-            "enlarge the window or rescale the grid"
+            "enlarge the window"
         )
     return out
 
@@ -339,20 +280,19 @@ def _apodization_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _hop(field: ComplexField, distance: float, target: float | None, mask, out) -> ComplexField:
-    """Apodize into ``out`` (what the absorber takes is lost) and hop at ``target`` spacing."""
+def _hop(field: ComplexField, distance: float, mask, out) -> ComplexField:
+    """Apodize into ``out`` (what the absorber takes is lost) and hop."""
     if distance <= 0.0:
         return field
     np.multiply(field.grid, mask, out=out)
-    absorbed = replace(field, grid=out)
-    return propagate_vacuum(absorbed, distance, target, out=out)
+    return propagate_vacuum(replace(field, grid=out), distance, out=out)
 
 
 @dataclass(frozen=True, eq=False)
 class Channel:
     """What every realization of one ensemble reads and none writes.
 
-    ``entry`` is the apodized, rescaled hop from ``gaussian_source`` to the
+    ``entry`` is the closed-form ``gaussian_beam`` on the receiver grid at the
     first screen (or the ground).  ``draws`` is the walk from there, one
     spectral draw per pair of screens: its stream key (the upper slab's
     index), its slabs, and the hop before each screen.  ``last_hop`` reaches
@@ -372,8 +312,10 @@ def build_channel(
 ) -> Channel:
     """The channel of ``plan`` on an N x N grid whose receiver window holds every
     aperture radius; the last one built is kept, so a rerun of one config reuses it."""
-    window = choose_receiver_window(geom, radii)
-    apertures = tuple(circular_aperture(grid_size, window / grid_size, r) for r in radii)
+    if grid_size < 64 or grid_size & (grid_size - 1):
+        raise UsageError(f"grid size must be a power of two of at least 64, got {grid_size}")
+    spacing = choose_receiver_window(geom, radii) / grid_size
+    apertures = tuple(circular_aperture(grid_size, spacing, r) for r in radii)
     # (slab index, slant depth below the top) per screen, top down
     stops, ground = [], 0.0
     for idx, slab in reversed(list(enumerate(plan.slabs))):
@@ -383,23 +325,22 @@ def build_channel(
     depths = [depth for _, depth in stops] + [ground]
 
     apodizer = _apodization_mask(grid_size)
-    source = gaussian_source(geom, grid_size)
-    entry = _hop(source, depths[0], window / grid_size, apodizer, source.grid)
+    entry = gaussian_beam(geom, grid_size, spacing, depths[0])
     entry.grid.setflags(write=False)
     # each hop runs from the sum of the hops before it, begun at the entry's depth,
-    # not from the previous depth: so every hop length, and every eta, keeps format
-    # 7's bits.  Its kernel is built here
+    # not from the previous depth: so every hop length keeps format 7's bits.  Its
+    # kernel (its step's, for a hop too long to sample at once) is built here
     hops, reached = [], depths[0]
     for depth in depths:
         hops.append(depth - reached)
         if hops[-1] > 0.0:
             reached += hops[-1]
-            _angular_spectrum_kernel(grid_size, entry.spacing, entry.wavelength, hops[-1])
+            _hop_kernel(grid_size, spacing, geom.wavelength, hops[-1])
     draws = []
     for i in range(0, len(stops), 2):
         slabs = tuple(plan.slabs[idx] for idx, _ in stops[i : i + 2])
         draws.append((stops[i][0], slabs, tuple(hops[i : i + len(slabs)])))
-    spectrum = screen_spectrum(grid_size, entry.spacing, profile) if stops else None
+    spectrum = screen_spectrum(grid_size, spacing, profile) if stops else None
     return Channel(entry, tuple(draws), hops[-1], spectrum, apodizer, apertures)
 
 
@@ -416,12 +357,12 @@ def split_step(channel: Channel, streams: ScreenStreams) -> ComplexField:
     for index, slabs, hops in channel.draws:
         pair = generate_screen(slabs, channel.screens, streams.generator(index), workspace)
         for screen, distance in zip(pair, hops):
-            field = _hop(field, distance, None, channel.apodizer, workspace.field)
+            field = _hop(field, distance, channel.apodizer, workspace.field)
             if field.transposed:
                 _transpose_in_place(screen)
             field = apply_screen(field, screen, workspace=workspace)
-    field = _hop(field, channel.last_hop, None, channel.apodizer, workspace.field)
-    if field.transposed:  # never the entry, which a rescaling hop made
+    field = _hop(field, channel.last_hop, channel.apodizer, workspace.field)
+    if field.transposed:  # never the entry, which is upright
         _transpose_in_place(field.grid)
         return replace(field, transposed=False)
     return replace(field, grid=field.grid.copy()) if field is channel.entry else field

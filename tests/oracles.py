@@ -1,11 +1,11 @@
 """Estimators that only the tests use: field power, beam radius, phase
 structure function, the Eve-Bob correlation, the plane-wave
 scintillation index from the Rytov variance and the weak-fluctuation
-scintillation index of the downlink; full-grid references
-for the separable hop factors, the block-metered aperture, and the
-row-tiled screen synthesis, imprint and channel grids, format 7's one-fftn
-hop, and the realization walked from the source with every array built per
-call; per-eta
+scintillation index of the downlink; the sampled source and two-step
+Fresnel hop that the closed-form entry field is checked against; full-grid
+references for the block-metered aperture, and the row-tiled screen
+synthesis, imprint and channel grids, format 7's one-fftn hop, and the
+realization walked from the entry with every array built per call; per-eta
 references for the array-native link budget and quadrature Monte Carlo;
 and the finite-size penalty over four separately stored epsilons."""
 
@@ -33,6 +33,7 @@ from duallink.optics import (
     _apodization_mask,
     _signed_corner_area,
     apply_screen,
+    gaussian_beam,
     propagate_vacuum,
 )
 from duallink.protocol import ClassicalLayer, EmpiricalMoments, SqueezingParams
@@ -237,6 +238,19 @@ def exact_transfer_function(n: int, spacing: float, wavelength: float, distance:
     return np.where(traveling, np.exp(1j * phase), 0.0)
 
 
+def gaussian_source(geom: LinkGeometry, grid_size: int) -> ComplexField:
+    """Unit-power fundamental Gaussian at its waist on an 8 w0 window, its
+    discrete power renormalized to exactly one."""
+    n = grid_size
+    w0 = geom.beam_waist
+    spacing = 8.0 * w0 / n
+    x = _centered_coords(n, spacing)
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    grid = ((math.sqrt(2.0 / math.pi) / w0) * np.exp(-r2 / w0**2)).astype(complex)
+    grid /= math.sqrt(np.sum(np.abs(grid) ** 2) * spacing**2)
+    return ComplexField(grid, spacing, geom.wavelength)
+
+
 def full_grid_fresnel_chirps(n: int, d1: float, wavelength: float, distance: float, d2: float):
     """The two-step hop's three N x N chirps, checkerboard and scale included."""
     m = d2 / d1
@@ -257,6 +271,23 @@ def full_grid_fresnel_chirps(n: int, d1: float, wavelength: float, distance: flo
         chirp(di, 1.0 / dz1 + 1.0 / dz2),
         chirp(d2, 1.0 / dz2) * (scale * checkerboard),
     )
+
+
+def two_step_hop(field: ComplexField, distance: float, target_spacing: float) -> ComplexField:
+    """The two-step Fresnel hop of an upright field (Schmidt 2010, ch. 8): two
+    centered FFTs whose intermediate plane takes the spacing to target_spacing."""
+    args = (field.size, field.spacing, field.wavelength, distance, target_spacing)
+    q1, qi, q2 = full_grid_fresnel_chirps(*args)
+    grid = np.fft.fft2(np.fft.fft2(field.grid * q1) * qi) * q2
+    return ComplexField(grid, target_spacing, field.wavelength)
+
+
+def reference_entry(geom: LinkGeometry, n: int, spacing: float, depth: float) -> ComplexField:
+    """The sampled source, apodized and carried by the two-step hop ``depth``
+    down the path onto the receiver ``spacing``."""
+    source = gaussian_source(geom, n)
+    absorbed = replace(source, grid=source.grid * full_grid_apodization_mask(n))
+    return two_step_hop(absorbed, depth, spacing)
 
 
 def full_grid_aperture_weights(n: int, spacing: float, radius: float) -> np.ndarray:
@@ -355,13 +386,12 @@ def upright(field: ComplexField) -> ComplexField:
     return replace(field, grid=field.grid.T.copy(), transposed=False)
 
 
-def fftn_hop(field: ComplexField, distance: float, target_spacing=None, out=None):
+def fftn_hop(field: ComplexField, distance: float, out=None):
     """Format 7's fixed-grid hop: one fftn, both axis factors, one ifftn, on an
-    upright field and leaving it upright.  Any other hop (a rescaling one, or
-    one whose kernel would alias) is ``propagate_vacuum``'s."""
-    fixed = target_spacing is None or math.isclose(target_spacing, field.spacing, rel_tol=1e-12)
-    if distance == 0.0 or not fixed or field.spacing * field.window < field.wavelength * distance:
-        return propagate_vacuum(field, distance, target_spacing, out=out)
+    upright field and leaving it upright.  A hop whose kernel would alias is
+    ``propagate_vacuum``'s."""
+    if distance == 0.0 or field.spacing * field.window < field.wavelength * distance:
+        return propagate_vacuum(field, distance, out=out)
     if field.transposed:
         raise UsageError("format 7's hop needs an upright field")
     h = _angular_spectrum_kernel(field.size, field.spacing, field.wavelength, distance)
@@ -374,20 +404,18 @@ def fftn_hop(field: ComplexField, distance: float, target_spacing=None, out=None
 
 
 def reference_split_step(
-    source, plan, profile, streams, receiver_window, propagate=propagate_vacuum
+    geom, n, plan, profile, streams, receiver_window, propagate=propagate_vacuum
 ) -> ComplexField:
-    """One realization walked from the source plane, building every array per
-    call: the apodizer before each hop, the screen factors before each draw.
+    """One realization walked from the closed-form entry at the first screen
+    (or the ground), building every array per call: the apodizer before each
+    hop, the screen factors before each draw.
 
-    It hops from screen to screen by ``propagate``, then to the ground, the
-    first hop rescaling the grid to the receiver window.  Screens are paired
-    in walk order: one spectral draw from the stream of the pair's first slab
-    serves both.  A screen due on a transposed field is imprinted as its
-    transposed view, and the result is returned upright.  ``depth`` is the
-    field's slant distance below the top of the plan.
+    It hops from screen to screen by ``propagate``, then to the ground.
+    Screens are paired in walk order: one spectral draw from the stream of the
+    pair's first slab serves both.  A screen due on a transposed field is
+    imprinted as its transposed view, and the result is returned upright.
+    ``depth`` is the field's slant distance below the top of the plan.
     """
-    n = source.size
-    target = receiver_window / n
     stops, above = [], 0.0  # (slab index, slant depth) per screen, top down
     for idx, slab in reversed(list(enumerate(plan.slabs))):
         if slab.has_screen:
@@ -395,7 +423,8 @@ def reference_split_step(
         above += slab.path_length
     partner = {upper[0]: lower[0] for upper, lower in zip(stops[0::2], stops[1::2])}
     workspace = Workspace(n)
-    depth = 0.0
+    depth = stops[0][1] if stops else above
+    entry = gaussian_beam(geom, n, receiver_window / n, depth)
 
     def hop(field, distance):
         nonlocal depth
@@ -405,9 +434,9 @@ def reference_split_step(
         out = workspace.field
         np.multiply(field.grid, _apodization_mask(n), out=out)
         absorbed = replace(field, grid=out)
-        return propagate(absorbed, distance, target, out=out)
+        return propagate(absorbed, distance, out=out)
 
-    field = source
+    field = entry
     held: list[np.ndarray] = []
     for idx, stop in stops:
         field = hop(field, stop - depth)
@@ -420,7 +449,7 @@ def reference_split_step(
             screen, *held = generate_screen(pair, spectrum, streams.generator(idx), workspace)
         field = apply_screen(field, screen.T if field.transposed else screen, workspace=workspace)
     field = hop(field, above - depth)
-    return replace(field, grid=field.grid.copy()) if field is source else upright(field)
+    return replace(field, grid=field.grid.copy()) if field is entry else upright(field)
 
 
 def per_eta_link_budget_rows(displacement: float, etas) -> str:

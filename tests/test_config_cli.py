@@ -517,6 +517,13 @@ def assert_one_error_line(capsys, message: str) -> None:
     assert message in err[0]
 
 
+def test_grid_below_the_floor_exits_one(tmp_path, capsys):
+    # a 1 m aperture spans 8 receiver cells at grid 32: only the grid floor refuses it
+    edits = {"size = 64": "size = 32", "aperture_radius = 0.5": "aperture_radius = 1.0"}
+    assert run_cli("simulate-channel", "--config", write_config(tmp_path, **edits)) == 1
+    assert_one_error_line(capsys, "grid size must be a power of two of at least 64, got 32")
+
+
 def test_non_finite_config_value_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, **{"aperture_radius = 0.5": "aperture_radius = nan"})
     assert run_cli("simulate-channel", "--config", config) == 1

@@ -31,12 +31,11 @@ from duallink.optics import (
     aperture_transmissivity,
     choose_receiver_window,
     circular_aperture,
-    gaussian_source,
-    propagate_vacuum,
     vacuum_beam_radius,
 )
 
 from conftest import make_geometry
+from oracles import gaussian_source, two_step_hop
 
 
 def dead_profile() -> AtmosphereProfile:
@@ -65,7 +64,7 @@ def test_zero_turbulence_single_realization_matches_diffraction():
     ens = run_ensemble(geom, dead_profile(), 1, master_seed=5, grid_size=256)
     assert len(ens) == 1
     spacing = choose_receiver_window(geom, (0.5,)) / 256
-    direct = propagate_vacuum(gaussian_source(geom, 256), geom.path_length, spacing)
+    direct = two_step_hop(gaussian_source(geom, 256), geom.path_length, spacing)
     aperture = circular_aperture(256, spacing, 0.5)
     assert ens.etas[0] == pytest.approx(aperture_transmissivity(direct, aperture), abs=1e-7)
     spread = vacuum_beam_radius(geom, geom.path_length)
@@ -103,7 +102,7 @@ def test_multi_radius_run_shares_fields(baseline_profile):
         pytest.param(module, name, id=name)
         for module, name in (
             (optics, "_angular_spectrum_kernel"),
-            (optics, "_fresnel_factors"),
+            (optics, "gaussian_beam"),
             (optics, "_apodization_mask"),
             (optics, "_aperture_weights"),
             (screens, "_fft_amplitude_factor"),
@@ -428,18 +427,19 @@ def test_version_mismatch_refused(tmp_path):
     header = f"duallink-ensemble {_FORMAT_VERSION}\n"
     text = path.read_text()
     assert text.startswith(header)
-    path.write_text(text.replace(header, "duallink-ensemble 9\n", 1))
+    path.write_text(text.replace(header, f"duallink-ensemble {_FORMAT_VERSION + 1}\n", 1))
     with pytest.raises(DataIntegrityError):
         load_ensemble(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_format_one_file_refused(tmp_path, version):
     # format 1 drew one spectral FFT per screen, format 2 integrated the
     # altitude profile by adaptive quadrature, format 3 imprinted with
     # float64 cos and sin, format 4 hopped with the exact N x N angular
-    # spectrum kernel, format 5 drew Philox normals, and format 6 planned
-    # ten or more mid-slab screens; their etas differ
+    # spectrum kernel, format 5 drew Philox normals, format 6 planned ten
+    # or more mid-slab screens, format 7 hopped by one fftn and format 8
+    # hopped the sampled source to the first screen; their etas differ
     ens = synthetic_ensemble([0.5])
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)

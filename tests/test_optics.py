@@ -17,14 +17,15 @@ from duallink.optics import (
     _aperture_weights,
     _apodization_mask,
     _edge_power_fraction,
-    _fresnel_factors,
+    _hop,
+    _hop_kernel,
     _transpose_in_place,
     aperture_transmissivity,
     apply_screen,
     build_channel,
     choose_receiver_window,
     circular_aperture,
-    gaussian_source,
+    gaussian_beam,
     propagate_vacuum,
     split_step,
     vacuum_beam_radius,
@@ -49,10 +50,12 @@ from oracles import (
     full_grid_aperture_weights,
     full_grid_apodization_mask,
     full_grid_apply_screen,
-    full_grid_fresnel_chirps,
     full_grid_transmissivity,
+    gaussian_source,
+    reference_entry,
     reference_split_step,
     second_moment_radius,
+    two_step_hop,
     upright,
 )
 
@@ -72,19 +75,28 @@ def encircled_power(radius: float, beam_radius: float) -> float:
     return 1.0 - math.exp(-2.0 * radius**2 / beam_radius**2)
 
 
+def waist(geom, n: int):
+    """The beam at its waist on an 8 w0 window."""
+    return gaussian_beam(geom, n, 8.0 * geom.beam_waist / n, 0.0)
+
+
+def vacuum_plan(geom, n: int) -> SlabPlan:
+    return plan_slabs(geom, dead_profile(), choose_receiver_window(geom, (0.5,)) / n)
+
+
 # ---------------------------------------------------------------------------
-# source synthesis
+# the closed-form beam at its waist, and the grids a channel is built on
 
 
 def test_source_has_unit_power():
-    field = gaussian_source(make_geometry(), 256)
+    field = waist(make_geometry(), 256)
     assert field_power(field) == pytest.approx(1.0, abs=1e-12)
     assert field.window == pytest.approx(8.0 * 0.15)
 
 
 def test_source_intensity_profile():
     geom = make_geometry()
-    field = gaussian_source(geom, 512)
+    field = waist(geom, 512)
     n = field.size
     center = abs(field.grid[n // 2, n // 2]) ** 2
     # w0 sits exactly 64 cells off axis when the window is 8 w0 at n=512
@@ -94,19 +106,26 @@ def test_source_intensity_profile():
 
 def test_source_second_moment_radius():
     geom = make_geometry()
-    field = gaussian_source(geom, 256)
+    field = waist(geom, 256)
     # rms radius of the intensity pattern recovers w0 / sqrt(2)
     assert second_moment_radius(field) == pytest.approx(geom.beam_waist, rel=1e-6)
 
 
 def test_source_grid_must_be_power_of_two():
-    with pytest.raises(UsageError):
-        gaussian_source(make_geometry(), 300)
+    geom = make_geometry()
+    with pytest.raises(UsageError, match="power of two"):
+        build_channel(geom, dead_profile(), vacuum_plan(geom, 300), 300, (0.5,))
 
 
 def test_source_must_resolve_waist():
-    with pytest.raises(UsageError):
-        gaussian_source(make_geometry(), 32)
+    # the grid floor is 64: a 1 m aperture spans 8 cells of a grid-32 receiver
+    # window, so only the floor refuses it
+    geom = make_geometry(aperture_radius=1.0)
+    window = choose_receiver_window(geom, (1.0,))
+    assert circular_aperture(32, window / 32, 1.0)
+    with pytest.raises(UsageError, match="at least 64"):
+        build_channel(geom, dead_profile(), vacuum_plan(geom, 32), 32, (1.0,))
+    assert build_channel(geom, dead_profile(), vacuum_plan(geom, 64), 64, (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -114,35 +133,30 @@ def test_source_must_resolve_waist():
 
 
 def test_zero_distance_is_identity():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     assert propagate_vacuum(field, 0.0) is field
 
 
 def test_negative_distance_rejected():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     with pytest.raises(UsageError):
         propagate_vacuum(field, -1.0)
 
 
-def test_zero_distance_cannot_rescale():
-    field = gaussian_source(make_geometry(), 128)
-    with pytest.raises(UsageError):
-        propagate_vacuum(field, 0.0, target_spacing=2.0 * field.spacing)
-
-
 def test_angular_spectrum_conserves_power():
-    field = gaussian_source(make_geometry(), 256)
+    field = waist(make_geometry(), 256)
     out = propagate_vacuum(field, 1000.0)
     assert out.spacing == field.spacing
     assert field_power(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_two_step_conserves_power_and_matches_beam_spread():
+    # the reference that the closed-form entry is checked against
     geom = make_geometry()
     z_r = geom.rayleigh_range
     field = gaussian_source(geom, 512)
     target = 8.0 * vacuum_beam_radius(geom, z_r) / 512
-    out = propagate_vacuum(field, z_r, target_spacing=target)
+    out = two_step_hop(field, z_r, target)
     assert out.spacing == target
     assert field_power(out) == pytest.approx(1.0, abs=1e-6)
     expected = geom.beam_waist * math.sqrt(2.0)
@@ -150,7 +164,7 @@ def test_two_step_conserves_power_and_matches_beam_spread():
 
 
 def test_hops_compose_to_single_hop():
-    field = gaussian_source(make_geometry(), 256)
+    field = waist(make_geometry(), 256)
     total = 4000.0
     hopped = propagate_vacuum(propagate_vacuum(field, 1500.0), total - 1500.0)
     direct = upright(propagate_vacuum(field, total))
@@ -159,7 +173,7 @@ def test_hops_compose_to_single_hop():
 
 def test_aliasing_guard_trips_when_window_overflows():
     # 500 km on the fixed transmitter window cannot contain the spread beam
-    field = gaussian_source(make_geometry(), 512)
+    field = waist(make_geometry(), 512)
     with pytest.raises(NumericalError):
         propagate_vacuum(field, 500e3)
 
@@ -199,7 +213,7 @@ def test_transpose_in_place_allocates_no_grid():
 
 
 def test_fixed_grid_hop_flips_orientation():
-    field = gaussian_source(make_geometry(), 256)
+    field = waist(make_geometry(), 256)
     field = apply_screen(field, np.random.default_rng(20042).normal(size=(256, 256)))
     once = propagate_vacuum(field, 1000.0)
     twice = propagate_vacuum(once, 1000.0)
@@ -212,30 +226,45 @@ def test_fixed_grid_hop_flips_orientation():
     assert propagate_vacuum(once, 0.0) is once
 
 
-def test_rescaling_hop_and_aperture_refuse_a_transposed_field():
-    geom = make_geometry()
-    flipped = propagate_vacuum(gaussian_source(geom, 128), 1000.0)
+def test_aperture_refuses_a_transposed_field():
+    flipped = propagate_vacuum(waist(make_geometry(), 128), 1000.0)
     assert flipped.transposed
-    with pytest.raises(UsageError):
-        propagate_vacuum(flipped, 50e3, target_spacing=2.0 * flipped.spacing)
     with pytest.raises(UsageError):
         aperture_transmissivity(flipped, circular_aperture(128, flipped.spacing, 0.1))
     assert aperture_transmissivity(upright(flipped), circular_aperture(128, flipped.spacing, 0.1))
 
 
 def test_unsampled_hop_keeps_a_transposed_field_transposed():
-    # past dx * N dx / lambda (10.6 km here) a hop that does not rescale runs
-    # the two Fresnel steps, whose factors are the same on both axes; a tilt
-    # along one axis makes the beam differ from its transpose
-    field = gaussian_source(make_geometry(), 128)
+    # past dx * N dx / lambda (10.6 km here) a hop runs as the fewest equal
+    # fixed-grid steps whose kernels are sampled, two over 20 km, each
+    # flipping the field; a tilt along one axis makes the beam differ from
+    # its transpose
+    field = waist(make_geometry(), 128)
     field = apply_screen(field, np.broadcast_to(0.2 * np.arange(128.0), (128, 128)))
     flipped = propagate_vacuum(field, 1000.0)
-    assert flipped.spacing * flipped.window < flipped.wavelength * 20e3
+    limit = flipped.spacing * flipped.window / flipped.wavelength
+    assert math.ceil(20e3 / limit) == 2
+    half = propagate_vacuum(flipped, 10e3)
+    composed = propagate_vacuum(half, 10e3)
     out = propagate_vacuum(flipped, 20e3)
-    expected = propagate_vacuum(upright(flipped), 20e3)
-    assert out.transposed and not expected.transposed
-    assert not np.allclose(expected.grid, expected.grid.T)
-    assert relative_field_error(upright(out), expected) < 1e-12
+    assert flipped.transposed and not half.transposed and out.transposed
+    assert composed.transposed and np.array_equal(out.grid, composed.grid)
+    reference = two_step_hop(upright(flipped), 20e3, flipped.spacing)
+    assert not np.allclose(reference.grid, reference.grid.T)
+    assert relative_field_error(upright(out), reference) < 1e-5
+
+
+@pytest.mark.parametrize("n, distance, steps", [(128, 30e3, 3), (256, 50e3, 10)])
+def test_split_hop_is_its_steps_composed(n, distance, steps):
+    field = waist(make_geometry(), n)
+    field = apply_screen(field, np.broadcast_to(0.05 * np.arange(float(n)), (n, n)))
+    assert _hop_kernel(n, field.spacing, field.wavelength, distance)[0] == steps
+    composed = field
+    for _ in range(steps):
+        composed = propagate_vacuum(composed, distance / steps)
+    out = propagate_vacuum(field, distance)
+    assert out.transposed == composed.transposed == (steps % 2 == 1)
+    assert np.array_equal(out.grid, composed.grid)
 
 
 @pytest.mark.parametrize("n", [64, 100, 512])
@@ -265,7 +294,7 @@ def test_edge_fraction_of_strided_and_propagated_fields():
     rng = np.random.default_rng(3)
     grid = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     assert _edge_power_fraction(grid.T) == pytest.approx(full_grid_edge_fraction(grid), rel=1e-12)
-    beam = propagate_vacuum(gaussian_source(make_geometry(), 256), 1000.0).grid
+    beam = propagate_vacuum(waist(make_geometry(), 256), 1000.0).grid
     assert _edge_power_fraction(beam) == pytest.approx(full_grid_edge_fraction(beam), rel=1e-12)
 
 
@@ -325,7 +354,7 @@ def test_paraxial_kernel_within_bound_of_exact_transfer_function(n, spacing, dis
 
 
 def test_paraxial_hop_within_bound_of_exact_hop():
-    field = gaussian_source(make_geometry(), 256)
+    field = waist(make_geometry(), 256)
     exact = np.fft.ifft2(
         np.fft.fft2(field.grid)
         * exact_transfer_function(256, field.spacing, field.wavelength, 4000.0)
@@ -335,26 +364,12 @@ def test_paraxial_hop_within_bound_of_exact_hop():
     assert error <= paraxial_phase_bound(field.spacing, field.wavelength, 4000.0)
 
 
-def rescaling_hop(zenith: float, n: int) -> tuple:
-    geom = make_geometry(zenith)
-    spacing = gaussian_source(geom, n).spacing
-    return n, spacing, geom.wavelength, geom.path_length, receiver_spacing(zenith, n)
-
-
-@pytest.mark.parametrize("zenith, n", [(0.0, 256), (60.0, 512)], ids=["256", "channel-512"])
-def test_fresnel_axis_factors_match_full_grid_chirps(zenith, n):
-    args = rescaling_hop(zenith, n)
-    for factor, chirp in zip(_fresnel_factors(*args), full_grid_fresnel_chirps(*args)):
-        outer = np.outer(factor, factor)
-        assert np.linalg.norm(outer - chirp) <= 1e-12 * np.linalg.norm(chirp)
-
-
 def test_hop_caches_hold_axis_factors():
     n = 256
-    field = gaussian_source(make_geometry(), n)
+    field = waist(make_geometry(), n)
     entries = [
         _angular_spectrum_kernel(n, field.spacing, field.wavelength, 4000.0),
-        *_fresnel_factors(*rescaling_hop(0.0, n)),
+        _hop_kernel(n, field.spacing, field.wavelength, 50e3)[1],
     ]
     for entry in entries:
         assert entry.shape == (n,)
@@ -366,13 +381,13 @@ def test_hop_caches_hold_axis_factors():
 
 
 def test_zero_screen_is_identity():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     out = apply_screen(field, np.zeros((128, 128)))
     assert np.array_equal(out.grid, field.grid)
 
 
 def test_screen_preserves_power():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     rng = np.random.default_rng(3)
     out = apply_screen(field, rng.normal(size=(128, 128)))
     assert field_power(out) == pytest.approx(field_power(field), rel=1e-13)
@@ -386,7 +401,7 @@ IMPRINT_BOUND = (1.0 + math.sqrt(2.0)) * 2.0**-23 + 1e-13
 
 
 def test_screen_phases_add():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     rng = np.random.default_rng(4)
     a = rng.normal(size=(128, 128))
     b = rng.normal(size=(128, 128))
@@ -397,7 +412,7 @@ def test_screen_phases_add():
 
 
 def test_screen_imprint_matches_complex_exponential():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     phase = 30.0 * np.random.default_rng(5).normal(size=(128, 128))
     expected = field.grid * np.exp(1j * phase)
     out = apply_screen(field, phase)
@@ -437,12 +452,12 @@ def test_tiled_imprint_equals_full_grid_reference(n):
 
 def test_public_hops_and_imprint_leave_input_untouched():
     geom = make_geometry()
-    field = gaussian_source(geom, 256)
+    field = waist(geom, 256)
     before = field.grid.copy()
     phase = np.random.default_rng(7).normal(size=(256, 256))
     outputs = [
         propagate_vacuum(field, 1000.0),
-        propagate_vacuum(field, 50e3, target_spacing=2.0 * field.spacing),
+        propagate_vacuum(field, 50e3),
         apply_screen(field, phase),
     ]
     assert np.array_equal(field.grid, before)
@@ -450,7 +465,7 @@ def test_public_hops_and_imprint_leave_input_untouched():
 
 
 def test_screen_geometry_must_match():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     with pytest.raises(UsageError):
         apply_screen(field, np.zeros((64, 64)))
 
@@ -465,10 +480,7 @@ def meter(field: ComplexField, radius: float) -> float:
 
 def test_aperture_weights_integrate_to_disk_area():
     geom = make_geometry()
-    field = propagate_vacuum(
-        gaussian_source(geom, 512), geom.path_length,
-        target_spacing=choose_receiver_window(geom, (0.5,)) / 512,
-    )
+    field = gaussian_beam(geom, 512, receiver_spacing(0.0, 512), geom.path_length)
     _, weights = _aperture_weights(field.size, field.spacing, 0.5)
     area = float(weights.sum()) * field.spacing**2
     assert area == pytest.approx(math.pi * 0.25, rel=1e-9)
@@ -494,13 +506,13 @@ def test_block_metering_matches_full_grid(cells):
 
 
 def test_full_window_aperture_collects_all_power():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     assert meter(field, field.window) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_small_aperture_matches_encircled_power():
     geom = make_geometry()
-    field = gaussian_source(geom, 256)
+    field = waist(geom, 256)
     for cells in (4.0, 8.0):
         radius = cells * field.spacing
         expected = encircled_power(radius, geom.beam_waist)
@@ -508,27 +520,26 @@ def test_small_aperture_matches_encircled_power():
 
 
 def test_under_resolved_aperture_rejected():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     with pytest.raises(UsageError):
         circular_aperture(field.size, field.spacing, 1.9 * field.spacing)
 
 
 def test_aperture_refuses_a_field_on_another_grid():
-    field = gaussian_source(make_geometry(), 128)
+    field = waist(make_geometry(), 128)
     for n, spacing in ((64, field.spacing), (128, 1.5 * field.spacing)):
         with pytest.raises(UsageError):
             aperture_transmissivity(field, circular_aperture(n, spacing, 8.0 * field.spacing))
 
 
 def test_downlink_transmissivity_matches_diffraction_oracle():
-    # full-path vacuum hop, all three telescope radii, against the
+    # the beam's waist on the receiver grid, hopped down the whole path (in
+    # seven sampled steps), all three telescope radii, against the
     # closed-form encircled power of the diffracted Gaussian
     geom = make_geometry()
     radii = (0.15, 0.30, 0.50)
-    field = propagate_vacuum(
-        gaussian_source(geom, 1024), geom.path_length,
-        target_spacing=choose_receiver_window(geom, radii) / 1024,
-    )
+    spacing = choose_receiver_window(geom, radii) / 1024
+    field = upright(propagate_vacuum(gaussian_beam(geom, 1024, spacing, 0.0), geom.path_length))
     spread = vacuum_beam_radius(geom, geom.path_length)
     for radius in radii:
         eta = meter(field, radius)
@@ -550,12 +561,59 @@ def test_zero_turbulence_split_step_is_vacuum_diffraction():
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, profile, window / 512)
     out = split_step(channel_of(geom, profile, plan, 512), ScreenStreams(7, 0))
-    direct = propagate_vacuum(gaussian_source(geom, 512), geom.path_length, window / 512)
+    direct = two_step_hop(gaussian_source(geom, 512), geom.path_length, window / 512)
     assert relative_field_error(out, direct) < 1e-6
     eta_split = meter(out, 0.5)
     eta_direct = meter(direct, 0.5)
     # the edge absorber perturbs the far tail at the 1e-7 level, nothing more
     assert eta_split == pytest.approx(eta_direct, abs=1e-7)
+
+
+VACUUM_WALK_CASES = [(0.0, 256), (0.0, 512), (60.0, 512)]
+VACUUM_WALK_RADII = (0.15, 0.25, 0.5)
+
+
+def entry_depth(plan: SlabPlan) -> float:
+    """Slant depth of the plan's first screen below its top, or the whole path."""
+    depth = 0.0
+    for slab in reversed(plan.slabs):
+        if slab.has_screen:
+            return depth + slab.screen_depth
+        depth += slab.path_length
+    return depth
+
+
+@pytest.mark.parametrize("zenith, n", VACUUM_WALK_CASES)
+def test_closed_form_entry_matches_the_two_step_reference(baseline_profile, zenith, n):
+    # the sampled source, apodized and carried by the two-step Fresnel hop to
+    # the first screen, cut at +-4 w0 where the beam's amplitude is e^-16
+    geom = make_geometry(zenith)
+    spacing = choose_receiver_window(geom, VACUUM_WALK_RADII) / n
+    plan = plan_slabs(geom, baseline_profile, spacing)
+    channel = build_channel(geom, baseline_profile, plan, n, VACUUM_WALK_RADII)
+    reference = reference_entry(geom, n, spacing, entry_depth(plan))
+    assert relative_field_error(channel.entry, reference) < 1e-6
+
+
+@pytest.mark.parametrize("zenith, n", VACUUM_WALK_CASES)
+def test_vacuum_walk_of_the_entry_matches_the_closed_form(baseline_profile, zenith, n):
+    # the entry walked to the ground through the channel's own hops and
+    # apodizer, with no screen imprinted, is the closed-form beam there
+    geom = make_geometry(zenith)
+    spacing = choose_receiver_window(geom, VACUUM_WALK_RADII) / n
+    plan = plan_slabs(geom, baseline_profile, spacing)
+    channel = build_channel(geom, baseline_profile, plan, n, VACUUM_WALK_RADII)
+    assert channel.draws
+    workspace = Workspace(n)
+    field = channel.entry
+    for distance in [hop for _, _, pair in channel.draws for hop in pair] + [channel.last_hop]:
+        field = _hop(field, distance, channel.apodizer, workspace.field)
+    field = upright(field)
+    expected = gaussian_beam(geom, n, spacing, geom.path_length)
+    assert relative_field_error(field, expected) < 1e-6
+    for aperture in channel.apertures:
+        eta = aperture_transmissivity(expected, aperture)
+        assert aperture_transmissivity(field, aperture) == pytest.approx(eta, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -614,7 +672,7 @@ def test_split_step_realization(baseline_profile):
 @pytest.mark.parametrize("zenith, n", [(0.0, 128), (60.0, 256)])
 def test_split_step_matches_the_reference_walk(baseline_profile, zenith, n):
     # the channel's shared entry field, schedule and arrays give the bits
-    # of the walk from the source that builds every array as it goes
+    # of the walk from the closed-form entry that builds every array as it goes
     geom = make_geometry(zenith)
     window = choose_receiver_window(geom, (0.5,))
     for profile in (baseline_profile, dead_profile()):
@@ -622,8 +680,7 @@ def test_split_step_matches_the_reference_walk(baseline_profile, zenith, n):
         channel = channel_of(geom, profile, plan, n)
         for realization in range(2):
             streams = ScreenStreams(16041, realization)
-            source = gaussian_source(geom, n)
-            expected = reference_split_step(source, plan, profile, streams, window)
+            expected = reference_split_step(geom, n, plan, profile, streams, window)
             got = split_step(channel, streams)
             assert np.array_equal(got.grid, expected.grid)
             # the vacuum plan's entry stands at the ground: still a fresh grid
@@ -640,8 +697,9 @@ def test_split_step_etas_within_rounding_of_the_fftn_walk(baseline_profile, zeni
     channel = build_channel(geom, baseline_profile, plan, n, (0.3, 0.5))
     for realization in range(2):
         streams = ScreenStreams(20043, realization)
-        source = gaussian_source(geom, n)
-        expected = reference_split_step(source, plan, baseline_profile, streams, window, fftn_hop)
+        expected = reference_split_step(
+            geom, n, plan, baseline_profile, streams, window, fftn_hop
+        )
         got = split_step(channel, streams)
         for aperture in channel.apertures:
             eta = aperture_transmissivity(expected, aperture)
@@ -658,8 +716,9 @@ def test_split_step_returns_upright_fields(baseline_profile):
     for plan in (three, plan_slabs(geom, baseline_profile, window / n)):
         streams = ScreenStreams(20044, 0)
         out = split_step(channel_of(geom, baseline_profile, plan, n), streams)
-        source = gaussian_source(geom, n)
-        expected = reference_split_step(source, plan, baseline_profile, streams, window, fftn_hop)
+        expected = reference_split_step(
+            geom, n, plan, baseline_profile, streams, window, fftn_hop
+        )
         assert not out.transposed
         assert relative_field_error(out, expected) < 1e-12
 
@@ -673,15 +732,9 @@ def test_channel_walk_spans_the_slant_path(baseline_profile, zenith):
     for profile in (baseline_profile, dead_profile()):
         plan = plan_slabs(geom, profile, window / 256)
         channel = channel_of(geom, profile, plan, 256)
-        depth = 0.0
-        for slab in reversed(plan.slabs):
-            if slab.has_screen:
-                depth += slab.screen_depth
-                break
-            depth += slab.path_length
         hops = [hop for _, _, pair in channel.draws for hop in pair] + [channel.last_hop]
         slant = sum(slab.path_length for slab in plan.slabs)
-        assert sum(hops, depth) == pytest.approx(slant, rel=1e-12, abs=0.0)
+        assert sum(hops, entry_depth(plan)) == pytest.approx(slant, rel=1e-12, abs=0.0)
 
 
 def test_split_step_leaves_source_untouched(baseline_profile):
@@ -744,15 +797,14 @@ def test_split_step_pairs_screens_on_the_upper_slab_stream(baseline_profile):
     s0, s1, s2, gap = plan.slabs
     window = choose_receiver_window(geom, (0.5,))
     n = 128
-    source = gaussian_source(geom, n)
     streams = ScreenStreams(31, 4)
     mask = _apodization_mask(n)
 
-    def hop(field, dist, target=None):
+    def hop(field, dist):
         absorbed = ComplexField(field.grid * mask, field.spacing, field.wavelength, field.transposed)
-        return propagate_vacuum(absorbed, dist, target)
+        return propagate_vacuum(absorbed, dist)
 
-    field = hop(source, gap.path_length + 0.5 * s2.path_length, window / n)
+    field = gaussian_beam(geom, n, window / n, gap.path_length + 0.5 * s2.path_length)
     spectrum = screen_spectrum(n, field.spacing, baseline_profile)
     top, middle = generate_screen((s2, s1), spectrum, streams.generator(2))
     (bottom,) = generate_screen((s0,), spectrum, streams.generator(0))
@@ -781,7 +833,7 @@ def test_single_screen_scattering_broadens_beam():
         )
     )
     window = choose_receiver_window(geom, (0.5,))
-    vacuum = propagate_vacuum(gaussian_source(geom, 256), geom.path_length, window / 256)
+    vacuum = gaussian_beam(geom, 256, window / 256, geom.path_length)
     w_vac = second_moment_radius(vacuum)
     channel = channel_of(geom, profile, plan, 256)
     for realization in range(3):
@@ -793,7 +845,7 @@ def test_turbulence_broadens_beam_and_drops_coupling(baseline_profile):
     geom = make_geometry()
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, baseline_profile, window / 512)
-    vacuum = propagate_vacuum(gaussian_source(geom, 512), geom.path_length, window / 512)
+    vacuum = gaussian_beam(geom, 512, window / 512, geom.path_length)
     w_vac = second_moment_radius(vacuum)
     eta_vac = meter(vacuum, 0.5)
     channel = channel_of(geom, baseline_profile, plan, 512)
