@@ -1,10 +1,15 @@
 """Monte Carlo channel ensembles: orchestration, fading statistics, persistence.
 
-An ensemble is an ordered list of transmissivities, one per independent
-channel realization, plus everything needed to regenerate it bit for bit:
-link geometry, atmosphere, grid size, and the master seed.  Realization i
-always draws from the substream (master_seed, i) no matter how many worker
-threads run, so the list is a pure function of its metadata.
+An ensemble is an ordered list of transmissivities, one per channel
+realization, plus everything needed to regenerate it bit for bit: link
+geometry, atmosphere, grid size, and the master seed.  Realizations come in
+antithetic pairs: of n, the first h = ceil(n / 2) are the walks of streams
+(master_seed, i), i < h, and realization h + k is the mirror of stream k,
+the same walk with every screen negated (for an odd n the last stream has
+no mirror).  A pair's two etas are dependent, distinct pairs independent,
+and each eta has the channel's marginal law.  The layout follows from n
+alone and does not depend on how many worker threads run, so the list is a
+pure function of its metadata.
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ _FORMAT_NAME = "duallink-ensemble"
 # 8: fixed-grid hops as two row passes around an in-place transpose, which
 #    move every eta at rounding level
 # 9: the entry field in closed form, which moves every eta by about 3e-7
-_FORMAT_VERSION = 9
+# 10: antithetic pairs; the first ceil(n/2) etas are format 9's, bit for bit,
+#     and the rest their mirrors, walked with every screen negated
+_FORMAT_VERSION = 10
 
 # fields serialized into the ensemble header, in writing order
 _GEOMETRY_FIELDS = (
@@ -115,7 +122,11 @@ def run_ensembles(
 
     The receiver window follows the largest requested aperture, so all
     returned ensembles share identical optical fields; they differ only in
-    how much of each arriving field the telescope collects.
+    how much of each arriving field the telescope collects.  With more
+    realizations than threads, a worker walks a stream and its mirror in
+    lockstep (one spectral draw and one imprint phasor serve both);
+    otherwise every realization walks alone on its own worker.  Either
+    schedule gives the same bits.
     """
     if n < 1:
         raise UsageError("ensemble size must be at least 1")
@@ -129,19 +140,40 @@ def run_ensembles(
         coherence_time = math.inf
     channel = build_channel(geom, profile, plan, grid_size, radii)
 
-    def realize(index: int) -> tuple[float, ...]:
-        try:
-            field = split_step(channel, ScreenStreams(master_seed, index))
-            return tuple(aperture_transmissivity(field, ap) for ap in channel.apertures)
-        except DuallinkError as exc:
-            raise type(exc)(f"realization {index}: {exc}") from exc
+    # (stream, member signs, realization index of each member)
+    half = (n + 1) // 2
+    if n > threads:
+        walks = [
+            (k, (1, -1), (k, half + k)) if half + k < n else (k, (1,), (k,))
+            for k in range(half)
+        ]
+    else:
+        walks = [(i, (1,), (i,)) for i in range(half)]
+        walks += [(k, (-1,), (half + k,)) for k in range(n - half)]
 
+    def realize(walk) -> list[tuple[float, ...]]:
+        stream, signs, indices = walk
+        try:
+            fields = split_step(channel, ScreenStreams(master_seed, stream), signs)
+            return [
+                tuple(aperture_transmissivity(field, ap) for ap in channel.apertures)
+                for field in fields
+            ]
+        except DuallinkError as exc:
+            names = " and ".join(map(str, indices))
+            label = "realizations" if len(indices) > 1 else "realization"
+            raise type(exc)(f"{label} {names}: {exc}") from exc
+
+    rows: list[tuple[float, ...]] = [()] * n
     # no pool for one thread: a pool thread's own malloc arena adds ~2 MB of peak RSS
     if threads <= 1:
-        rows = [realize(i) for i in range(n)]
+        results = [realize(walk) for walk in walks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(realize, range(n)))
+            results = list(pool.map(realize, walks))
+    for (_, _, indices), members in zip(walks, results):
+        for index, row in zip(indices, members):
+            rows[index] = row
 
     return tuple(
         ChannelEnsemble(
@@ -216,7 +248,9 @@ def coherence_step_series(ens: ChannelEnsemble):
     """Step-function loss trace: one (start time, eta) per realization.
 
     Successive realizations stand in for successive frozen-channel windows
-    of length tau0, reproducing the staircase picture of a fading link.
+    of length tau0, reproducing the staircase picture of a fading link.  The
+    first half of the trace holds the streams' own walks and the second
+    half their antithetic mirrors, so neighbouring steps are never a pair.
     """
     tau0 = ens.coherence_time
     if not math.isfinite(tau0) or tau0 <= 0.0:

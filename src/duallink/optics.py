@@ -4,8 +4,10 @@ A realization of the channel is one pass of the Gaussian beam through the
 slab plan: it enters at the first screen in closed form, then vacuum
 transfer-function hops alternate with the slabs' phase screens, and the
 received power inside the telescope aperture, relative to the unit-power
-beam, is the transmissivity of that realization.  What all realizations
-read is built once, into a read-only ``Channel``.
+beam, is the transmissivity of that realization.  Its antithetic mirror is
+the same walk with every screen negated, which has the same law; the two
+can walk in lockstep, sharing each screen and each imprint phasor.  What
+all realizations read is built once, into a read-only ``Channel``.
 
 Vacuum hops are paraxial, within pi N lambda^2 / (16 dx^2) rad per step of
 the exact angular spectrum (see ``propagate_vacuum``), and separable: every
@@ -178,7 +180,9 @@ def propagate_vacuum(
     row passes (FFT, axis factor, inverse FFT) around one in-place transpose,
     which flips the field's ``transposed``.  A hop too long for its kernel to
     be Nyquist-sampled (dx * N dx < lambda d) runs as the fewest equal steps
-    that are, each one such a pass that flips the orientation.  The paraxial
+    that are, each one such a pass that flips the orientation.  After every
+    step the edge guard refuses a field with more than ``_EDGE_GUARD_FRACTION``
+    of its power within ``_EDGE_GUARD_CELLS`` of the grid edge.  The paraxial
     phase is off the exact (kz - k) d by pi d lambda^3 f^4 / 4 to leading
     order: pi d lambda^3 / (16 dx^4) at the Nyquist corner, at most
     pi N lambda^2 / (16 dx^2) per sampled step.  While dx >= lambda no
@@ -194,7 +198,7 @@ def propagate_vacuum(
     steps, h = _hop_kernel(n, field.spacing, field.wavelength, distance)
     grid = np.empty_like(field.grid) if out is None else out
     source = field.grid
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         np.fft.fft(source, out=grid)
         grid *= h
         np.fft.ifft(grid, out=grid)
@@ -203,16 +207,17 @@ def propagate_vacuum(
         grid *= h
         np.fft.ifft(grid, out=grid)
         source = grid
-    out = ComplexField(grid, field.spacing, field.wavelength, field.transposed != (steps % 2 == 1))
-    fraction = _edge_power_fraction(grid)
-    if fraction > _EDGE_GUARD_FRACTION:
-        raise NumericalError(
-            f"{fraction:.3e} of the power sits within {_EDGE_GUARD_CELLS} cells of "
-            f"the grid edge after a {distance:.6g} m hop "
-            f"(n={n}, spacing={out.spacing:.6g} m, window={out.window:.6g} m); "
-            "enlarge the window"
-        )
-    return out
+        fraction = _edge_power_fraction(grid)
+        if fraction > _EDGE_GUARD_FRACTION:
+            where = f"step {step} of {steps} of a" if steps > 1 else "a"
+            raise NumericalError(
+                f"{fraction:.3e} of the power sits within {_EDGE_GUARD_CELLS} cells of "
+                f"the grid edge after {where} {distance:.6g} m hop "
+                f"(n={n}, spacing={field.spacing:.6g} m, window={field.window:.6g} m); "
+                "enlarge the window"
+            )
+    transposed = field.transposed != (steps % 2 == 1)
+    return ComplexField(grid, field.spacing, field.wavelength, transposed)
 
 
 def _unit_phasor(phase: np.ndarray, phasor: np.ndarray, scratch: np.ndarray) -> None:
@@ -246,27 +251,40 @@ def _unit_phasor(phase: np.ndarray, phasor: np.ndarray, scratch: np.ndarray) -> 
 
 
 def apply_screen(
-    field: ComplexField, phase: np.ndarray, workspace: Workspace | None = None
-) -> ComplexField:
-    """Imprint one phase screen, a phase map (radians) on the field's own grid;
-    unit-modulus, so power is untouched.
+    fields: tuple[ComplexField, ...],
+    phase: np.ndarray,
+    signs: tuple[int, ...] = (1,),
+    workspace: Workspace | None = None,
+) -> tuple[ComplexField, ...]:
+    """Imprint one phase screen, a phase map (radians) on the fields' own grid,
+    times ``signs[k]`` (+1 or -1) on member k; unit-modulus, so power is untouched.
 
     The phasor's angle is float32-accurate (within 3e-7 rad of the phase)
     and its modulus float64-accurate (|p|^2 within 1e-13 of one).  It is
-    built and multiplied in one row tile at a time, in the workspace's
-    ``phasor`` and ``scratch`` tiles, so the phase may be a half of the
-    workspace's ``spectrum``.  The result is a new array, or a workspace's
-    ``field``, which may be the input's own grid.
+    built once per row tile, in the workspace's ``phasor`` and ``scratch``
+    tiles, so the phase may be a half of the workspace's ``spectrum``, and
+    multiplied into every member in turn; a -1 member takes it conjugated in
+    place, which is bit for bit the phasor of the negated phase.  Member k's
+    result is a new array, or the workspace's ``fields[k]``, which may be its
+    input's own grid.
     """
-    if phase.shape != field.grid.shape:
-        raise UsageError(f"screen shape {phase.shape} does not match field {field.grid.shape}")
-    ws = Workspace(field.size) if workspace is None else workspace
-    for tile in _row_tiles(field.size):
+    if len(signs) != len(fields) or any(sign not in (1, -1) for sign in signs):
+        raise UsageError(f"one sign, +1 or -1, per field; got {signs!r} for {len(fields)}")
+    size = fields[0].size
+    if phase.shape != (size, size):
+        raise UsageError(f"screen shape {phase.shape} does not match field {(size, size)}")
+    ws = Workspace(size, len(fields)) if workspace is None else workspace
+    for tile in _row_tiles(size):
         rows = tile.stop - tile.start
         phasor = ws.phasor[:rows]
         _unit_phasor(phase[tile], phasor, ws.scratch[:rows])
-        np.multiply(field.grid[tile], phasor, out=ws.field[tile])
-    return replace(field, grid=ws.field)
+        held = 1
+        for field, sign, out in zip(fields, signs, ws.fields):
+            if sign != held:
+                np.conjugate(phasor, out=phasor)
+                held = sign
+            np.multiply(field.grid[tile], phasor, out=out[tile])
+    return tuple(replace(field, grid=out) for field, out in zip(fields, ws.fields))
 
 
 def _apodization_mask(n: int) -> np.ndarray:
@@ -344,28 +362,42 @@ def build_channel(
     return Channel(entry, tuple(draws), hops[-1], spectrum, apodizer, apertures)
 
 
-def split_step(channel: Channel, streams: ScreenStreams) -> ComplexField:
-    """One channel realization: the channel's entry field to the receiver plane.
+def split_step(
+    channel: Channel, streams: ScreenStreams, signs: tuple[int, ...] = (1,)
+) -> tuple[ComplexField, ...]:
+    """Channel realizations, one per member sign, walked in lockstep from the
+    channel's entry field to the receiver plane.
 
-    Screens are drawn in pairs: one spectral draw from the stream of the
-    pair's upper slab serves both, each imprinted in the field's orientation.
-    Everything runs in one workspace; the result is upright and never shares
-    the entry's grid.
+    The +1 member imprints every screen and the -1 member every screen
+    negated: its antithetic mirror.  Screens are drawn in pairs: one spectral
+    draw from the stream of the pair's upper slab serves both, each imprinted
+    in the fields' shared orientation.  Each member hops in its own field of
+    one workspace, and its arithmetic does not depend on what walks beside
+    it, so a member walked alone gives the same bits.  The results are
+    upright and never share the entry's grid.
     """
-    workspace = Workspace(channel.entry.size)
-    field = channel.entry
+    workspace = Workspace(channel.entry.size, len(signs))
+    fields = (channel.entry,) * len(signs)
     for index, slabs, hops in channel.draws:
         pair = generate_screen(slabs, channel.screens, streams.generator(index), workspace)
         for screen, distance in zip(pair, hops):
-            field = _hop(field, distance, channel.apodizer, workspace.field)
-            if field.transposed:
+            fields = tuple(
+                _hop(field, distance, channel.apodizer, out)
+                for field, out in zip(fields, workspace.fields)
+            )
+            if fields[0].transposed:
                 _transpose_in_place(screen)
-            field = apply_screen(field, screen, workspace=workspace)
-    field = _hop(field, channel.last_hop, channel.apodizer, workspace.field)
-    if field.transposed:  # never the entry, which is upright
-        _transpose_in_place(field.grid)
-        return replace(field, transposed=False)
-    return replace(field, grid=field.grid.copy()) if field is channel.entry else field
+            fields = apply_screen(fields, screen, signs, workspace)
+    results = []
+    for field, out in zip(fields, workspace.fields):
+        field = _hop(field, channel.last_hop, channel.apodizer, out)
+        if field.transposed:  # never the entry, which is upright
+            _transpose_in_place(field.grid)
+            field = replace(field, transposed=False)
+        elif field is channel.entry:
+            field = replace(field, grid=field.grid.copy())
+        results.append(field)
+    return tuple(results)
 
 
 def _quadrant_area(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:

@@ -97,21 +97,21 @@ def _row_tiles(n: int) -> list[slice]:
 
 
 class Workspace:
-    """The buffers of one channel realization, written in place.
+    """The buffers of one walk of ``members`` realizations in lockstep, written in place.
 
-    ``field`` and ``spectrum`` (complex128, N x N) are the only full grids: the
-    running field, and a screen pair's spectral draw, whose real and imaginary
-    halves become the pair's two screens and hold the second until its slab.
-    Everything else runs over row tiles: ``phasor`` (complex128) is a tile's
-    imprint phasor or phase uniforms, and ``scratch`` (float64, the same rows)
-    a tile of modulus uniforms or of a finished screen, or the float32 angles
-    and cos/sin of a spectral draw or of the imprint.  Never shared between
-    realizations or workers; a call given none makes a fresh one and touches
-    only the buffers it uses.
+    ``fields`` (complex128, members x N x N) and ``spectrum`` (complex128,
+    N x N) are the only full grids: each member's running field, and a screen
+    pair's spectral draw, whose real and imaginary halves become the pair's
+    two screens and hold the second until its slab.  Everything else runs over
+    row tiles: ``phasor`` (complex128) is a tile's imprint phasor or phase
+    uniforms, and ``scratch`` (float64, the same rows) a tile of modulus
+    uniforms or of a finished screen, or the float32 angles and cos/sin of a
+    spectral draw or of the imprint.  Never shared between walks or workers; a
+    call given none makes a fresh one and touches only the buffers it uses.
     """
 
-    def __init__(self, n: int) -> None:
-        self.field = np.empty((n, n), dtype=complex)
+    def __init__(self, n: int, members: int = 1) -> None:
+        self.fields = np.empty((members, n, n), dtype=complex)
         self.spectrum = np.empty((n, n), dtype=complex)
         rows = _row_tiles(n)[0].stop
         self.phasor = np.empty((rows, n), dtype=complex)
@@ -128,7 +128,8 @@ class ScreenStreams:
     SFC64 generator seeded by ``SeedSequence(master seed, spawn_key=
     (realization, slab index))``, so any subset of realizations can be
     regenerated bit-identically in any execution order and on any worker
-    count.
+    count.  A realization's antithetic mirror (``split_step`` with sign -1)
+    reads the same streams.
     """
 
     master_seed: int

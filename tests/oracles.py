@@ -404,7 +404,7 @@ def fftn_hop(field: ComplexField, distance: float, out=None):
 
 
 def reference_split_step(
-    geom, n, plan, profile, streams, receiver_window, propagate=propagate_vacuum
+    geom, n, plan, profile, streams, receiver_window, propagate=propagate_vacuum, negate=False
 ) -> ComplexField:
     """One realization walked from the closed-form entry at the first screen
     (or the ground), building every array per call: the apodizer before each
@@ -414,6 +414,7 @@ def reference_split_step(
     Screens are paired in walk order: one spectral draw from the stream of the
     pair's first slab serves both.  A screen due on a transposed field is
     imprinted as its transposed view, and the result is returned upright.
+    With ``negate`` every screen is imprinted negated: the antithetic mirror.
     ``depth`` is the field's slant distance below the top of the plan.
     """
     stops, above = [], 0.0  # (slab index, slant depth) per screen, top down
@@ -431,7 +432,7 @@ def reference_split_step(
         if distance <= 0.0:
             return field
         depth += distance
-        out = workspace.field
+        out = workspace.fields[0]
         np.multiply(field.grid, _apodization_mask(n), out=out)
         absorbed = replace(field, grid=out)
         return propagate(absorbed, distance, out=out)
@@ -447,7 +448,8 @@ def reference_split_step(
             pair = (slab, plan.slabs[partner[idx]]) if idx in partner else (slab,)
             spectrum = screen_spectrum(n, field.spacing, profile)
             screen, *held = generate_screen(pair, spectrum, streams.generator(idx), workspace)
-        field = apply_screen(field, screen.T if field.transposed else screen, workspace=workspace)
+        screen = screen.T if field.transposed else screen
+        (field,) = apply_screen((field,), -screen if negate else screen, workspace=workspace)
     field = hop(field, above - depth)
     return replace(field, grid=field.grid.copy()) if field is entry else upright(field)
 

@@ -45,6 +45,7 @@ from duallink.keyrate import (
     plob_bound,
 )
 from duallink.optics import (
+    aperture_transmissivity,
     build_channel,
     choose_receiver_window,
     split_step,
@@ -316,7 +317,7 @@ def lattice_intensities(geom, profile, grid: int, seeds, count: int):
     lattice = np.ix_(grid // 2 + SCINTILLATION_LATTICE, grid // 2 + SCINTILLATION_LATTICE)
 
     def pixels(key: tuple[int, int]) -> np.ndarray:
-        field = split_step(channel, ScreenStreams(*key))
+        (field,) = split_step(channel, ScreenStreams(*key))
         return np.abs(field.grid[lattice].ravel()) ** 2
 
     keys = [(seed, index) for seed in seeds for index in range(count)]
@@ -360,6 +361,75 @@ def test_pixel_scintillation_matches_weak_theory(baseline_profile, zenith, grid,
         f"{plane:.4f}) ({(simulated - reference) / se:+.2f} SE, <= 3), by seed "
         f"{[round(lattice_scintillation(rows), 4) for rows in by_seed]}, {screens} screens, "
         f"{len(seeds)} x {count} realizations, {elapsed:.1f} s",
+    )
+
+
+# Antithetic pairs (ensemble format 10): (zenith deg, grid, antithetic seed,
+# plain seed, pairs), aperture 0.5 m.  The statistics, seeds, sample sizes and
+# tolerances were fixed before the first run on these seeds.  The antithetic
+# ensemble is run_ensembles of 2P etas, pair k being etas k and P + k; the
+# plain ensemble is P one-sign walks (format 9's etas) of another seed.  Each
+# side estimates <eta> as the mean of its units (pair means, or plain etas)
+# and eta_f as the squared mean of their sqrt(eta) (pair means of sqrt(eta)),
+# with the standard error of the mean (2 <sqrt(eta)> SE for eta_f).  Pass when
+# both agree within 3 combined SE, and when the variance of mean eta over 2P
+# plain etas, Var(eta) / 2P, is at least 10x that over P pairs, Var(pair
+# mean) / P.
+ANTITHETIC_CASES = [
+    (0.0, 256, 22011, 22012, 100),
+    (60.0, 512, 22013, 22014, 40),
+]
+
+
+def moments_with_se(etas: np.ndarray, roots: np.ndarray):
+    """(<eta>, SE) and (eta_f, SE) from independent units' etas and sqrt(etas)."""
+    scale = 1.0 / math.sqrt(len(etas))
+    root = roots.mean()
+    return (
+        (etas.mean(), etas.std(ddof=1) * scale),
+        (root**2, 2.0 * root * roots.std(ddof=1) * scale),
+    )
+
+
+@pytest.mark.parametrize("zenith, grid, seed, plain_seed, pairs", ANTITHETIC_CASES)
+def test_antithetic_pairs_match_plain_ensembles_with_less_variance(
+    baseline_profile, zenith, grid, seed, plain_seed, pairs
+):
+    geom = make_geometry(zenith)
+    radii = (0.5,)
+    start = time.perf_counter()
+    (ens,) = run_ensembles(
+        geom, baseline_profile, 2 * pairs, seed, radii, grid_size=grid, threads=DESK_THREADS
+    )
+    plan = plan_slabs(geom, baseline_profile, choose_receiver_window(geom, radii) / grid)
+    channel = build_channel(geom, baseline_profile, plan, grid, radii)
+
+    def plain_eta(index: int) -> float:
+        (field,) = split_step(channel, ScreenStreams(plain_seed, index))
+        return aperture_transmissivity(field, channel.apertures[0])
+
+    with ThreadPoolExecutor(max_workers=DESK_THREADS) as pool:
+        plain = np.array(list(pool.map(plain_eta, range(pairs))))
+    members = ens.etas.reshape(2, pairs)  # the streams' walks, then their mirrors
+    pair_means = members.mean(axis=0)
+    antithetic = moments_with_se(pair_means, np.sqrt(members).mean(axis=0))
+    reference = moments_with_se(plain, np.sqrt(plain))
+    gaps = [
+        (a - b) / math.hypot(se_a, se_b)
+        for (a, se_a), (b, se_b) in zip(antithetic, reference)
+    ]
+    reduction = plain.var(ddof=1) / (2.0 * pair_means.var(ddof=1))
+    elapsed = time.perf_counter() - start
+    (mean_a, se_a), (eta_f_a, se_f_a) = antithetic
+    (mean_b, se_b), (eta_f_b, se_f_b) = reference
+    verdict(
+        14,
+        f"antithetic pairs vs plain walks, zenith {zenith:g}, grid {grid}",
+        all(abs(gap) <= 3.0 for gap in gaps) and reduction >= 10.0,
+        f"<eta> {mean_a:.6f} +- {se_a:.6f} vs {mean_b:.6f} +- {se_b:.6f} ({gaps[0]:+.2f} SE), "
+        f"eta_f {eta_f_a:.6f} +- {se_f_a:.6f} vs {eta_f_b:.6f} +- {se_f_b:.6f} "
+        f"({gaps[1]:+.2f} SE), <= 3; Var(mean eta) cut {reduction:.0f}x (>= 10), "
+        f"{pairs} pairs and {pairs} plain walks, {elapsed:.1f} s",
     )
 
 

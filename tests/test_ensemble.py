@@ -26,7 +26,7 @@ from duallink.ensemble import (
     run_ensembles,
     save_ensemble,
 )
-from duallink.errors import DataIntegrityError, UsageError
+from duallink.errors import DataIntegrityError, NumericalError, UsageError
 from duallink.optics import (
     aperture_transmissivity,
     choose_receiver_window,
@@ -79,8 +79,51 @@ def test_thread_count_does_not_change_results(baseline_profile):
     pooled = run_ensemble(
         geom, baseline_profile, 4, master_seed=9, grid_size=128, threads=3
     )
+    # four threads for four realizations: every member walks alone
+    alone = run_ensemble(geom, baseline_profile, 4, master_seed=9, grid_size=128, threads=4)
     assert np.array_equal(inline.etas, pooled.etas)
-    assert inline.coherence_time == pooled.coherence_time
+    assert np.array_equal(inline.etas, alone.etas)
+    assert inline.coherence_time == pooled.coherence_time == alone.coherence_time
+
+
+def one_sign_etas(geom, profile, seed: int, streams, sign: int, grid: int = 128):
+    """The 0.5 m etas of one-sign walks of ``streams``, one walk per call."""
+    radii = (0.5,)
+    plan = screens.plan_slabs(geom, profile, choose_receiver_window(geom, radii) / grid)
+    channel = optics.build_channel(geom, profile, plan, grid, radii)
+    etas = []
+    for stream in streams:
+        (field,) = optics.split_step(channel, screens.ScreenStreams(seed, stream), (sign,))
+        etas.append(aperture_transmissivity(field, channel.apertures[0]))
+    return etas
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_antithetic_layout_at_any_thread_count(baseline_profile, n):
+    # etas[:h] are the streams' own walks (format 9's first h, bit for bit)
+    # and etas[h + k] the mirror of stream k, at 1 thread (lockstep pairs) up
+    # to 8 (every member alone); an odd n leaves the last stream unpaired
+    geom = make_geometry(30.0)
+    half = (n + 1) // 2
+    plus = one_sign_etas(geom, baseline_profile, 22002, range(half), 1)
+    minus = one_sign_etas(geom, baseline_profile, 22002, range(n - half), -1)
+    for threads in (1, 2, 4, 8):
+        ens = run_ensemble(geom, baseline_profile, n, 22002, grid_size=128, threads=threads)
+        assert np.array_equal(ens.etas, plus + minus)
+    # a mirror is another draw of the channel, not a copy of its walk
+    assert all(a != b for a, b in zip(plus, minus))
+
+
+def test_a_failed_walk_names_its_realizations(baseline_profile, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise NumericalError("edge")
+
+    monkeypatch.setattr("duallink.ensemble.split_step", overflow)
+    geom = make_geometry()
+    with pytest.raises(NumericalError, match="^realizations 0 and 2: edge"):
+        run_ensemble(geom, baseline_profile, 3, 22003, grid_size=128)
+    with pytest.raises(NumericalError, match="^realization 0: edge"):
+        run_ensemble(geom, baseline_profile, 2, 22003, grid_size=128, threads=2)
 
 
 def test_multi_radius_run_shares_fields(baseline_profile):
@@ -432,14 +475,15 @@ def test_version_mismatch_refused(tmp_path):
         load_ensemble(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_format_one_file_refused(tmp_path, version):
     # format 1 drew one spectral FFT per screen, format 2 integrated the
     # altitude profile by adaptive quadrature, format 3 imprinted with
     # float64 cos and sin, format 4 hopped with the exact N x N angular
     # spectrum kernel, format 5 drew Philox normals, format 6 planned ten
-    # or more mid-slab screens, format 7 hopped by one fftn and format 8
-    # hopped the sampled source to the first screen; their etas differ
+    # or more mid-slab screens, format 7 hopped by one fftn, format 8
+    # hopped the sampled source to the first screen and format 9 drew every
+    # eta independently; their etas differ
     ens = synthetic_ensemble([0.5])
     path = tmp_path / "channel.ens"
     save_ensemble(ens, path)

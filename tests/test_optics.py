@@ -178,6 +178,19 @@ def test_aliasing_guard_trips_when_window_overflows():
         propagate_vacuum(field, 500e3)
 
 
+def test_split_hop_refuses_at_its_first_overflowing_step():
+    # the guard looks after every step: the split hop stops where the same
+    # steps taken one hop at a time first trip it, long before its last step
+    field = waist(make_geometry(), 256)
+    steps, _ = _hop_kernel(256, field.spacing, field.wavelength, 500e3)
+    with pytest.raises(NumericalError, match="after a "):
+        for first in range(1, steps + 1):
+            field = propagate_vacuum(field, 500e3 / steps)
+    assert 1 < first < steps
+    with pytest.raises(NumericalError, match=f"after step {first} of {steps} of a 500000 m hop"):
+        propagate_vacuum(waist(make_geometry(), 256), 500e3)
+
+
 # ---------------------------------------------------------------------------
 # orientation: fixed-grid hops leave the field transposed
 
@@ -214,7 +227,7 @@ def test_transpose_in_place_allocates_no_grid():
 
 def test_fixed_grid_hop_flips_orientation():
     field = waist(make_geometry(), 256)
-    field = apply_screen(field, np.random.default_rng(20042).normal(size=(256, 256)))
+    (field,) = apply_screen((field,), np.random.default_rng(20042).normal(size=(256, 256)))
     once = propagate_vacuum(field, 1000.0)
     twice = propagate_vacuum(once, 1000.0)
     assert once.transposed and not twice.transposed
@@ -240,7 +253,7 @@ def test_unsampled_hop_keeps_a_transposed_field_transposed():
     # flipping the field; a tilt along one axis makes the beam differ from
     # its transpose
     field = waist(make_geometry(), 128)
-    field = apply_screen(field, np.broadcast_to(0.2 * np.arange(128.0), (128, 128)))
+    (field,) = apply_screen((field,), np.broadcast_to(0.2 * np.arange(128.0), (128, 128)))
     flipped = propagate_vacuum(field, 1000.0)
     limit = flipped.spacing * flipped.window / flipped.wavelength
     assert math.ceil(20e3 / limit) == 2
@@ -257,7 +270,7 @@ def test_unsampled_hop_keeps_a_transposed_field_transposed():
 @pytest.mark.parametrize("n, distance, steps", [(128, 30e3, 3), (256, 50e3, 10)])
 def test_split_hop_is_its_steps_composed(n, distance, steps):
     field = waist(make_geometry(), n)
-    field = apply_screen(field, np.broadcast_to(0.05 * np.arange(float(n)), (n, n)))
+    (field,) = apply_screen((field,), np.broadcast_to(0.05 * np.arange(float(n)), (n, n)))
     assert _hop_kernel(n, field.spacing, field.wavelength, distance)[0] == steps
     composed = field
     for _ in range(steps):
@@ -382,14 +395,14 @@ def test_hop_caches_hold_axis_factors():
 
 def test_zero_screen_is_identity():
     field = waist(make_geometry(), 128)
-    out = apply_screen(field, np.zeros((128, 128)))
+    (out,) = apply_screen((field,), np.zeros((128, 128)))
     assert np.array_equal(out.grid, field.grid)
 
 
 def test_screen_preserves_power():
     field = waist(make_geometry(), 128)
     rng = np.random.default_rng(3)
-    out = apply_screen(field, rng.normal(size=(128, 128)))
+    (out,) = apply_screen((field,), rng.normal(size=(128, 128)))
     assert field_power(out) == pytest.approx(field_power(field), rel=1e-13)
 
 
@@ -405,8 +418,8 @@ def test_screen_phases_add():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(128, 128))
     b = rng.normal(size=(128, 128))
-    twice = apply_screen(apply_screen(field, a), b)
-    once = apply_screen(field, a + b)
+    (twice,) = apply_screen(apply_screen((field,), a), b)
+    (once,) = apply_screen((field,), a + b)
     # three imprints, each within the bound of the exact phasor
     assert relative_field_error(twice, once) < 3.0 * IMPRINT_BOUND
 
@@ -415,7 +428,7 @@ def test_screen_imprint_matches_complex_exponential():
     field = waist(make_geometry(), 128)
     phase = 30.0 * np.random.default_rng(5).normal(size=(128, 128))
     expected = field.grid * np.exp(1j * phase)
-    out = apply_screen(field, phase)
+    (out,) = apply_screen((field,), phase)
     assert np.max(np.abs(out.grid - expected)) <= IMPRINT_BOUND * np.max(np.abs(field.grid))
 
 
@@ -424,7 +437,7 @@ def test_screen_phasor_has_unit_modulus():
     n = 128
     field = ComplexField(np.ones((n, n), dtype=complex), 0.01, 1e-6)
     phase = 30.0 * np.random.default_rng(6).normal(size=(n, n))
-    out = apply_screen(field, phase)
+    (out,) = apply_screen((field,), phase)
     assert np.max(np.abs(np.abs(out.grid) ** 2 - 1.0)) <= 1e-13
 
 
@@ -439,15 +452,35 @@ def test_tiled_imprint_equals_full_grid_reference(n):
     field = ComplexField(grid, 0.01, 1e-6)
     phase = 30.0 * rng.normal(size=(n, n))
     expected = full_grid_apply_screen(field, phase)
-    assert np.array_equal(apply_screen(field, phase).grid, expected)
+    assert np.array_equal(apply_screen((field,), phase)[0].grid, expected)
     # in place on a workspace field, with the phase in a half of its spectrum
     ws = Workspace(n)
-    ws.field[...] = grid
+    ws.fields[0] = grid
     ws.spectrum.imag = phase
-    out = apply_screen(ComplexField(ws.field, 0.01, 1e-6), ws.spectrum.imag, workspace=ws)
-    assert out.grid is ws.field
+    in_place = ComplexField(ws.fields[0], 0.01, 1e-6)
+    (out,) = apply_screen((in_place,), ws.spectrum.imag, workspace=ws)
+    assert np.shares_memory(out.grid, ws.fields[0])
     assert np.array_equal(out.grid, expected)
     assert np.array_equal(ws.spectrum.imag, phase)
+
+
+@pytest.mark.parametrize("n", [64, 300])
+def test_mirrored_imprint_is_the_negated_phase_bit_for_bit(n):
+    # the shared phasor, conjugated in place for the -1 member, is the phasor
+    # of the negated phase; either member order, and a -1 member alone
+    rng = np.random.default_rng(22004 + n)
+    field = ComplexField(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.01, 1e-6)
+    phase = 30.0 * rng.normal(size=(n, n))
+    (plus,) = apply_screen((field,), phase)
+    (minus,) = apply_screen((field,), -phase)
+    for signs, expected in (((1, -1), (plus, minus)), ((-1, 1), (minus, plus))):
+        for out, reference in zip(apply_screen((field, field), phase, signs), expected):
+            assert np.array_equal(out.grid, reference.grid)
+    (alone,) = apply_screen((field,), phase, (-1,))
+    assert np.array_equal(alone.grid, minus.grid)
+    for signs in ((1, 1, 1), (0,), (2,), (1, -1)):
+        with pytest.raises(UsageError):
+            apply_screen((field,), phase, signs)
 
 
 def test_public_hops_and_imprint_leave_input_untouched():
@@ -458,7 +491,7 @@ def test_public_hops_and_imprint_leave_input_untouched():
     outputs = [
         propagate_vacuum(field, 1000.0),
         propagate_vacuum(field, 50e3),
-        apply_screen(field, phase),
+        *apply_screen((field,), phase),
     ]
     assert np.array_equal(field.grid, before)
     assert all(out.grid is not field.grid for out in outputs)
@@ -467,7 +500,7 @@ def test_public_hops_and_imprint_leave_input_untouched():
 def test_screen_geometry_must_match():
     field = waist(make_geometry(), 128)
     with pytest.raises(UsageError):
-        apply_screen(field, np.zeros((64, 64)))
+        apply_screen((field,), np.zeros((64, 64)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +593,7 @@ def test_zero_turbulence_split_step_is_vacuum_diffraction():
     profile = dead_profile()
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, profile, window / 512)
-    out = split_step(channel_of(geom, profile, plan, 512), ScreenStreams(7, 0))
+    (out,) = split_step(channel_of(geom, profile, plan, 512), ScreenStreams(7, 0))
     direct = two_step_hop(gaussian_source(geom, 512), geom.path_length, window / 512)
     assert relative_field_error(out, direct) < 1e-6
     eta_split = meter(out, 0.5)
@@ -607,7 +640,7 @@ def test_vacuum_walk_of_the_entry_matches_the_closed_form(baseline_profile, zeni
     workspace = Workspace(n)
     field = channel.entry
     for distance in [hop for _, _, pair in channel.draws for hop in pair] + [channel.last_hop]:
-        field = _hop(field, distance, channel.apodizer, workspace.field)
+        field = _hop(field, distance, channel.apodizer, workspace.fields[0])
     field = upright(field)
     expected = gaussian_beam(geom, n, spacing, geom.path_length)
     assert relative_field_error(field, expected) < 1e-6
@@ -631,6 +664,26 @@ def workspace_bound(n: int) -> int:
 @pytest.mark.parametrize("n", [64, 256, 300, 1024])
 def test_workspace_is_two_grids_plus_tiles(n):
     assert sum(a.nbytes for a in vars(Workspace(n)).values()) <= workspace_bound(n)
+    # a lockstep walk holds one more field
+    lockstep = sum(a.nbytes for a in vars(Workspace(n, 2)).values())
+    assert lockstep <= workspace_bound(n) + 16 * n * n
+
+
+def warm_walk_peak(profile, signs) -> int:
+    """Peak traced bytes of a second zenith-60 walk at grid 256, the first
+    having built everything the channel keeps."""
+    geom = make_geometry(60.0)
+    window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, profile, window / 256)
+    channel = channel_of(geom, profile, plan, 256)
+    split_step(channel, ScreenStreams(19, 0), signs)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        split_step(channel, ScreenStreams(19, 1), signs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_warm_split_step_peak_memory(baseline_profile):
@@ -639,19 +692,13 @@ def test_warm_split_step_peak_memory(baseline_profile):
     # for what else a realization allocates, all of it O(N) or O(1): the
     # 7 x N subharmonic product, 3 x 3 draws and FFT line buffers.  The
     # channel holds every N x N array that the walk reads.
-    geom = make_geometry(60.0)
-    window = choose_receiver_window(geom, (0.5,))
-    plan = plan_slabs(geom, baseline_profile, window / 256)
-    channel = channel_of(geom, baseline_profile, plan, 256)
-    split_step(channel, ScreenStreams(19, 0))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        split_step(channel, ScreenStreams(19, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= workspace_bound(256) + _TILE_BYTES
+    assert warm_walk_peak(baseline_profile, (1,)) <= workspace_bound(256) + _TILE_BYTES
+
+
+def test_warm_lockstep_split_step_peak_memory(baseline_profile):
+    # a two-member walk: the same budget plus the second member's field
+    bound = workspace_bound(256) + _TILE_BYTES + 16 * 256 * 256
+    assert warm_walk_peak(baseline_profile, (1, -1)) <= bound
 
 
 def test_split_step_realization(baseline_profile):
@@ -659,8 +706,8 @@ def test_split_step_realization(baseline_profile):
     window = choose_receiver_window(geom, (0.5,))
     plan = plan_slabs(geom, baseline_profile, window / 256)
     channel = channel_of(geom, baseline_profile, plan, 256)
-    out = split_step(channel, ScreenStreams(19, 0))
-    again = split_step(channel, ScreenStreams(19, 0))
+    (out,) = split_step(channel, ScreenStreams(19, 0))
+    (again,) = split_step(channel, ScreenStreams(19, 0))
     # only losses: edge absorber and evanescent masking remove power
     assert field_power(out) <= 1.0 + 1e-6
     eta = meter(out, 0.5)
@@ -681,10 +728,39 @@ def test_split_step_matches_the_reference_walk(baseline_profile, zenith, n):
         for realization in range(2):
             streams = ScreenStreams(16041, realization)
             expected = reference_split_step(geom, n, plan, profile, streams, window)
-            got = split_step(channel, streams)
+            (got,) = split_step(channel, streams)
             assert np.array_equal(got.grid, expected.grid)
             # the vacuum plan's entry stands at the ground: still a fresh grid
             assert not np.shares_memory(got.grid, channel.entry.grid)
+
+
+@pytest.mark.parametrize("zenith, n", [(0.0, 128), (60.0, 256)])
+def test_lockstep_members_are_their_one_sign_walks(baseline_profile, zenith, n):
+    # the + member is the one-sign walk, and the - member the reference walk
+    # with every screen negated, bit for bit, walked alone or in lockstep
+    geom = make_geometry(zenith)
+    window = choose_receiver_window(geom, (0.5,))
+    plan = plan_slabs(geom, baseline_profile, window / n)
+    channel = channel_of(geom, baseline_profile, plan, n)
+    for realization in range(2):
+        streams = ScreenStreams(22005, realization)
+        plus, minus = split_step(channel, streams, (1, -1))
+        (alone,) = split_step(channel, streams)
+        assert np.array_equal(plus.grid, alone.grid)
+        mirror = reference_split_step(
+            geom, n, plan, baseline_profile, streams, window, negate=True
+        )
+        (alone,) = split_step(channel, streams, (-1,))
+        assert not minus.transposed and not alone.transposed
+        assert np.array_equal(minus.grid, mirror.grid)
+        assert np.array_equal(alone.grid, mirror.grid)
+        assert not np.shares_memory(plus.grid, minus.grid)
+        assert not np.array_equal(plus.grid, minus.grid)
+    # a vacuum plan has no screen to negate: two copies of its entry field
+    plan = plan_slabs(geom, dead_profile(), window / n)
+    plus, minus = split_step(channel_of(geom, dead_profile(), plan, n), streams, (1, -1))
+    assert np.array_equal(plus.grid, minus.grid)
+    assert not np.shares_memory(plus.grid, minus.grid)
 
 
 @pytest.mark.parametrize("zenith, n", [(0.0, 128), (0.0, 256), (60.0, 128), (60.0, 256)])
@@ -700,7 +776,7 @@ def test_split_step_etas_within_rounding_of_the_fftn_walk(baseline_profile, zeni
         expected = reference_split_step(
             geom, n, plan, baseline_profile, streams, window, fftn_hop
         )
-        got = split_step(channel, streams)
+        (got,) = split_step(channel, streams)
         for aperture in channel.apertures:
             eta = aperture_transmissivity(expected, aperture)
             assert aperture_transmissivity(got, aperture) == pytest.approx(eta, rel=1e-12, abs=0.0)
@@ -715,7 +791,7 @@ def test_split_step_returns_upright_fields(baseline_profile):
     three = three_screen_plan(geom, baseline_profile)
     for plan in (three, plan_slabs(geom, baseline_profile, window / n)):
         streams = ScreenStreams(20044, 0)
-        out = split_step(channel_of(geom, baseline_profile, plan, n), streams)
+        (out,) = split_step(channel_of(geom, baseline_profile, plan, n), streams)
         expected = reference_split_step(
             geom, n, plan, baseline_profile, streams, window, fftn_hop
         )
@@ -744,7 +820,7 @@ def test_split_step_leaves_source_untouched(baseline_profile):
     plan = plan_slabs(geom, baseline_profile, window / 128)
     channel = channel_of(geom, baseline_profile, plan, 128)
     before = channel.entry.grid.copy()
-    out = split_step(channel, ScreenStreams(19, 0))
+    (out,) = split_step(channel, ScreenStreams(19, 0))
     assert np.array_equal(channel.entry.grid, before)
     assert not channel.entry.grid.flags.writeable
     assert out.grid.flags.writeable
@@ -761,7 +837,7 @@ def test_interleaved_split_steps_on_two_threads_agree(baseline_profile):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            a, b = pool.map(lambda _: split_step(channel, ScreenStreams(19, 3)), range(2))
+            (a,), (b,) = pool.map(lambda _: split_step(channel, ScreenStreams(19, 3)), range(2))
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(a.grid, b.grid)
@@ -783,8 +859,8 @@ def test_odd_screen_count_runs_and_reruns_identically(baseline_profile):
     plan = three_screen_plan(geom, baseline_profile)
     assert sum(slab.has_screen for slab in plan.slabs) == 3
     channel = channel_of(geom, baseline_profile, plan, 128)
-    out = split_step(channel, ScreenStreams(31, 4))
-    again = split_step(channel, ScreenStreams(31, 4))
+    (out,) = split_step(channel, ScreenStreams(31, 4))
+    (again,) = split_step(channel, ScreenStreams(31, 4))
     assert np.array_equal(out.grid, again.grid)
     assert 0.0 < meter(out, 0.5) <= 1.0
 
@@ -809,11 +885,11 @@ def test_split_step_pairs_screens_on_the_upper_slab_stream(baseline_profile):
     top, middle = generate_screen((s2, s1), spectrum, streams.generator(2))
     (bottom,) = generate_screen((s0,), spectrum, streams.generator(0))
     # each fixed-grid hop flips the field, so the middle screen goes on transposed
-    field = apply_screen(field, top)
-    field = apply_screen(hop(field, 0.5 * (s2.path_length + s1.path_length)), middle.T)
-    field = apply_screen(hop(field, 0.5 * (s1.path_length + s0.path_length)), bottom)
+    (field,) = apply_screen((field,), top)
+    (field,) = apply_screen((hop(field, 0.5 * (s2.path_length + s1.path_length)),), middle.T)
+    (field,) = apply_screen((hop(field, 0.5 * (s1.path_length + s0.path_length)),), bottom)
     expected = upright(hop(field, 0.5 * s0.path_length))
-    out = split_step(channel_of(geom, baseline_profile, plan, n), streams)
+    (out,) = split_step(channel_of(geom, baseline_profile, plan, n), streams)
     assert not out.transposed
     assert np.array_equal(out.grid, expected.grid)
 
@@ -837,7 +913,7 @@ def test_single_screen_scattering_broadens_beam():
     w_vac = second_moment_radius(vacuum)
     channel = channel_of(geom, profile, plan, 256)
     for realization in range(3):
-        out = split_step(channel, ScreenStreams(29, realization))
+        (out,) = split_step(channel, ScreenStreams(29, realization))
         assert second_moment_radius(out) > 1.3 * w_vac
 
 
@@ -852,7 +928,7 @@ def test_turbulence_broadens_beam_and_drops_coupling(baseline_profile):
     radii = []
     etas = []
     for realization in range(24):
-        out = split_step(channel, ScreenStreams(23, realization))
+        (out,) = split_step(channel, ScreenStreams(23, realization))
         radii.append(second_moment_radius(out))
         etas.append(meter(out, 0.5))
     # downlink broadening is faint (the screens sit at the very end of the
