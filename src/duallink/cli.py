@@ -7,7 +7,9 @@ regardless of thread count, so reruns are byte-identical and safe to
 diff in CI.
 
 Exit statuses: 0 success, 1 usage or configuration problems, 2
-numerical or physicality failures, 3 verification failures.
+numerical or physicality failures, 3 verification failures.  A command
+line that argparse cannot parse (an unknown command or flag, a missing
+required flag, a non-integer count) exits 2 from argparse itself.
 """
 
 from __future__ import annotations
@@ -113,9 +115,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError(f"thread count must be at least 1, got {args.threads}")
+    if args.threads is not None:  # run_ensembles refuses fewer than one
         return args.threads
     if hasattr(os, "sched_getaffinity"):
         # os.cpu_count() also counts CPUs outside the process's affinity mask

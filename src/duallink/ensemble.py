@@ -130,6 +130,8 @@ def run_ensembles(
     """
     if n < 1:
         raise UsageError("ensemble size must be at least 1")
+    if threads < 1:
+        raise UsageError(f"thread count must be at least 1, got {threads}")
     radii = tuple(float(r) for r in aperture_radii)
     if not radii:
         raise UsageError("at least one aperture radius is required")
@@ -140,23 +142,20 @@ def run_ensembles(
         coherence_time = math.inf
     channel = build_channel(geom, profile, plan, grid_size, radii)
 
-    # (stream, member signs, realization index of each member)
+    # each walk is the realization indices it meters: a stream and its mirror, or one alone
     half = (n + 1) // 2
     if n > threads:
-        walks = [
-            (k, (1, -1), (k, half + k)) if half + k < n else (k, (1,), (k,))
-            for k in range(half)
-        ]
+        walks = [(k, half + k) if half + k < n else (k,) for k in range(half)]
     else:
-        walks = [(i, (1,), (i,)) for i in range(half)]
-        walks += [(k, (-1,), (half + k,)) for k in range(n - half)]
+        walks = [(i,) for i in range(n)]
+    table = np.empty((n, len(radii)))
 
-    def realize(walk) -> list[tuple[float, ...]]:
-        stream, signs, indices = walk
+    def realize(indices: tuple[int, ...]) -> None:
+        signs = tuple(1 if i < half else -1 for i in indices)
         try:
-            fields = split_step(channel, ScreenStreams(master_seed, stream), signs)
-            return [
-                tuple(aperture_transmissivity(field, ap) for ap in channel.apertures)
+            fields = split_step(channel, ScreenStreams(master_seed, indices[0] % half), signs)
+            table[indices, :] = [
+                [aperture_transmissivity(field, ap) for ap in channel.apertures]
                 for field in fields
             ]
         except DuallinkError as exc:
@@ -164,20 +163,17 @@ def run_ensembles(
             label = "realizations" if len(indices) > 1 else "realization"
             raise type(exc)(f"{label} {names}: {exc}") from exc
 
-    rows: list[tuple[float, ...]] = [()] * n
     # no pool for one thread: a pool thread's own malloc arena adds ~2 MB of peak RSS
-    if threads <= 1:
-        results = [realize(walk) for walk in walks]
+    if threads == 1:
+        for indices in walks:
+            realize(indices)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(realize, walks))
-    for (_, _, indices), members in zip(walks, results):
-        for index, row in zip(indices, members):
-            rows[index] = row
+            list(pool.map(realize, walks))
 
     return tuple(
         ChannelEnsemble(
-            etas=[row[j] for row in rows],
+            etas=table[:, j],
             geometry=replace(geom, aperture_radius=radius),
             profile=profile,
             grid_size=grid_size,

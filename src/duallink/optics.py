@@ -186,8 +186,9 @@ def propagate_vacuum(
     phase is off the exact (kz - k) d by pi d lambda^3 f^4 / 4 to leading
     order: pi d lambda^3 / (16 dx^4) at the Nyquist corner, at most
     pi N lambda^2 / (16 dx^2) per sampled step.  While dx >= lambda no
-    component is evanescent.  The result is a new array, or ``out``, which may
-    be the input's own grid.
+    component is evanescent.  A zero distance returns the input field itself;
+    otherwise the result's grid is a new array, or ``out``, which may be the
+    input's own grid.
     """
     if distance < 0.0:
         raise UsageError("propagation distance must be nonnegative")
@@ -268,11 +269,11 @@ def apply_screen(
     result is a new array, or the workspace's ``fields[k]``, which may be its
     input's own grid.
     """
-    if len(signs) != len(fields) or any(sign not in (1, -1) for sign in signs):
+    if not fields or len(signs) != len(fields) or any(sign not in (1, -1) for sign in signs):
         raise UsageError(f"one sign, +1 or -1, per field; got {signs!r} for {len(fields)}")
-    size = fields[0].size
-    if phase.shape != (size, size):
-        raise UsageError(f"screen shape {phase.shape} does not match field {(size, size)}")
+    if any(field.grid.shape != phase.shape for field in fields):
+        raise UsageError(f"screen shape {phase.shape} does not match every field's grid")
+    size = phase.shape[0]
     ws = Workspace(size, len(fields)) if workspace is None else workspace
     for tile in _row_tiles(size):
         rows = tile.stop - tile.start
@@ -376,6 +377,8 @@ def split_step(
     it, so a member walked alone gives the same bits.  The results are
     upright and never share the entry's grid.
     """
+    if not signs or any(sign not in (1, -1) for sign in signs):
+        raise UsageError(f"one member sign or more, each +1 or -1; got {signs!r}")
     workspace = Workspace(channel.entry.size, len(signs))
     fields = (channel.entry,) * len(signs)
     for index, slabs, hops in channel.draws:

@@ -7,6 +7,7 @@ single-expression evaluations.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,30 @@ def test_geometry_rejects_satellite_below_ground():
             beam_waist=0.15,
             aperture_radius=0.5,
         )
+
+
+def valid_profile() -> AtmosphereProfile:
+    return AtmosphereProfile(ground_cn2=9.6e-14, ground_wind=3.0, outer_scale=5.0, inner_scale=0.01)
+
+
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: replace(make_geometry(), wavelength=0.0), "wavelength must be positive"),
+        (lambda: replace(make_geometry(), beam_waist=-0.15), "beam_waist must be positive"),
+        (lambda: replace(make_geometry(), aperture_radius=0.0), "aperture_radius must be positive"),
+        (lambda: replace(valid_profile(), ground_cn2=0.0), "strength A must be positive"),
+        (lambda: replace(valid_profile(), ground_cn2=-1e-14), "strength A must be positive"),
+        (lambda: replace(valid_profile(), cn2_scale=-0.5), "cn2_scale must be nonnegative"),
+        # a band must lie inside [ground, satellite] and be ordered
+        (lambda: integrated_cn2(make_geometry(), valid_profile(), 600e3), "outside the path"),
+        (lambda: rytov_variance(make_geometry(), valid_profile(), 0.0, -1.0), "outside the path"),
+        (lambda: fried_parameter(make_geometry(), valid_profile(), 5e3, 5e3), "outside the path"),
+    ],
+)
+def test_nonphysical_geometry_profile_and_band_are_refused(refused, match):
+    with pytest.raises(UsageError, match=match):
+        refused()
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,27 @@ def test_grid_size_must_be_power_of_two(tmp_path):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("name = smoke", "name = smoke test", "scenario name must be nonempty without whitespace"),
+        ("realizations = 6", "realizations = 0", "realizations must be at least 1, got 0"),
+        ("kept_fraction = 0.5", "kept_fraction = 0.0", r"kept fraction must be in \(0, 1\]"),
+        ("kept_fraction = 0.5", "kept_fraction = 1.5", r"kept fraction must be in \(0, 1\]"),
+        (
+            "[output]\n",
+            "[output]\nhistogram_bin_db = 0.0\n",
+            "histogram bin must be positive, got 0.0",
+        ),
+    ],
+)
+def test_run_config_refuses_unusable_values(tmp_path, old, new, match):
+    text = BASE_CONFIG.format(out=tmp_path)
+    assert old in text
+    with pytest.raises(UsageError, match=match):
+        parse_config(text.replace(old, new))
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -501,6 +522,23 @@ def test_protocol_verify_without_classical_layer(tmp_path):
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert run_cli("simulate-channel", "--config", str(tmp_path / "nope.ini")) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate-channel", "--threads", "0"], "thread count must be at least 1, got 0"),
+        (["simulate-channel", "--threads", "-2"], "thread count must be at least 1, got -2"),
+        # an OSError from a file the config does not name
+        (["key-rate", "--ensemble", "missing.ensemble"], "No such file or directory"),
+        (["link-budget", "--ensemble", "missing.ensemble"], "No such file or directory"),
+    ],
+)
+def test_unusable_command_line_values_exit_one(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--config", write_config(tmp_path)) == 1
+    assert_one_error_line(capsys, message)
+    assert not (tmp_path / "out" / "smoke.ensemble").exists()
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
+import re
 import sys
 import threading
 import warnings
@@ -112,6 +114,29 @@ def test_antithetic_layout_at_any_thread_count(baseline_profile, n):
         assert np.array_equal(ens.etas, plus + minus)
     # a mirror is another draw of the channel, not a copy of its walk
     assert all(a != b for a, b in zip(plus, minus))
+
+
+def test_pooled_walks_fill_every_row_under_frequent_switches(baseline_profile):
+    # workers write disjoint rows of one shared table: with more workers than
+    # cores and a 10 us switch interval, a lost or misplaced row would differ
+    # from the one-thread run, in lockstep pairs (3 threads) or alone (8)
+    args = (make_geometry(30.0), baseline_profile, 8, 23041, (0.3, 0.5), 128)
+    inline = run_ensembles(*args, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = [run_ensembles(*args, threads=threads) for threads in (3, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in pooled:
+        for ens, reference in zip(run, inline):
+            assert np.array_equal(ens.etas, reference.etas)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_fewer_than_one_thread_is_refused(baseline_profile, threads):
+    with pytest.raises(UsageError, match=f"thread count must be at least 1, got {threads}"):
+        run_ensemble(make_geometry(), baseline_profile, 2, 23041, grid_size=128, threads=threads)
 
 
 def test_a_failed_walk_names_its_realizations(baseline_profile, monkeypatch):
@@ -351,6 +376,12 @@ def test_fading_stats_refuses_what_the_covariance_matrix_refuses(mean_eta, eta_f
         FadingStats(mean_eta, eta_f, var_sqrt, 3.0, 0.0)
 
 
+def test_fading_stats_refuses_a_var_sqrt_that_is_not_a_nonnegative_number():
+    for var_sqrt in (math.nan, -0.1):
+        with pytest.raises(DataIntegrityError, match=r"negative Var\(sqrt\(eta\)\)"):
+            FadingStats(0.5, 0.4, var_sqrt, 3.0, 0.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -497,6 +528,42 @@ def test_alien_file_refused(tmp_path):
     path = tmp_path / "not-an-ensemble.txt"
     path.write_text("hello\nworld\n")
     with pytest.raises(DataIntegrityError):
+        load_ensemble(path)
+
+
+def with_data(text: str, data: str) -> str:
+    """The saved file with its data section replaced and its checksum made to match."""
+    head = text.partition("\ndata:\n")[0]
+    checksum = hashlib.sha256(data.encode("ascii")).hexdigest()
+    return re.sub("checksum = [0-9a-f]+", f"checksum = {checksum}", head) + "\ndata:\n" + data
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda t: t.replace("duallink-ensemble", "duallink-ensembles", 1), "not a duallink"),
+        (lambda t: t.replace("grid_size = 256", "grid_size 256"), "malformed header line"),
+        (
+            lambda t: t.replace("grid_size = 256", "grid_size = 256\ngrid_size = 256"),
+            "malformed header line 'grid_size = 256'",
+        ),
+        (lambda t: t.replace("master_seed = 0\n", ""), "missing header field 'master_seed'"),
+        (lambda t: t.replace("grid_size = 256", "grid_size = 256.5"), "unparsable header value"),
+        (
+            lambda t: t.replace("count = 4", "count = 4\ncolour = blue"),
+            r"unknown header fields \['colour'\]",
+        ),
+        (lambda t: t.replace("count = 4", "count = 3"), "promises 3 realizations, found 4"),
+        (lambda t: with_data(t, "0.1\n0.2\nhalf\n0.4\n"), "unparsable transmissivity"),
+    ],
+)
+def test_corrupt_header_or_data_refused(tmp_path, corrupt, match):
+    path = tmp_path / "channel.ens"
+    save_ensemble(synthetic_ensemble([0.1, 0.2, 0.3, 0.4]), path)
+    text = path.read_text()
+    path.write_text(corrupt(text))
+    assert path.read_text() != text
+    with pytest.raises(DataIntegrityError, match=match):
         load_ensemble(path)
 
 

@@ -161,6 +161,24 @@ def test_plob_bound_doubles_ideal_rate():
         assert plob_bound(eta) == pytest.approx(2.0 * ideal_rate(eta), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: asymptotic_rate(0.98, -1e-3), "mutual information must be nonnegative"),
+        (
+            lambda: finite_size_rate(reference_finite_size(), -1e-3),
+            "mutual information must be nonnegative",
+        ),
+        (lambda: plob_bound(-0.1), r"transmissivity must be in \[0, 1\]"),
+        (lambda: plob_bound(1.1), r"transmissivity must be in \[0, 1\]"),
+        (lambda: plob_bound(math.nan), r"transmissivity must be in \[0, 1\]"),
+    ],
+)
+def test_negative_information_and_out_of_range_loss_are_refused(refused, match):
+    with pytest.raises(UsageError, match=match):
+        refused()
+
+
 # -------------------------------------------------------------- penalties
 
 

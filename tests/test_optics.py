@@ -503,6 +503,57 @@ def test_screen_geometry_must_match():
         apply_screen((field,), np.zeros((64, 64)))
 
 
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("imprint with no fields", "one sign"),
+        ("imprint on mixed grids", "does not match every field"),
+        ("walk with no members", "one member sign or more"),
+        ("vacuum walk with no members", "one member sign or more"),
+        ("vacuum walk with a bad sign", "one member sign or more"),
+    ],
+)
+def test_walk_with_no_members_or_mixed_grids_is_refused(baseline_profile, case, match):
+    # refused before any work: a vacuum walk imprints nothing, so it checks its signs itself
+    geom = make_geometry()
+    window = choose_receiver_window(geom, (0.5,))
+    turbulent = plan_slabs(geom, baseline_profile, window / 128)
+    streams = ScreenStreams(23041, 0)
+    calls = {
+        "imprint with no fields": lambda: apply_screen((), np.zeros((64, 64)), ()),
+        "imprint on mixed grids": lambda: apply_screen(
+            (waist(geom, 64), waist(geom, 128)), np.zeros((64, 64)), (1, -1)
+        ),
+        "walk with no members": lambda: split_step(
+            channel_of(geom, baseline_profile, turbulent, 128), streams, ()
+        ),
+        "vacuum walk with no members": lambda: split_step(
+            channel_of(geom, dead_profile(), vacuum_plan(geom, 128), 128), streams, ()
+        ),
+        "vacuum walk with a bad sign": lambda: split_step(
+            channel_of(geom, dead_profile(), vacuum_plan(geom, 128), 128), streams, (2,)
+        ),
+    }
+    with pytest.raises(UsageError, match=match):
+        calls[case]()
+
+
+@pytest.mark.parametrize(
+    "grid, spacing, wavelength, match",
+    [
+        (np.zeros((64, 32), complex), 0.01, 1e-6, "must be square"),
+        (np.zeros(64, complex), 0.01, 1e-6, "must be square"),
+        (np.zeros((64, 64), complex), 0.0, 1e-6, "spacing must be positive"),
+        (np.zeros((64, 64), complex), 0.01, -1e-6, "wavelength must be positive"),
+    ],
+)
+def test_field_must_be_a_square_grid_with_positive_spacing_and_wavelength(
+    grid, spacing, wavelength, match
+):
+    with pytest.raises(UsageError, match=match):
+        ComplexField(grid, spacing, wavelength)
+
+
 # ---------------------------------------------------------------------------
 # aperture transmissivity
 

@@ -194,6 +194,26 @@ def test_unphysical_matrix_rejected():
         CovarianceMatrix(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "refused, error, match",
+    [
+        (lambda: ClassicalLayer(-1.0, 100.0), UsageError, "displacement must be nonnegative"),
+        (lambda: ClassicalLayer(math.nan, 100.0), UsageError, "displacement must be nonnegative"),
+        (lambda: ClassicalLayer(10.0, 0.0), UsageError, "carrier amplitude must be positive"),
+        (lambda: ClassicalLayer(10.0, math.inf), UsageError, "carrier amplitude must be positive"),
+        (
+            lambda: CovarianceMatrix(1.0, 1.0, 0.5, 0.5, 0.0, 0.0),
+            PhysicalityError,
+            "mode B violates uncertainty",
+        ),
+        (lambda: SqueezingParams(0.25, math.inf, 0.2), UsageError, "variances must be finite"),
+    ],
+)
+def test_classical_layer_mode_b_and_infinite_modulation_are_refused(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()
+
+
 # ------------------------------------------------------------- correlations
 
 

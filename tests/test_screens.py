@@ -235,6 +235,19 @@ def test_plan_rejects_noncontiguous_slabs():
         SlabPlan((a, b))
 
 
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda profile: SlabPlan(()), "needs at least one slab"),
+        (lambda profile: screen_spectrum(64, 0.0, profile), "spacing must be positive"),
+        (lambda profile: screen_spectrum(64, -0.01, profile), "spacing must be positive"),
+    ],
+)
+def test_empty_plan_and_unspaced_spectrum_are_refused(baseline_profile, refused, match):
+    with pytest.raises(UsageError, match=match):
+        refused(baseline_profile)
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
