@@ -24,7 +24,7 @@ screen scale is exactly zero, and tau0 = inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,13 @@ _CELL_EDGES = 60
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _require_finite(params) -> None:
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise UsageError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinkGeometry:
     """Physical scene: ground station, satellite, beam, and receive aperture."""
@@ -52,6 +59,7 @@ class LinkGeometry:
     aperture_radius: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 <= self.ground_altitude < self.satellite_altitude:
             raise UsageError(
                 "require 0 <= ground altitude < satellite altitude, got "
@@ -126,6 +134,7 @@ class AtmosphereProfile:
     cn2_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.ground_cn2 <= 0.0:
             raise UsageError("ground turbulence strength A must be positive")
         if not 0.0 < self.inner_scale < self.outer_scale:

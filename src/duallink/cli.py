@@ -123,16 +123,6 @@ def _thread_count(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
-def _stamp(config: RunConfig) -> str:
-    return f"# duallink {__version__} config {config_hash(config)[:12]}\n"
-
-
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_csv(path: Path, stamp: str, header: str, rows) -> None:
     """One line per tuple of ints and floats; %r is _render_value for both."""
     line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
@@ -142,7 +132,8 @@ def _write_csv(path: Path, stamp: str, header: str, rows) -> None:
         handle.writelines(line % row for row in rows)
 
 
-def _check_ensemble_matches_config(ens: ChannelEnsemble, config: RunConfig) -> None:
+def _load_matching_ensemble(path, config: RunConfig) -> ChannelEnsemble:
+    ens = load_ensemble(path)
     problems = [
         f"{what} differs (ensemble {theirs}, config {ours})"
         for what, theirs, ours in (
@@ -154,11 +145,12 @@ def _check_ensemble_matches_config(ens: ChannelEnsemble, config: RunConfig) -> N
     ]
     if problems:
         raise UsageError("ensemble file does not match config: " + "; ".join(problems))
+    return ens
 
 
-def cmd_simulate_channel(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    stamp = _stamp(config)
+def cmd_simulate_channel(
+    config: RunConfig, args: argparse.Namespace, out: Path, stamp: str
+) -> int:
     ens = run_ensemble(
         config.geometry,
         config.profile,
@@ -214,11 +206,8 @@ def cmd_simulate_channel(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    stamp = _stamp(config)
-    ens = load_ensemble(args.ensemble)
-    _check_ensemble_matches_config(ens, config)
+def cmd_key_rate(config: RunConfig, args: argparse.Namespace, out: Path, stamp: str) -> int:
+    ens = _load_matching_ensemble(args.ensemble, config)
 
     stats = fading_stats(ens.etas)
     params = config.squeezing_params()
@@ -247,9 +236,9 @@ def cmd_key_rate(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_protocol_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    stamp = _stamp(config)
+def cmd_protocol_verify(
+    config: RunConfig, args: argparse.Namespace, out: Path, stamp: str
+) -> int:
     params = config.squeezing_params()
     if args.sabotage:
         # Detune the tap away from the zero-leakage point; the
@@ -323,11 +312,8 @@ def cmd_protocol_verify(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_link_budget(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    stamp = _stamp(config)
-    ens = load_ensemble(args.ensemble)
-    _check_ensemble_matches_config(ens, config)
+def cmd_link_budget(config: RunConfig, args: argparse.Namespace, out: Path, stamp: str) -> int:
+    ens = _load_matching_ensemble(args.ensemble, config)
 
     snrs = classical_snr(config.classical.displacement, ens.etas)
     bers = classical_ber(snrs).tolist()
@@ -357,7 +343,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
-        return _DISPATCH[args.command](config, args)
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        stamp = f"# duallink {__version__} config {config_hash(config)[:12]}\n"
+        return _DISPATCH[args.command](config, args, out, stamp)
     except DuallinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_status

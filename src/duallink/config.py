@@ -112,6 +112,8 @@ class RunConfig:
             raise UsageError(f"grid size must be a power of two, got {self.grid_size}")
         if self.realizations < 1:
             raise UsageError(f"realizations must be at least 1, got {self.realizations}")
+        if self.master_seed < 0:
+            raise UsageError(f"master seed must be nonnegative, got {self.master_seed}")
         if not (0.0 < self.kept_fraction <= 1.0):
             raise UsageError(f"kept fraction must be in (0, 1], got {self.kept_fraction}")
         if self.histogram_bin_db <= 0.0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,17 +42,6 @@ _FORMAT_NAME = "duallink-ensemble"
 # 10: antithetic pairs; the first ceil(n/2) etas are format 9's, bit for bit,
 #     and the rest their mirrors, walked with every screen negated
 _FORMAT_VERSION = 10
-
-# fields serialized into the ensemble header, in writing order
-_GEOMETRY_FIELDS = (
-    "ground_altitude",
-    "satellite_altitude",
-    "zenith_angle",
-    "wavelength",
-    "beam_waist",
-    "aperture_radius",
-)
-_PROFILE_FIELDS = ("ground_cn2", "ground_wind", "outer_scale", "inner_scale", "cn2_scale")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +121,8 @@ def run_ensembles(
         raise UsageError("ensemble size must be at least 1")
     if threads < 1:
         raise UsageError(f"thread count must be at least 1, got {threads}")
+    if master_seed < 0:
+        raise UsageError(f"master seed must be nonnegative, got {master_seed}")
     radii = tuple(float(r) for r in aperture_radii)
     if not radii:
         raise UsageError("at least one aperture radius is required")
@@ -153,10 +144,10 @@ def run_ensembles(
     def realize(indices: tuple[int, ...]) -> None:
         signs = tuple(1 if i < half else -1 for i in indices)
         try:
-            fields = split_step(channel, ScreenStreams(master_seed, indices[0] % half), signs)
+            received = split_step(channel, ScreenStreams(master_seed, indices[0] % half), signs)
             table[indices, :] = [
                 [aperture_transmissivity(field, ap) for ap in channel.apertures]
-                for field in fields
+                for field in received
             ]
         except DuallinkError as exc:
             names = " and ".join(map(str, indices))
@@ -267,10 +258,9 @@ def save_ensemble(ens: ChannelEnsemble, path) -> None:
     data_lines = "".join(_format_float(eta) + "\n" for eta in ens.etas.tolist())
     checksum = hashlib.sha256(data_lines.encode("ascii")).hexdigest()
     header = [f"{_FORMAT_NAME} {_FORMAT_VERSION}"]
-    for name in _GEOMETRY_FIELDS:
-        header.append(f"geometry.{name} = {_format_float(getattr(ens.geometry, name))}")
-    for name in _PROFILE_FIELDS:
-        header.append(f"profile.{name} = {_format_float(getattr(ens.profile, name))}")
+    for prefix, part in (("geometry", ens.geometry), ("profile", ens.profile)):
+        for field in fields(part):
+            header.append(f"{prefix}.{field.name} = {_format_float(getattr(part, field.name))}")
     header.append(f"grid_size = {ens.grid_size}")
     header.append(f"master_seed = {ens.master_seed}")
     header.append(f"coherence_time = {_format_float(ens.coherence_time)}")
@@ -301,26 +291,26 @@ def load_ensemble(path) -> ChannelEnsemble:
             f"{path}: format version {first[1]} is not supported (expected "
             f"{_FORMAT_VERSION})"
         )
-    fields: dict[str, str] = {}
+    entries: dict[str, str] = {}
     for line in lines[1:]:
         key, eq, value = line.partition(" = ")
-        if not eq or not key or key in fields:
+        if not eq or not key or key in entries:
             raise DataIntegrityError(f"{path}: malformed header line {line!r}")
-        fields[key] = value
+        entries[key] = value
 
     def take(name: str) -> str:
         try:
-            return fields.pop(name)
+            return entries.pop(name)
         except KeyError:
             raise DataIntegrityError(f"{path}: missing header field {name!r}") from None
 
+    def build(cls, prefix: str):
+        return cls(**{f.name: float(take(f"{prefix}.{f.name}")) for f in fields(cls)})
+
     try:
-        geometry = LinkGeometry(
-            **{name: float(take(f"geometry.{name}")) for name in _GEOMETRY_FIELDS}
-        )
-        profile = AtmosphereProfile(
-            **{name: float(take(f"profile.{name}")) for name in _PROFILE_FIELDS}
-        )
+        # the geometry is built, and refused, before the profile's keys are taken
+        geometry = build(LinkGeometry, "geometry")
+        profile = build(AtmosphereProfile, "profile")
         grid_size = int(take("grid_size"))
         master_seed = int(take("master_seed"))
         coherence_time = float(take("coherence_time"))
@@ -328,10 +318,8 @@ def load_ensemble(path) -> ChannelEnsemble:
         checksum = take("checksum")
     except ValueError as exc:
         raise DataIntegrityError(f"{path}: unparsable header value ({exc})") from exc
-    if fields:
-        raise DataIntegrityError(
-            f"{path}: unknown header fields {sorted(fields)}"
-        )
+    if entries:
+        raise DataIntegrityError(f"{path}: unknown header fields {sorted(entries)}")
     if hashlib.sha256(data.encode("ascii")).hexdigest() != checksum:
         raise DataIntegrityError(f"{path}: checksum mismatch; file is corrupt")
     values = data.split("\n")

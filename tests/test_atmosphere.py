@@ -7,7 +7,7 @@ single-expression evaluations.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -181,6 +181,21 @@ def valid_profile() -> AtmosphereProfile:
 def test_nonphysical_geometry_profile_and_band_are_refused(refused, match):
     with pytest.raises(UsageError, match=match):
         refused()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        pytest.param(build, field.name, id=field.name)
+        for build, cls in ((make_geometry, LinkGeometry), (valid_profile, AtmosphereProfile))
+        for field in fields(cls)
+    ],
+)
+def test_non_finite_geometry_and_profile_values_are_refused(build, name, value):
+    # the config parser refuses these first; library callers meet the dataclasses' check
+    with pytest.raises(UsageError, match=f"^{name} must be finite, got {value}$"):
+        replace(build(), **{name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ import duallink
 from duallink.cli import _thread_count, main
 from duallink.atmosphere import greenwood_and_coherence
 from duallink.config import _SCHEMA, config_hash, load_config, parse_config, render_config
-from duallink.ensemble import ChannelEnsemble, fading_stats, load_ensemble, save_ensemble
+from duallink.ensemble import (
+    ChannelEnsemble,
+    fading_stats,
+    load_ensemble,
+    run_ensembles,
+    save_ensemble,
+)
 from duallink.errors import UsageError
 from duallink.optics import vacuum_beam_radius
 from duallink.protocol import SqueezingParams, classical_ber, verify_predictions
@@ -566,6 +572,22 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, **{"aperture_radius = 0.5": "aperture_radius = nan"})
     assert run_cli("simulate-channel", "--config", config) == 1
     assert_one_error_line(capsys, "[geometry] aperture_radius: 'nan' is not finite")
+
+
+@pytest.mark.parametrize("command", ["simulate-channel", "protocol-verify"])
+def test_negative_master_seed_is_refused(tmp_path, capsys, command):
+    # refused before any stream or generator is seeded, from the flag, the key or the library
+    message = "master seed must be nonnegative, got -1"
+    config = write_config(tmp_path)
+    parsed = load_config(config)
+    assert run_cli(command, "--config", config, "--seed", "-1") == 1
+    assert_one_error_line(capsys, message)
+    keyed = write_config(tmp_path, **{"master_seed = 7": "master_seed = -1"})
+    assert run_cli(command, "--config", keyed) == 1
+    assert_one_error_line(capsys, message)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(UsageError, match=message):
+        run_ensembles(parsed.geometry, parsed.profile, 2, -1, (0.5,), grid_size=64)
 
 
 @pytest.mark.parametrize("total_epsilon", ["1e-105", "1e-150", "1e-323"])
